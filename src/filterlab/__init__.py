@@ -43,6 +43,7 @@ from .coupling import (
 from .filter import (
     LipschitzFunction,
     apply_T,
+    filter_laws,
     likelihood,
     lipschitz_probe,
     mass_functional,

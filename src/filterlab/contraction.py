@@ -56,13 +56,6 @@ class RectSupport:
     rows: tuple
     cols: tuple
 
-    def masks(self, shape) -> tuple[np.ndarray, np.ndarray]:
-        f = np.zeros(shape[0], dtype=bool)
-        g = np.zeros(shape[1], dtype=bool)
-        f[list(self.rows)] = True
-        g[list(self.cols)] = True
-        return f, g
-
 
 def rectangular_support(kernel, zero_tol: float = 0.0) -> RectSupport | None:
     """The support rectangle of a kernel, or None if the support is not one.

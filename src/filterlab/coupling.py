@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BarycenterMismatch, BudgetExceeded, SpaceMismatch
-from .measures import PointMassMeasure, barycenter, tv_distance
+from .measures import PointMassMeasure, barycenter, merge_atoms, tv_distance
 from .model import DensityVector, HmmModel
 from .filter import observation_law
 
@@ -157,29 +157,13 @@ class JointFilterMeasure:
         return float(self.weights[self.pair_tv() < rho].sum())
 
     def merged(self, tol: float = PAIR_MERGE_TOL) -> "JointFilterMeasure":
-        if self.n_atoms == 0:
-            return self
-        stacked = np.concatenate([self.x_points, self.y_points], axis=1)
-        order = np.lexsort(stacked.T[::-1])
-        stacked = stacked[order]
-        ws = self.weights[order]
-        lam = self.space.lambda_weights
-        lam2 = np.concatenate([lam, lam])[None, :]
-        masses = stacked * lam2
-        out_pts, out_ws = [stacked[0]], [ws[0]]
-        ref = masses[0]
-        k_cells = self.space.n
-        for k in range(1, len(ws)):
-            d = np.abs(masses[k] - ref)
-            if max(d[:k_cells].sum(), d[k_cells:].sum()) <= tol:
-                out_ws[-1] += ws[k]
-            else:
-                out_pts.append(stacked[k])
-                out_ws.append(ws[k])
-                ref = masses[k]
-        out = np.array(out_pts)
-        return JointFilterMeasure(self.space, out[:, :k_cells], out[:, k_cells:],
-                                  out_ws, pruned_mass=self.pruned_mass)
+        """Merge pairs whose two halves each lie within ``tol`` in TV."""
+        stacked = np.hstack([self.x_points, self.y_points])
+        points, weights = merge_atoms(stacked, self.weights, self.space.lambda_weights,
+                                      tol, blocks=2)
+        k = self.space.n
+        return JointFilterMeasure(self.space, points[:, :k], points[:, k:],
+                                  weights, pruned_mass=self.pruned_mass)
 
 
 def coupled_filter_step(model: HmmModel, x: DensityVector, y: DensityVector

@@ -11,7 +11,7 @@ evaluates the induced averaging operator on test functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -20,6 +20,15 @@ from .measures import PointMassMeasure
 from .model import DensityVector, HmmModel
 
 ENUMERATION_BUDGET = 10**7
+# (grid point, observation sequence) branches apply_T_grid steps at once
+_GRID_BLOCK = 1 << 14
+
+
+def _check_horizon(model: HmmModel, n: int, budget: int) -> None:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if model.n_obs**n > budget:
+        raise BudgetExceeded(f"|A|^n = {model.n_obs}**{n} exceeds budget {budget}")
 
 
 def _masses(model: HmmModel, x: DensityVector) -> np.ndarray:
@@ -68,81 +77,84 @@ class PushforwardNode:
     weight: float
 
 
-def _enumerate_masses(model: HmmModel, x: DensityVector, n: int,
-                      prune_eps: float, budget: int):
-    """Vectorized depth-n sweep over observation sequences.
-
-    Returns per-sequence unnormalized mass vectors, cumulative weights
-    (likelihood times tau mass), sequence index array and pruned mass.  The
-    chain rule for stepping kernels makes the depth-n recursion a product of
-    per-step matrices, so each level multiplies every surviving sequence by
-    every stepping matrix at once.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    n_obs = model.n_obs
-    if n_obs**n > budget:
-        raise BudgetExceeded(f"|A|^n = {n_obs}**{n} exceeds budget {budget}")
-    tau = model.obs.tau_weights
-    cur = _masses(model, x)[None, :]
-    tau_prod = np.array([1.0])
-    seqs = np.zeros((1, 0), dtype=np.int64)
-    pruned = 0.0
-    for _ in range(n):
-        # (seq, a, t): advance every sequence by every observation; the mass
-        # vectors carry the cumulative likelihood, tau_prod the tau mass
-        stepped = np.einsum("qs,ast->qat", cur, model.stepping_matrices)
-        base = np.repeat(seqs, n_obs, axis=0)
-        ext = np.tile(np.arange(n_obs), len(seqs))[:, None]
-        seqs = np.concatenate([base, ext], axis=1)
-        cur = stepped.reshape(-1, model.n_states)
-        tau_prod = (tau_prod[:, None] * tau[None, :]).ravel()
-        if prune_eps > 0.0:
-            cumw = cur.sum(axis=1) * tau_prod
-            keep = cumw >= prune_eps
-            pruned += float(cumw[~keep].sum())
-            cur, tau_prod, seqs = cur[keep], tau_prod[keep], seqs[keep]
-    weights = cur.sum(axis=1) * tau_prod
-    return cur, weights, seqs, pruned
-
-
 def pushforward_nodes(model: HmmModel, x: DensityVector, n: int,
                       prune_eps: float = 0.0,
                       budget: int = ENUMERATION_BUDGET) -> list[PushforwardNode]:
     """Unmerged n-step enumeration in lexicographic sequence order.
 
-    Zero-likelihood sequences keep the convention point ``x`` but carry zero
-    weight, so they are omitted.
+    The chain rule for stepping kernels makes the depth-n recursion a product
+    of per-step matrices, so each level multiplies every surviving sequence by
+    every stepping matrix at once.  ``prune_eps`` drops sequences whose
+    cumulative weight falls below it.  Zero-likelihood sequences keep the
+    convention point ``x`` but carry zero weight, so they are omitted.
     """
-    cur, weights, seqs, _ = _enumerate_masses(model, x, n, prune_eps, budget)
-    nodes = []
-    for masses, w, seq in zip(cur, weights, seqs):
-        if w <= 0.0:
-            continue
-        total = masses.sum()
-        point = DensityVector.from_masses(model.states, masses / total)
-        labels = tuple(model.obs.cells[i] for i in seq)
-        nodes.append(PushforwardNode(labels, point, float(w)))
-    return nodes
+    _check_horizon(model, n, budget)
+    n_obs = model.n_obs
+    tau = model.obs.tau_weights
+    cur = _masses(model, x)[None, :]
+    tau_prod = np.array([1.0])
+    seqs = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(n):
+        # (seq, a, t): advance every sequence by every observation; the mass
+        # vectors carry the cumulative likelihood, tau_prod the tau mass
+        cur = np.einsum("qs,ast->qat", cur, model.stepping_matrices)
+        cur = cur.reshape(-1, model.n_states)
+        seqs = np.column_stack([np.repeat(seqs, n_obs, axis=0),
+                                np.tile(np.arange(n_obs), len(seqs))])
+        tau_prod = (tau_prod[:, None] * tau[None, :]).ravel()
+        if prune_eps > 0.0:
+            keep = cur.sum(axis=1) * tau_prod >= prune_eps
+            cur, tau_prod, seqs = cur[keep], tau_prod[keep], seqs[keep]
+    cells = model.obs.cells
+    return [PushforwardNode(tuple(cells[i] for i in seq),
+                            DensityVector.from_masses(model.states, m / m.sum()),
+                            float(w))
+            for m, w, seq in zip(cur, cur.sum(axis=1) * tau_prod, seqs) if w > 0.0]
+
+
+def filter_laws(model: HmmModel, x: DensityVector, n_max: int, prune_eps: float = 0.0,
+                budget: int = ENUMERATION_BUDGET) -> Iterator[PointMassMeasure]:
+    """Exact filter laws of the horizons 0, 1, ..., n_max, merged at each one.
+
+    Steps the merged frontier one observation at a time: every atom is
+    advanced by every observation, weighted by its likelihood times the tau
+    mass, and the result is merged before the next step, so atoms that meet
+    are stepped once.  ``prune_eps`` drops merged atoms of weight below it
+    from horizon one on; the dropped mass accumulates in ``pruned_mass``.
+    The budget bounds ``|A|**n_max``, the number of observation sequences.
+    """
+    _check_horizon(model, n_max, budget)
+    masses = _masses(model, x)[None, :]
+    weights = np.array([1.0])
+    pruned = 0.0
+    for n in range(n_max + 1):
+        if n:
+            # (a, atom, t): every atom advanced by every observation
+            stepped = (masses @ model.stepping_matrices).reshape(-1, model.n_states)
+            g = stepped.sum(axis=1)
+            weights = (model.obs.tau_weights[:, None] * weights).ravel() * g
+            keep = weights > 0.0
+            masses, weights = stepped[keep] / g[keep, None], weights[keep]
+        law = PointMassMeasure(model.states, masses / model.states.lambda_weights,
+                               weights, pruned_mass=pruned).merged()
+        if n and prune_eps > 0.0:
+            keep = law.weights >= prune_eps
+            if not keep.any():
+                raise BudgetExceeded("pruning removed all mass; lower prune_eps")
+            pruned += float(law.weights[~keep].sum())
+            law = PointMassMeasure(model.states, law.points[keep],
+                                   law.weights[keep], pruned_mass=pruned)
+        yield law
+        masses, weights = law.mass_matrix(), law.weights
 
 
 def pushforward_n(model: HmmModel, x: DensityVector, n: int,
                   prune_eps: float = 0.0,
                   budget: int = ENUMERATION_BUDGET) -> PointMassMeasure:
-    """Exact n-step filter law as a point-mass measure (atoms merged).
-
-    ``prune_eps`` drops sequences whose cumulative weight falls below the
-    threshold; the dropped mass is reported on the returned measure.
-    """
-    cur, weights, _, pruned = _enumerate_masses(model, x, n, prune_eps, budget)
-    keep = weights > 0.0
-    cur, weights = cur[keep], weights[keep]
-    if len(weights) == 0:
-        raise BudgetExceeded("pruning removed all mass; lower prune_eps")
-    totals = cur.sum(axis=1)
-    points = (cur / totals[:, None]) / model.states.lambda_weights[None, :]
-    measure = PointMassMeasure(model.states, points, weights, pruned_mass=pruned)
-    return measure.merged()
+    """Exact n-step filter law: the last law :func:`filter_laws` yields."""
+    for law in filter_laws(model, x, n, prune_eps, budget):
+        pass
+    return law
 
 
 @dataclass(frozen=True)
@@ -180,17 +192,6 @@ def mass_functional(model_or_space, cells, name: str = "") -> LipschitzFunction:
     )
 
 
-def distance_functional(center: DensityVector, name: str = "") -> LipschitzFunction:
-    """u(x) = ||x - z0||: total-variation distance to a fixed density."""
-    c = center.masses
-
-    def fn(masses):
-        return np.abs(masses - c).sum(axis=-1)
-
-    return LipschitzFunction(fn=fn, gamma=1.0, sup_norm=2.0,
-                             name=name or "tv_distance_to_center")
-
-
 def estimate_gamma(fn, space, samples: int = 2000, seed: int = 0) -> float:
     """Sampled lower bound on the Lipschitz constant of a user function.
 
@@ -217,42 +218,36 @@ def lipschitz_function_from(fn, space, sup_norm: float, samples: int = 2000,
 def apply_T(model: HmmModel, u: LipschitzFunction, x: DensityVector, n: int,
             budget: int = ENUMERATION_BUDGET) -> float:
     """n-fold averaging operator: expectation of u under the n-step filter law."""
-    if n == 0:
-        return u(x)
-    cur, weights, _, _ = _enumerate_masses(model, x, n, 0.0, budget)
-    keep = weights > 0.0
-    cur, weights = cur[keep], weights[keep]
-    normalized = cur / cur.sum(axis=1, keepdims=True)
-    return float(weights @ u.on_masses(normalized))
+    law = pushforward_n(model, x, n, budget=budget)
+    return float(law.weights @ u.on_masses(law.mass_matrix()))
 
 
 def apply_T_grid(model: HmmModel, u: LipschitzFunction, masses_grid: np.ndarray,
                  n: int) -> np.ndarray:
     """Averaging operator evaluated on a whole grid of start masses at once.
 
-    Enumerates the ``|A|**n`` products of stepping matrices once and reuses
-    them for every grid point; zero-likelihood branches contribute nothing.
+    Steps blocks of grid points level by level, one batched product per level
+    over every (grid point, observation sequence) branch.  A block holds
+    about ``_GRID_BLOCK`` branches, so no array over the whole grid times all
+    ``|A|**n`` sequences is built; zero-likelihood branches contribute nothing.
     """
     grid = np.atleast_2d(np.asarray(masses_grid, dtype=float))
     if n == 0:
         return u.on_masses(grid)
-    tau = model.obs.tau_weights
-    products = [(np.eye(model.n_states), 1.0)]
-    for _ in range(n):
-        products = [
-            (prod @ model.stepping_matrices[a], tw * tau[a])
-            for prod, tw in products
-            for a in range(model.n_obs)
-        ]
+    size = max(1, _GRID_BLOCK // model.n_obs**n)
     out = np.zeros(len(grid))
-    for prod, tw in products:
-        stepped = grid @ prod
-        g = stepped.sum(axis=1)
+    for s in range(0, len(grid), size):
+        cur = grid[s:s + size, None, :]
+        tw = np.ones(1)
+        for _ in range(n):
+            cur = np.einsum("gqs,ast->gqat", cur, model.stepping_matrices)
+            cur = cur.reshape(len(cur), -1, model.n_states)
+            tw = (tw[:, None] * model.obs.tau_weights).ravel()
+        g = cur.sum(axis=2)
         pos = g > 0
-        if not pos.any():
-            continue
-        vals = u.on_masses(stepped[pos] / g[pos, None])
-        out[pos] += tw * g[pos] * vals
+        vals = np.zeros_like(g)
+        vals[pos] = u.on_masses(cur[pos] / g[pos, None])
+        out[s:s + size] = (g * vals) @ tw
     return out
 
 
@@ -276,7 +271,7 @@ class FilterTrajectory:
             fh.write(f"step,observation,{cells}\n")
             for k, state in enumerate(self.states):
                 obs = "" if k == 0 else str(self.observations[k - 1])
-                vals = ",".join(repr(v) for v in state.values)
+                vals = ",".join(repr(float(v)) for v in state.values)
                 fh.write(f"{k},{obs},{vals}\n")
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contraction import check_condition_P
-from .filter import apply_T_grid, pushforward_n
+from .filter import apply_T_grid, filter_laws
 from .measures import kantorovich
 from .model import (
     DensityVector,
@@ -166,8 +166,8 @@ class WeakContractionReport:
             fh.write("pair,n,distance,lower_bound\n")
             for i in range(len(self.pairs)):
                 for n in range(1, self.n_max + 1):
-                    fh.write(f"{i},{n},{self.distances[i, n-1]!r},"
-                             f"{self.lower_bounds[i, n-1]!r}\n")
+                    fh.write(f"{i},{n},{float(self.distances[i, n-1])!r},"
+                             f"{float(self.lower_bounds[i, n-1])!r}\n")
 
 
 def weak_contraction_report(model: HmmModel, pairs, n_max: int,
@@ -181,13 +181,13 @@ def weak_contraction_report(model: HmmModel, pairs, n_max: int,
     rates = []
     for i, (x, y) in enumerate(pairs):
         xm, ym = x.masses, y.masses
-        for n in range(1, n_max + 1):
-            mu = pushforward_n(model, x, n, prune_eps=prune_eps, budget=budget)
-            nu = pushforward_n(model, y, n, prune_eps=prune_eps, budget=budget)
+        laws = zip(filter_laws(model, x, n_max, prune_eps, budget),
+                   filter_laws(model, y, n_max, prune_eps, budget))
+        next(laws)  # horizon zero: the two starts themselves
+        for n, (mu, nu) in enumerate(laws, start=1):
             pruned = max(pruned, mu.pruned_mass + nu.pruned_mass)
             dists[i, n - 1], _ = kantorovich(mu, nu)
-            xm = xm @ P
-            ym = ym @ P
+            xm, ym = xm @ P, ym @ P
             floors[i, n - 1] = np.abs(xm - ym).sum()
         rates.append(_fit_rate(dists[i]))
     return WeakContractionReport(pairs=list(pairs), n_max=n_max,
@@ -218,7 +218,7 @@ class OscDecayReport:
             fh.write("function,n,oscillation\n")
             for i, name in enumerate(self.names):
                 for n in range(self.n_max + 1):
-                    fh.write(f"{name},{n},{self.oscillations[i, n]!r}\n")
+                    fh.write(f"{name},{n},{float(self.oscillations[i, n])!r}\n")
 
 
 def osc_decay_report(model: HmmModel, u_list, n_max: int,
@@ -257,10 +257,8 @@ def barycenter_identity_check(model: HmmModel, starts, n_max: int,
     worst = 0.0
     for x in starts:
         marginal = x.masses.copy()
-        for n in range(n_max + 1):
-            law = pushforward_n(model, x, n, budget=budget)
-            bary = law.barycenter_masses()
-            worst = max(worst, float(np.abs(bary - marginal).sum()))
+        for law in filter_laws(model, x, n_max, budget=budget):
+            worst = max(worst, float(np.abs(law.barycenter_masses() - marginal).sum()))
             marginal = marginal @ P
     return worst
 
@@ -281,7 +279,7 @@ class TightnessReport:
             fh.write("start,n,ball_mass\n")
             for i in range(self.masses.shape[0]):
                 for n in range(self.masses.shape[1]):
-                    fh.write(f"{i},{n},{self.masses[i, n]!r}\n")
+                    fh.write(f"{i},{n},{float(self.masses[i, n])!r}\n")
 
 
 def tightness_probe(model: HmmModel, x0: DensityVector, epsilon: float,
@@ -294,8 +292,7 @@ def tightness_probe(model: HmmModel, x0: DensityVector, epsilon: float,
     masses = np.zeros((len(starts), n_max + 1))
     pruned = 0.0
     for i, x in enumerate(starts):
-        for n in range(n_max + 1):
-            law = pushforward_n(model, x, n, budget=budget)
+        for n, law in enumerate(filter_laws(model, x, n_max, budget=budget)):
             pruned = max(pruned, law.pruned_mass)
             masses[i, n] = law.mass_in_ball(x0, epsilon)
     tail = masses[:, (n_max + 1) // 2:]

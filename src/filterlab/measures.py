@@ -40,6 +40,57 @@ def tv_distance(x: DensityVector, y: DensityVector) -> float:
     return float(np.abs(x.masses - y.masses).sum())
 
 
+def merge_atoms(points, weights, lam, tol: float, blocks: int = 1):
+    """Group atoms into the connected components of "TV <= tol".
+
+    Each row of ``points`` is ``blocks`` densities against the cell weights
+    ``lam``, and two rows are as far apart as their farthest pair of blocks.
+    Components do not depend on input order or on bystander atoms.  Returns
+    each component's lexicographically first point and its summed weight,
+    in lexicographic order of the points.
+    """
+    if len(weights) == 0:
+        return points, weights
+    order = np.argsort(points[:, 0])
+    points, weights = points[order], weights[order]
+    if (np.diff(points[:, 0]) == 0).any():
+        # ties: order them by later cells and collapse exact duplicates
+        order = np.lexsort(points.T[::-1])
+        points = points[order]
+        starts = np.flatnonzero(np.r_[True, (points[1:] != points[:-1]).any(axis=1)])
+        points, weights = points[starts], np.add.reduceat(weights[order], starts)
+    lam = np.tile(lam, blocks)
+    # TV >= |difference in any one mass coordinate|, so along the widest
+    # coordinate sorted only neighbours within tol can be joined
+    col = int(np.argmax([np.ptp(c) * w for c, w in zip(points.T, lam)]))
+    by_key = np.argsort(points[:, col])
+    key = points[by_key, col] * lam[col]
+    edges = [np.zeros((2, 0), dtype=np.int64)]
+    for d in range(1, len(key)):
+        near = np.flatnonzero(key[d:] - key[:-d] <= tol)
+        if len(near) == 0:
+            break
+        a, b = by_key[near], by_key[near + d]
+        tv = np.abs(points[a] - points[b]) * lam
+        hit = tv.reshape(len(a), blocks, -1).sum(axis=2).max(axis=1) <= tol
+        edges.append(np.stack([a[hit], b[hit]]))
+    rows, cols = np.concatenate(edges, axis=1)
+    # label every atom by the smallest index in its component: min-label
+    # propagation along the edges with pointer jumping
+    label = np.arange(len(points))
+    while True:
+        new = label.copy()
+        low = np.minimum(label[rows], label[cols])
+        np.minimum.at(new, rows, low)
+        np.minimum.at(new, cols, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    roots = label == np.arange(len(points))
+    return points[roots], np.bincount((np.cumsum(roots) - 1)[label], weights=weights)
+
+
 class PointMassMeasure:
     """Finitely supported measure on K: weighted list of density vectors.
 
@@ -48,10 +99,9 @@ class PointMassMeasure:
     enumeration cut-off so error budgets stay auditable.
     """
 
-    __slots__ = ("space", "points", "weights", "labels", "pruned_mass")
+    __slots__ = ("space", "points", "weights", "pruned_mass")
 
-    def __init__(self, space: StateSpace, points, weights, labels=None,
-                 pruned_mass: float = 0.0):
+    def __init__(self, space: StateSpace, points, weights, pruned_mass: float = 0.0):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         weights = np.asarray(weights, dtype=float)
         if points.shape != (weights.size, space.n):
@@ -63,19 +113,11 @@ class PointMassMeasure:
         self.space = space
         self.points = points
         self.weights = weights
-        self.labels = tuple(labels) if labels is not None else None
         self.pruned_mass = float(pruned_mass)
 
     @classmethod
     def dirac(cls, x: DensityVector) -> "PointMassMeasure":
         return cls(x.space, x.values[None, :], [1.0])
-
-    @classmethod
-    def from_atoms(cls, atoms: Sequence[tuple[DensityVector, float]]) -> "PointMassMeasure":
-        space = atoms[0][0].space
-        pts = np.stack([a.values for a, _ in atoms])
-        ws = [w for _, w in atoms]
-        return cls(space, pts, ws)
 
     @classmethod
     def atomized(cls, pi: DensityVector) -> "PointMassMeasure":
@@ -112,32 +154,13 @@ class PointMassMeasure:
         return float(self.weights[d < eps].sum())
 
     def merged(self, tol: float = MERGE_TOL) -> "PointMassMeasure":
-        """Merge atoms whose points coincide within ``tol`` in total variation.
-
-        Atoms are sorted lexicographically first, so the result is
-        deterministic and independent of input order.
-        """
-        if self.n_atoms == 0:
-            return self
-        order = np.lexsort(self.points.T[::-1])
-        pts = self.points[order]
-        ws = self.weights[order]
-        masses = pts * self.space.lambda_weights[None, :]
-        out_pts, out_ws = [pts[0]], [ws[0]]
-        ref = masses[0]
-        for k in range(1, len(ws)):
-            if np.abs(masses[k] - ref).sum() <= tol:
-                out_ws[-1] += ws[k]
-            else:
-                out_pts.append(pts[k])
-                out_ws.append(ws[k])
-                ref = masses[k]
-        return PointMassMeasure(self.space, np.array(out_pts), out_ws,
-                                pruned_mass=self.pruned_mass)
+        """Merge atoms into the connected components of "TV <= tol"."""
+        merged = merge_atoms(self.points, self.weights, self.space.lambda_weights, tol)
+        return PointMassMeasure(self.space, *merged, pruned_mass=self.pruned_mass)
 
     def scaled(self, factor: float) -> "PointMassMeasure":
         return PointMassMeasure(self.space, self.points, self.weights * factor,
-                                labels=self.labels, pruned_mass=self.pruned_mass)
+                                pruned_mass=self.pruned_mass)
 
     def __repr__(self):
         return (f"PointMassMeasure(n_atoms={self.n_atoms}, "
@@ -180,7 +203,7 @@ class TransportPlan:
         with open(path, "w") as fh:
             fh.write("i,j,mass,cost\n")
             for i, j, w, c in zip(self.source, self.target, self.mass, self.cost):
-                fh.write(f"{i},{j},{w!r},{c!r}\n")
+                fh.write(f"{i},{j},{float(w)!r},{float(c)!r}\n")
 
 
 def _cost_matrix(mu: PointMassMeasure, nu: PointMassMeasure) -> np.ndarray:

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -68,3 +70,14 @@ def random_model(rng, n_states, n_obs, weighted=False, sparsity=0.0):
 
 def random_density(rng, space):
     return DensityVector.from_masses(space, rng.dirichlet(np.ones(space.n)))
+
+
+def numeric_csv_rows(path, text_columns=()):
+    """Rows of a CSV file whose every non-empty cell, bar ``text_columns``, is a float."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        for column, cell in row.items():
+            if column not in text_columns and cell != "":
+                float(cell)
+    return rows

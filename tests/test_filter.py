@@ -9,6 +9,7 @@ from filterlab.filter import (
     LipschitzFunction,
     apply_T,
     apply_T_grid,
+    filter_laws,
     likelihood,
     lipschitz_probe,
     mass_functional,
@@ -19,6 +20,7 @@ from filterlab.filter import (
     run_filter,
     update,
 )
+from filterlab.measures import PointMassMeasure
 from filterlab.model import (
     DensityVector,
     build_model,
@@ -28,7 +30,14 @@ from filterlab.model import (
     simulate,
 )
 
-from conftest import e, random_density, random_model
+from conftest import e, numeric_csv_rows, random_density, random_model
+
+
+def _nodes_merged_once(model, x, n):
+    """The n-step law from the unmerged enumeration, merged at the end only."""
+    nodes = pushforward_nodes(model, x, n)
+    return PointMassMeasure(model.states, [node.point.values for node in nodes],
+                            [node.weight for node in nodes]).merged()
 
 
 class TestLikelihood:
@@ -155,6 +164,26 @@ class TestPushforwardN:
         with pytest.raises(BudgetExceeded):
             pushforward_n(m2, e(m2, 1), 40)
 
+    def test_filter_laws_match_nodes_merged_once(self):
+        rng = np.random.default_rng(29)
+        for n_states, n_obs, weighted in [(2, 3, False), (3, 2, True), (4, 2, False)]:
+            model = random_model(rng, n_states, n_obs, weighted=weighted, sparsity=0.2)
+            x = random_density(rng, model.states)
+            for n, law in enumerate(filter_laws(model, x, 6)):
+                once = _nodes_merged_once(model, x, n)
+                assert law.n_atoms == once.n_atoms
+                np.testing.assert_allclose(law.points, once.points, atol=1e-12)
+                np.testing.assert_allclose(law.weights, once.weights, atol=1e-12)
+
+    def test_filter_laws_merge_shared_atoms(self, partition_fixture):
+        # observing the entered state leaves two atoms at every horizon
+        x = e(partition_fixture, 1)
+        laws = list(filter_laws(partition_fixture, x, 12))
+        assert [law.n_atoms for law in laws] == [1] + [2] * 12
+        once = _nodes_merged_once(partition_fixture, x, 12)
+        np.testing.assert_array_equal(laws[-1].points, once.points)
+        np.testing.assert_allclose(laws[-1].weights, once.weights, atol=1e-12)
+
     def test_prune_reports_dropped_mass(self, m2):
         law = pushforward_n(m2, e(m2, 1), 10, prune_eps=1e-3)
         assert law.pruned_mass > 0
@@ -244,6 +273,8 @@ class TestRunFilter:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "step,observation,1,2"
         assert len(lines) == 4
+        rows = numeric_csv_rows(out)
+        assert float(rows[-1]["2"]) == traj.states[-1].values[1]
 
 
 class TestGammaEstimate:

@@ -22,7 +22,7 @@ from filterlab.lab import (
 )
 from filterlab.model import DensityVector, markov_kernel, stationary
 
-from conftest import P_SYM, Q_SYM, e, random_model
+from conftest import P_SYM, Q_SYM, e, numeric_csv_rows, random_model
 
 
 class TestExamplePartition:
@@ -121,6 +121,8 @@ class TestWeakContraction:
         out = tmp_path / "wc.csv"
         report.to_csv(out)
         assert len(out.read_text().strip().splitlines()) == 3
+        rows = numeric_csv_rows(out)
+        assert float(rows[-1]["distance"]) == report.distances[0, 1]
 
 
 class TestOscDecay:
@@ -154,6 +156,8 @@ class TestOscDecay:
         out = tmp_path / "osc.csv"
         report.to_csv(out)
         assert out.read_text().startswith("function,n,oscillation")
+        rows = numeric_csv_rows(out, text_columns=("function",))
+        assert float(rows[-1]["oscillation"]) == report.oscillations[0, 2]
 
 
 class TestBarycenterIdentity:
@@ -203,6 +207,8 @@ class TestTightness:
         out = tmp_path / "tight.csv"
         report.to_csv(out)
         assert out.read_text().startswith("start,n,ball_mass")
+        rows = numeric_csv_rows(out)
+        assert float(rows[-1]["ball_mass"]) == report.masses[0, 2]
 
 
 class TestGrids:

@@ -11,6 +11,7 @@ from filterlab.errors import (
 )
 from filterlab.filter import pushforward_n
 from filterlab.measures import (
+    MERGE_TOL,
     LipschitzWitness,
     PointMassMeasure,
     barycenter,
@@ -21,12 +22,13 @@ from filterlab.measures import (
     half_mass_check,
     kantorovich,
     kantorovich_dual_check,
+    merge_atoms,
     nearest_barycenter_distance,
     tv_distance,
 )
 from filterlab.model import DensityVector, StateSpace, markov_kernel
 
-from conftest import e, random_density
+from conftest import e, numeric_csv_rows, random_density
 
 
 def _space(k, rng=None, weighted=False):
@@ -181,6 +183,8 @@ class TestKantorovich:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "i,j,mass,cost"
         assert len(lines) == 1 + len(plan.mass)
+        rows = numeric_csv_rows(path)
+        np.testing.assert_array_equal([float(r["mass"]) for r in rows], plan.mass)
 
 
 class TestDualSide:
@@ -370,3 +374,108 @@ class TestMerging:
         a, b = mu.merged(), nu.merged()
         np.testing.assert_allclose(a.points, b.points, atol=0)
         np.testing.assert_allclose(a.weights, b.weights, atol=1e-15)
+
+    def test_bystander_does_not_split_a_pair(self):
+        # the two near atoms differ by 2e-14 in TV; the bystander sits between
+        # them in lexicographic order but 0.4 away from both
+        space = _space(3)
+        pts = [[0.3, 0.3, 0.4], [0.3 + 1e-14, 0.3, 0.4 - 1e-14],
+               [0.3 + 5e-15, 0.1, 0.6 - 5e-15]]
+        assert PointMassMeasure(space, pts[:2], [0.5, 0.5]).merged().n_atoms == 1
+        merged = PointMassMeasure(space, pts, [0.25, 0.25, 0.5]).merged()
+        assert merged.n_atoms == 2
+        np.testing.assert_allclose(np.sort(merged.weights), [0.5, 0.5], atol=1e-15)
+
+    def test_chain_merges_transitively(self):
+        # neighbours 0.8e-12 apart, ends 1.6e-12 apart: one component
+        space = _space(2)
+        pts = [[0.5, 0.5], [0.5 + 4e-13, 0.5 - 4e-13], [0.5 + 8e-13, 0.5 - 8e-13]]
+        merged = PointMassMeasure(space, pts, [0.2, 0.3, 0.5]).merged()
+        assert merged.n_atoms == 1
+        np.testing.assert_array_equal(merged.points[0], pts[0])
+
+
+def _clustered_atoms(seed, blocks, tol=MERGE_TOL):
+    """Atoms in chains of links 0.4 tol long, and atoms far from all of them.
+
+    Returns cell weights, points (rows of ``blocks`` densities), weights, the
+    chain of each atom and three extra atoms more than 100 tol from every
+    point and from each other; some of these sit next to a chain atom in
+    lexicographic order.
+    """
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 5))
+    lam = rng.uniform(0.5, 2.0, k)
+    rows, chain = [], []
+    for c in range(int(rng.integers(1, 6))):
+        masses = rng.dirichlet(np.ones(k), size=blocks)
+        for _ in range(int(rng.integers(1, 5))):
+            rows.append(masses.copy())
+            chain.append(c)
+            if rng.random() < 0.3:  # an exact duplicate
+                rows.append(masses.copy())
+                chain.append(c)
+            # move 0.2 tol of mass between two cells of one block
+            b, i, j = rng.integers(blocks), *rng.choice(k, 2, replace=False)
+            masses[b, i] += 0.2 * tol
+            masses[b, j] -= 0.2 * tol
+    points = np.array([(r / lam).ravel() for r in rows])
+    weights = rng.uniform(0.1, 1.0, len(points))
+    far = []
+    while len(far) < 3:
+        cand = rng.dirichlet(np.ones(k), size=blocks)
+        if rng.random() < 0.5 and (k > 2 or blocks > 1):
+            # a bystander: next to a chain atom in lexicographic order
+            cand = rows[rng.integers(len(rows))].copy()
+            cand[0, 0] += 0.1 * tol
+            if blocks > 1:
+                cand[1] = rng.dirichlet(np.ones(k))
+            else:
+                shift = 0.5 * min(cand[0, 1], cand[0, 2])
+                cand[0, 1] -= shift
+                cand[0, 2] += shift
+        dist = np.abs(points.reshape(-1, blocks, k) * lam - cand).sum(axis=2).max(axis=1)
+        if dist.min() > 100 * tol and all(
+                np.abs(f - cand).sum(axis=1).max() > 100 * tol for f in far):
+            far.append(cand)
+    far_points = np.array([(f / lam).ravel() for f in far])
+    return lam, points, weights, np.array(chain), far_points
+
+
+class TestMergeAtomsProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from([1, 2]))
+    def test_permutation_invariant(self, seed, blocks):
+        lam, pts, w, _, _ = _clustered_atoms(seed, blocks)
+        perm = np.random.default_rng(seed + 1).permutation(len(w))
+        p1, w1 = merge_atoms(pts, w, lam, MERGE_TOL, blocks)
+        p2, w2 = merge_atoms(pts[perm], w[perm], lam, MERGE_TOL, blocks)
+        np.testing.assert_array_equal(p1, p2)
+        np.testing.assert_allclose(w1, w2, rtol=1e-14, atol=0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from([1, 2]))
+    def test_far_atoms_change_nothing(self, seed, blocks):
+        lam, pts, w, _, far = _clustered_atoms(seed, blocks)
+        far_w = np.full(len(far), 0.7)
+        p1, w1 = merge_atoms(pts, w, lam, MERGE_TOL, blocks)
+        p2, w2 = merge_atoms(np.vstack([pts, far]), np.concatenate([w, far_w]),
+                             lam, MERGE_TOL, blocks)
+        is_far = (p2[:, None, :] == far[None, :, :]).all(axis=2).any(axis=1)
+        assert is_far.sum() == len(far)
+        np.testing.assert_array_equal(w2[is_far], far_w)
+        np.testing.assert_array_equal(p2[~is_far], p1)
+        np.testing.assert_allclose(w2[~is_far], w1, rtol=1e-14, atol=0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from([1, 2]))
+    def test_each_chain_is_one_component(self, seed, blocks):
+        lam, pts, w, chain, _ = _clustered_atoms(seed, blocks)
+        p, merged_w = merge_atoms(pts, w, lam, MERGE_TOL, blocks)
+        chain_w = np.bincount(chain, weights=w)
+        np.testing.assert_allclose(np.sort(merged_w), np.sort(chain_w), rtol=1e-14)
+        # each component keeps its lexicographically first point
+        for c in range(len(chain_w)):
+            members = pts[chain == c]
+            first = members[np.lexsort(members.T[::-1])[0]]
+            assert (p == first).all(axis=1).sum() == 1
