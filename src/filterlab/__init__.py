@@ -38,12 +38,14 @@ from .coupling import (
     condition_E_estimate,
     coupled_chain,
     coupled_filter_step,
+    coupled_laws,
     vasershtein_obs_coupling,
 )
 from .filter import (
     LipschitzFunction,
     apply_T,
     filter_laws,
+    grid_averages,
     likelihood,
     lipschitz_probe,
     mass_functional,

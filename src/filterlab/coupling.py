@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .errors import BarycenterMismatch, BudgetExceeded, SpaceMismatch
 from .measures import PointMassMeasure, barycenter, merge_atoms, tv_distance
 from .model import DensityVector, HmmModel
-from .filter import observation_law
 
 PAIR_MERGE_TOL = 1e-12
 
@@ -69,14 +69,22 @@ class ObsCoupling:
             mask[self.obs_cells.index(a)] = True
         return float(self.diagonal[mask].sum())
 
-    def pairs(self):
-        """All atoms as (a_index, b_index, mass) with positive mass."""
-        for a, w in enumerate(self.diagonal):
-            if w > 0:
-                yield a, a, float(w)
-        for a, b, w in zip(self.off_source, self.off_target, self.off_mass):
-            if w > 0:
-                yield int(a), int(b), float(w)
+
+def _obs_couplings(model: HmmModel, xp: np.ndarray, yp: np.ndarray):
+    """Maximal-diagonal couplings of the observation laws of density rows xp, yp.
+
+    Returns the likelihoods and diagonal masses (rows x |A|) and the excess
+    products (rows x |A| x |A|), zero on the diagonal: only one law exceeds.
+    """
+    tau, lam = model.obs.tau_weights, model.states.lambda_weights
+    obs = model.stepping_matrices.sum(axis=2).T
+    gx, gy = xp * lam @ obs, yp * lam @ obs
+    common = np.minimum(gx, gy)
+    ex, ey = (gx - common) * tau, (gy - common) * tau
+    # a zero total excess leaves ex all zero, so any positive divisor does
+    excess = ex.sum(axis=1)
+    excess = np.where(excess > 0.0, excess, 1.0)[:, None, None]
+    return gx, gy, common * tau, ex[:, :, None] * ey[:, None, :] / excess
 
 
 def vasershtein_obs_coupling(model: HmmModel, x: DensityVector,
@@ -87,29 +95,13 @@ def vasershtein_obs_coupling(model: HmmModel, x: DensityVector,
     two observation laws; the leftover excesses are coupled by their product
     normalized by the total excess mass (purely diagonal when there is none).
     """
-    tau = model.obs.tau_weights
-    gx = observation_law(model, x)
-    gy = observation_law(model, y)
-    common = np.minimum(gx, gy)
-    diag = common * tau
-    ex = (gx - common) * tau
-    ey = (gy - common) * tau
-    excess = ex.sum()
-    if excess <= 0.0:
-        off = np.zeros((0,))
-        src = tgt = np.zeros((0,), dtype=np.int64)
-    else:
-        src_all = np.nonzero(ex > 0)[0]
-        tgt_all = np.nonzero(ey > 0)[0]
-        mass = np.outer(ex[src_all], ey[tgt_all]) / excess
-        src = np.repeat(src_all, len(tgt_all))
-        tgt = np.tile(tgt_all, len(src_all))
-        off = mass.ravel()
-    return ObsCoupling(
-        obs_cells=model.obs.cells, diagonal=diag,
-        off_source=src, off_target=tgt, off_mass=off,
-        g_x=gx, g_y=gy, tau=tau,
-    )
+    if not (x.space.same_as(model.states) and y.space.same_as(model.states)):
+        raise SpaceMismatch("density lives on a different state space")
+    gx, gy, diag, off = _obs_couplings(model, x.values[None, :], y.values[None, :])
+    src, tgt = np.nonzero(off[0] > 0.0)
+    return ObsCoupling(obs_cells=model.obs.cells, diagonal=diag[0], off_source=src,
+                       off_target=tgt, off_mass=off[0][src, tgt], g_x=gx[0], g_y=gy[0],
+                       tau=model.obs.tau_weights)
 
 
 class JointFilterMeasure:
@@ -166,6 +158,27 @@ class JointFilterMeasure:
                                   weights, pruned_mass=self.pruned_mass)
 
 
+def _bayes_updates(model: HmmModel, points: np.ndarray) -> np.ndarray:
+    """Each row updated by each observation; a zero-likelihood branch keeps the row."""
+    lam = model.states.lambda_weights
+    stepped = (points * lam @ model.stepping_matrices).transpose(1, 0, 2)
+    g = stepped.sum(axis=2, keepdims=True)
+    return np.where(g > 0.0, stepped / np.where(g > 0.0, g, 1.0) / lam,
+                    points[:, None, :])
+
+
+def _coupled_step(model: HmmModel, joint: JointFilterMeasure) -> JointFilterMeasure:
+    """One unmerged coupled step of every pair; pairs of zero mass are dropped."""
+    live = joint.weights > 0.0
+    xp, yp, w0 = joint.x_points[live], joint.y_points[live], joint.weights[live]
+    _, _, diag, w = _obs_couplings(model, xp, yp)
+    w += diag[:, :, None] * np.eye(model.n_obs)  # the excess products vanish there
+    pair, a, b = np.nonzero(w > 0.0)
+    return JointFilterMeasure(model.states, _bayes_updates(model, xp)[pair, a],
+                              _bayes_updates(model, yp)[pair, b],
+                              w[pair, a, b] * w0[pair])
+
+
 def coupled_filter_step(model: HmmModel, x: DensityVector, y: DensityVector
                         ) -> JointFilterMeasure:
     """Push the observation coupling through both Bayes updates.
@@ -173,21 +186,8 @@ def coupled_filter_step(model: HmmModel, x: DensityVector, y: DensityVector
     Each marginal of the result is exactly the one-step filter law of the
     corresponding start.
     """
-    coupling = vasershtein_obs_coupling(model, x, y)
-    xm = x.masses
-    ym = y.masses
-    lam = model.states.lambda_weights
-    xs, ys, ws = [], [], []
-    for a, b, w in coupling.pairs():
-        nx = xm @ model.stepping_matrices[a]
-        ny = ym @ model.stepping_matrices[b]
-        sx, sy = nx.sum(), ny.sum()
-        px = (nx / sx) / lam if sx > 0 else x.values
-        py = (ny / sy) / lam if sy > 0 else y.values
-        xs.append(px)
-        ys.append(py)
-        ws.append(w)
-    return JointFilterMeasure(model.states, xs, ys, ws)
+    return _coupled_step(model, JointFilterMeasure(model.states, x.values, y.values,
+                                                   [1.0]))
 
 
 def product_coupling(mu: PointMassMeasure, nu: PointMassMeasure
@@ -201,34 +201,30 @@ def product_coupling(mu: PointMassMeasure, nu: PointMassMeasure
     return JointFilterMeasure(mu.space, xs, ys, ws)
 
 
-def coupled_chain(model: HmmModel, mu: PointMassMeasure, nu: PointMassMeasure,
-                  n: int, budget: int = 10**6) -> JointFilterMeasure:
-    """n applications of the coupled filter step from the product coupling.
+def coupled_laws(model: HmmModel, mu: PointMassMeasure, nu: PointMassMeasure,
+                 n_max: int, budget: int = 10**6) -> Iterator[JointFilterMeasure]:
+    """Coupled laws of the horizons 0, 1, ..., n_max from the product coupling.
 
-    Equal pairs are merged after every step; the result couples the n-step
-    laws of ``mu`` and ``nu``.
+    Steps all pairs at once, one horizon at a time, and merges equal pairs
+    after every step; the law at horizon n couples the n-step laws of ``mu``
+    and ``nu``.  ``budget`` bounds the number of merged pairs.
     """
     joint = product_coupling(mu, nu).merged()
-    lam = model.states.lambda_weights
-    for _ in range(n):
-        xs, ys, ws = [], [], []
-        for k in range(joint.n_atoms):
-            if joint.weights[k] <= 0:
-                continue
-            x = DensityVector(model.states, joint.x_points[k], unnormalized=True)
-            y = DensityVector(model.states, joint.y_points[k], unnormalized=True)
-            step = coupled_filter_step(model, x, y)
-            xs.append(step.x_points)
-            ys.append(step.y_points)
-            ws.append(step.weights * joint.weights[k])
-        joint = JointFilterMeasure(
-            model.states,
-            np.concatenate(xs), np.concatenate(ys), np.concatenate(ws),
-        ).merged()
+    yield joint
+    for _ in range(n_max):
+        joint = _coupled_step(model, joint).merged()
         if joint.n_atoms > budget:
             raise BudgetExceeded(
                 f"coupled chain support {joint.n_atoms} exceeds budget {budget}"
             )
+        yield joint
+
+
+def coupled_chain(model: HmmModel, mu: PointMassMeasure, nu: PointMassMeasure,
+                  n: int, budget: int = 10**6) -> JointFilterMeasure:
+    """The coupled law after n steps: the last law :func:`coupled_laws` yields."""
+    for joint in coupled_laws(model, mu, nu, n, budget):
+        pass
     return joint
 
 
@@ -288,16 +284,11 @@ def condition_E_estimate(model: HmmModel, pi: DensityVector, rho: float,
                     f"extra pair {k}: {name} barycenter differs from pi by {gap!r}"
                 )
         pairs.append((mu, nu, f"user_mu_{k}", f"user_nu_{k}"))
-    reports = []
-    for mu, nu, mu_label, nu_label in pairs:
-        for n in range(n_max + 1):
-            joint = coupled_chain(model, mu, nu, n, budget=budget)
-            reports.append(EConditionReport(
-                rho=rho, n=n, alpha_achieved=joint.mass_within(rho),
-                mu_label=mu_label, nu_label=nu_label,
-                pruned_mass=joint.pruned_mass,
-            ))
-    return reports
+    return [EConditionReport(rho=rho, n=n, alpha_achieved=joint.mass_within(rho),
+                             mu_label=mu_label, nu_label=nu_label,
+                             pruned_mass=joint.pruned_mass)
+            for mu, nu, mu_label, nu_label in pairs
+            for n, joint in enumerate(coupled_laws(model, mu, nu, n_max, budget))]
 
 
 def first_positive_alpha(reports: list[EConditionReport]) -> EConditionReport | None:

@@ -20,7 +20,7 @@ from .measures import PointMassMeasure
 from .model import DensityVector, HmmModel
 
 ENUMERATION_BUDGET = 10**7
-# (grid point, observation sequence) branches apply_T_grid steps at once
+# (grid point, observation sequence) branches grid_averages steps at once
 _GRID_BLOCK = 1 << 14
 
 
@@ -222,33 +222,46 @@ def apply_T(model: HmmModel, u: LipschitzFunction, x: DensityVector, n: int,
     return float(law.weights @ u.on_masses(law.mass_matrix()))
 
 
+def grid_averages(model: HmmModel, u_list, masses_grid: np.ndarray,
+                  n_max: int) -> np.ndarray:
+    """Averaging operators of every horizon 0..n_max on a grid of start masses.
+
+    Returns ``out[n, i, j]``, the n-fold average of ``u_list[i]`` at grid
+    point ``j``.  Steps blocks of grid points level by level, one batched
+    product per level over every (grid point, observation sequence) branch,
+    and evaluates every function on each level's branches, so each branch is
+    stepped once.  A block holds about ``_GRID_BLOCK`` branches at the last
+    level, so no array over the whole grid times all ``|A|**n_max``
+    sequences is built; zero-likelihood branches contribute nothing.
+    """
+    grid = np.atleast_2d(np.asarray(masses_grid, dtype=float))
+    out = np.zeros((n_max + 1, len(u_list), len(grid)))
+    out[0] = [u.on_masses(grid) for u in u_list]
+    size = max(1, _GRID_BLOCK // model.n_obs**n_max)
+    for s in range(0, len(grid), size):
+        cur = grid[s:s + size, None, :]
+        tw = np.ones(1)
+        for n in range(1, n_max + 1):
+            cur = np.einsum("gqs,ast->gqat", cur, model.stepping_matrices)
+            cur = cur.reshape(len(cur), -1, model.n_states)
+            tw = (tw[:, None] * model.obs.tau_weights).ravel()
+            g = cur.sum(axis=2)
+            pos = g > 0
+            points = cur[pos] / g[pos, None]
+            for i, u in enumerate(u_list):
+                vals = np.zeros_like(g)
+                vals[pos] = u.on_masses(points)
+                out[n, i, s:s + size] = (g * vals) @ tw
+    return out
+
+
 def apply_T_grid(model: HmmModel, u: LipschitzFunction, masses_grid: np.ndarray,
                  n: int) -> np.ndarray:
     """Averaging operator evaluated on a whole grid of start masses at once.
 
-    Steps blocks of grid points level by level, one batched product per level
-    over every (grid point, observation sequence) branch.  A block holds
-    about ``_GRID_BLOCK`` branches, so no array over the whole grid times all
-    ``|A|**n`` sequences is built; zero-likelihood branches contribute nothing.
+    The horizon-n row of :func:`grid_averages` for the single function ``u``.
     """
-    grid = np.atleast_2d(np.asarray(masses_grid, dtype=float))
-    if n == 0:
-        return u.on_masses(grid)
-    size = max(1, _GRID_BLOCK // model.n_obs**n)
-    out = np.zeros(len(grid))
-    for s in range(0, len(grid), size):
-        cur = grid[s:s + size, None, :]
-        tw = np.ones(1)
-        for _ in range(n):
-            cur = np.einsum("gqs,ast->gqat", cur, model.stepping_matrices)
-            cur = cur.reshape(len(cur), -1, model.n_states)
-            tw = (tw[:, None] * model.obs.tau_weights).ravel()
-        g = cur.sum(axis=2)
-        pos = g > 0
-        vals = np.zeros_like(g)
-        vals[pos] = u.on_masses(cur[pos] / g[pos, None])
-        out[s:s + size] = (g * vals) @ tw
-    return out
+    return grid_averages(model, [u], masses_grid, n)[n, 0]
 
 
 @dataclass
@@ -329,11 +342,11 @@ def lipschitz_probe(model: HmmModel, u: LipschitzFunction, n: int,
     tv = np.abs(xs - ys).sum(axis=1)
     keep = tv > 1e-9
     xs, ys, tv = xs[keep], ys[keep], tv[keep]
+    tx = grid_averages(model, [u], xs, n)[:, 0]
+    ty = grid_averages(model, [u], ys, n)[:, 0]
     max_ratio: dict[int, float] = {}
     for horizon in range(1, n + 1):
-        tx = apply_T_grid(model, u, xs, horizon)
-        ty = apply_T_grid(model, u, ys, horizon)
-        ratios = np.abs(tx - ty) / tv
+        ratios = np.abs(tx[horizon] - ty[horizon]) / tv
         max_ratio[horizon] = float(ratios.max()) if len(ratios) else 0.0
     return LipschitzProbeReport(
         gamma_u=u.gamma,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contraction import check_condition_P
-from .filter import apply_T_grid, filter_laws
+from .filter import filter_laws, grid_averages
 from .measures import kantorovich
 from .model import (
     DensityVector,
@@ -231,11 +231,8 @@ def osc_decay_report(model: HmmModel, u_list, n_max: int,
     """
     if grid is None:
         grid = simplex_grid(model.states)
-    osc = np.zeros((len(u_list), n_max + 1))
-    for i, u in enumerate(u_list):
-        for n in range(n_max + 1):
-            vals = apply_T_grid(model, u, grid, n)
-            osc[i, n] = float(vals.max() - vals.min())
+    vals = grid_averages(model, u_list, grid, n_max)
+    osc = (vals.max(axis=2) - vals.min(axis=2)).T
     monotone_ok = bool(np.all(osc[:, 1:] <= osc[:, :-1] + 1e-12))
     rates = [_fit_rate(row) for row in osc]
     decay = [bool(row[-1] <= decay_ratio * row[0] + 1e-15) for row in osc]

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .errors import (
     BarycenterMismatch,
@@ -257,6 +255,11 @@ def _line_potentials(key1, key2, w1, w2):
 
 
 def _lp_plan(w1, w2, C):
+    # imported here: scipy is most of the import time of filterlab, and only
+    # transport on three or more cells needs it
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     m, n = C.shape
     ci = np.arange(m * n)
     A1 = sparse.coo_matrix((np.ones(m * n), (np.repeat(np.arange(m), n), ci)),

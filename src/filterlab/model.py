@@ -363,12 +363,14 @@ def iterate(model: HmmModel, n: int) -> HmmModel:
 
 @dataclass
 class ErgodicityReport:
-    """Power-iteration outcome plus per-step worst-case mixing distances.
+    """Direct-solve outcome plus per-step worst-case mixing distances.
 
     ``sup_tv[k]`` is ``max_s || P^{k+1}(s,.) - pi ||`` in total variation.
     ``ergodic`` records whether that sequence fell below tolerance inside the
     diagnostic horizon; when it did not (periodic or reducible chains) the
-    stationarity candidate is still returned but flagged.
+    stationary law is still returned but flagged.  ``null_dim`` is the
+    dimension of the solution space of ``pi P = pi``: above one the chain is
+    reducible and its stationary law is not unique.
     """
 
     converged: bool
@@ -377,6 +379,7 @@ class ErgodicityReport:
     sup_tv: np.ndarray
     ergodic: bool
     note: str = ""
+    null_dim: int = 1
 
 
 def stationary(
@@ -385,27 +388,28 @@ def stationary(
     horizon: int = 10**6,
     diag_horizon: int = 512,
 ) -> tuple[DensityVector, ErgodicityReport]:
-    """Stationary density by power iteration plus ergodicity diagnostics.
+    """Stationary density by a direct solve plus ergodicity diagnostics.
 
-    Ties and periodicity are reported, never resolved: the report's flags say
-    whether the worst-case mixing distance actually decayed.
+    Solves ``pi P = pi`` with ``sum(pi) = 1`` by least squares, so no
+    iteration runs (``iterations`` is 0 and ``horizon`` is not used); the
+    report is ``converged`` when the residual is at most ``tol``.  A solution
+    space of dimension above one (a reducible chain) is reported in
+    ``null_dim`` and in the note, and the law returned is then the
+    minimum-norm solution, a mixture of the chain's closed classes.  Ties and
+    periodicity are reported, never resolved: the report's flags say whether
+    the worst-case mixing distance actually decayed.
     """
     P = model.markov_matrix
-    x = np.full(model.n_states, 1.0 / model.n_states)
-    converged = False
-    iterations = horizon
-    for k in range(horizon):
-        x_next = x @ P
-        if np.abs(x_next - x).sum() <= tol:
-            x = x_next
-            converged = True
-            iterations = k + 1
-            break
-        x = x_next
+    k = model.n_states
+    A = P.T - np.eye(k)
+    s = np.linalg.svd(A, compute_uv=False)
+    null_dim = int((s <= s.max() * k * np.finfo(float).eps).sum())
+    x = np.linalg.lstsq(np.vstack([A, np.ones(k)]), np.r_[np.zeros(k), 1.0],
+                        rcond=None)[0]
     x = np.maximum(x, 0.0)
     x /= x.sum()
     residual = float(np.abs(x @ P - x).sum())
-    rows = np.eye(model.n_states)
+    rows = np.eye(k)
     sup_tv = []
     ergodic = False
     for _ in range(diag_horizon):
@@ -414,17 +418,20 @@ def stationary(
         if sup_tv[-1] <= max(tol, 1e-12):
             ergodic = True
             break
-    note = "" if ergodic else (
-        "sup-distance plateau within diagnostic horizon; "
-        "chain may be periodic or reducible"
-    )
+    notes = [] if null_dim == 1 else [
+        f"reducible: pi P = pi has a {null_dim}-dimensional solution space, "
+        "so the stationary law is not unique; the minimum-norm one is returned"]
+    if not ergodic:
+        notes.append("sup-distance plateau within diagnostic horizon; "
+                     "chain may be periodic or reducible")
     report = ErgodicityReport(
-        converged=converged,
-        iterations=iterations,
+        converged=residual <= tol,
+        iterations=0,
         residual=residual,
         sup_tv=np.asarray(sup_tv),
         ergodic=ergodic,
-        note=note,
+        note="; ".join(notes),
+        null_dim=null_dim,
     )
     return DensityVector.from_masses(model.states, x), report
 

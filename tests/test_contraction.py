@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -24,7 +25,8 @@ from filterlab.errors import (
     KappaBelowOne,
     NonpositiveEntry,
 )
-from filterlab.model import partition_model, product_model, stationary
+from filterlab import contraction
+from filterlab.model import build_model, partition_model, product_model, stationary
 
 
 
@@ -371,3 +373,86 @@ class TestE1Constants:
         doc = json.loads(e1c.to_json())
         assert doc["N"] == 1 and doc["alpha"] == pytest.approx(0.0109375)
         assert doc["verification"]["g_violations"] == 0
+
+
+BLOCK_PARTITION = {"states": {"ids": [1, 2, 3]}, "obs": {"ids": [1, 2]},
+                   "m": {"dense": [[[0.5, 0.0], [0.3, 0.0], [0.0, 0.2]],
+                                   [[0.3, 0.0], [0.4, 0.0], [0.0, 0.3]],
+                                   [[0.25, 0.0], [0.25, 0.0], [0.0, 0.5]]]}}
+
+
+def _reference_verification(model, cert, e1c, sample_pairs, sequence_budget, seed):
+    """The E1 verifier one observation sequence at a time, same random stream."""
+    rng = np.random.default_rng(seed)
+    n = e1c.N
+    b0_idx = [model.obs.index(a) for a in cert.B0]
+    if len(b0_idx) ** n <= sequence_budget:
+        sequences = list(itertools.product(b0_idx, repeat=n))
+    else:
+        sequences = [tuple(rng.choice(b0_idx, size=n)) for _ in range(1000)]
+    f0 = model.states.mask(cert.F0)
+    xs = contraction._sample_threshold_densities(rng, model, f0, e1c.threshold, sample_pairs)
+    ys = contraction._sample_threshold_densities(rng, model, f0, e1c.threshold, sample_pairs)
+    g_viol = h_viol = 0
+    min_g, max_tv = np.inf, 0.0
+    for seq in sequences:
+        product = model.stepping_matrices[seq[0]]
+        for a in seq[1:]:
+            product = product @ model.stepping_matrices[a]
+        gx, gy = xs @ product, ys @ product
+        sx, sy = gx.sum(axis=1), gy.sum(axis=1)
+        min_g = min(min_g, sx.min(), sy.min())
+        g_viol += int((sx < e1c.eta - 1e-12).sum() + (sy < e1c.eta - 1e-12).sum())
+        ok = (sx > 0) & (sy > 0)
+        tv = np.abs(gx[ok] / sx[ok, None] - gy[ok] / sy[ok, None]).sum(axis=1)
+        if len(tv):
+            max_tv = max(max_tv, tv.max())
+            h_viol += int((tv >= e1c.rho).sum())
+    return len(sequences), g_viol, h_viol, min_g, max_tv
+
+
+def _fields(v):
+    return v.n_sequences, v.g_violations, v.h_violations, v.min_g, v.max_tv
+
+
+class TestE1Batched:
+    @pytest.mark.parametrize("sequence_budget, exhaustive", [(10**4, True), (10, False)])
+    @pytest.mark.parametrize("rho", [1e-4, 0.02])
+    def test_matches_per_sequence_loop(self, sequence_budget, exhaustive, rho):
+        model = build_model(BLOCK_PARTITION)
+        pi, _ = stationary(model)
+        cert = check_condition_P(model, pi, [1, 2, 3], [1, 2])
+        # 300 pairs: blocks of 27 sequences, the last one partial
+        e1c = e1_constants(model, pi, cert, rho=rho, sample_pairs=300,
+                           sequence_budget=sequence_budget, seed=5)
+        assert e1c.verification.exhaustive_sequences is exhaustive
+        got = _fields(e1c.verification)
+        want = _reference_verification(model, cert, e1c, 300, sequence_budget, seed=5)
+        assert got[:3] == want[:3]
+        assert got[3:] == pytest.approx(want[3:], rel=1e-12, abs=0)
+
+    def test_violations_and_zero_likelihoods_counted_like_the_loop(self, monkeypatch):
+        # {1, 2} and {3} are closed classes and observation 1 (landing in
+        # {1, 2}) is impossible from state 3; starts drawn over all cells,
+        # some of them on state 3 alone, break the threshold and give zero
+        # likelihoods
+        model = partition_model([[0.6, 0.4, 0.0], [0.3, 0.7, 0.0], [0.0, 0.0, 1.0]],
+                                [[1, 2], [3]])
+        pi, _ = stationary(model)
+        cert = check_condition_P(model, pi, [1, 2], [1])
+        assert cert.ok
+
+        def anywhere(rng, model, f0_mask, threshold, count):
+            out = rng.dirichlet(np.ones(model.n_states), size=count)
+            out[::7] = [0.0, 0.0, 1.0]
+            return out
+
+        monkeypatch.setattr(contraction, "_sample_threshold_densities", anywhere)
+        for sequence_budget in (10**4, 0):  # exhaustive, then sampled
+            e1c = e1_constants(model, pi, cert, rho=0.1, sample_pairs=500,
+                               sequence_budget=sequence_budget, seed=3)
+            got = _fields(e1c.verification)
+            want = _reference_verification(model, cert, e1c, 500, sequence_budget, seed=3)
+            assert got[1] > 0 and got[3] == 0.0
+            assert got[:3] == want[:3]
+            assert got[3:] == pytest.approx(want[3:], rel=1e-12, abs=0)

@@ -6,18 +6,20 @@ import pytest
 from filterlab.contraction import check_condition_P, e1_constants
 from filterlab.coupling import (
     EConditionReport,
+    JointFilterMeasure,
     condition_E_estimate,
     coupled_chain,
     coupled_filter_step,
+    coupled_laws,
     extremal_pair,
     first_positive_alpha,
     product_coupling,
     vasershtein_obs_coupling,
 )
 from filterlab.errors import BarycenterMismatch
-from filterlab.filter import observation_law, pushforward_n
+from filterlab.filter import filter_laws, observation_law, pushforward_n
 from filterlab.measures import PointMassMeasure
-from filterlab.model import DensityVector, stationary
+from filterlab.model import DensityVector, partition_model, stationary
 
 from conftest import e, random_density, random_model
 
@@ -209,3 +211,111 @@ class TestExtremalPair:
                                    atol=1e-15)
         np.testing.assert_allclose(atomized.barycenter_masses(), pi.masses,
                                    atol=1e-15)
+
+
+def _reference_step(model, x, y):
+    """Per-atom coupled step: maximal-diagonal coupling, then both Bayes updates."""
+    lam, tau, S = model.states.lambda_weights, model.obs.tau_weights, model.stepping_matrices
+    xm, ym = x * lam, y * lam
+    gx = np.array([(xm @ k).sum() for k in S])
+    gy = np.array([(ym @ k).sum() for k in S])
+    common = np.minimum(gx, gy)
+    ex, ey = (gx - common) * tau, (gy - common) * tau
+    pairs = [(a, a, common[a] * tau[a]) for a in range(model.n_obs)]
+    if ex.sum() > 0:
+        pairs += [(a, b, ex[a] * ey[b] / ex.sum())
+                  for a in range(model.n_obs) for b in range(model.n_obs)
+                  if ex[a] > 0 and ey[b] > 0]
+    out = []
+    for a, b, w in pairs:
+        if w > 0:
+            nx, ny = xm @ S[a], ym @ S[b]
+            px = nx / nx.sum() / lam if nx.sum() > 0 else x
+            py = ny / ny.sum() / lam if ny.sum() > 0 else y
+            out.append((px, py, w))
+    return out
+
+
+def _reference_chain(model, mu, nu, n):
+    """n coupled steps from scratch, one atom at a time, merged after each step."""
+    joint = product_coupling(mu, nu).merged()
+    for _ in range(n):
+        atoms = [(px, py, w * joint.weights[k])
+                 for k in range(joint.n_atoms) if joint.weights[k] > 0
+                 for px, py, w in _reference_step(model, joint.x_points[k],
+                                                  joint.y_points[k])]
+        xs, ys, ws = zip(*atoms)
+        joint = JointFilterMeasure(model.states, xs, ys, ws).merged()
+    return joint
+
+
+def _sparse_models():
+    """Random models, half of them sparse enough to have zero likelihoods."""
+    rng = np.random.default_rng(40)
+    models = [random_model(rng, int(rng.integers(2, 4)), int(rng.integers(2, 4)),
+                           weighted=t % 3 == 0, sparsity=0.4 if t % 2 else 0.0)
+              for t in range(8)]
+    # some observation is impossible from some state: a zero likelihood
+    assert any((m.stepping_matrices.sum(axis=2) == 0).any() for m in models)
+    # a transient third state: pi does not charge it, so the atomized
+    # extremal measure has an atom of zero weight
+    return models + [partition_model([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0],
+                                      [0.3, 0.3, 0.4]], [[1], [2, 3]])]
+
+
+class TestBatchedCoupledChain:
+    def test_alpha_matches_per_atom_reference(self):
+        for model in _sparse_models():
+            pi, _ = stationary(model)
+            mu, nu = extremal_pair(pi)
+            for rho in (0.05, 0.3):
+                reports = condition_E_estimate(model, pi, rho=rho, n_max=4)
+                assert [r.n for r in reports] == list(range(5))
+                for r in reports:
+                    want = _reference_chain(model, mu, nu, r.n).mass_within(rho)
+                    assert abs(r.alpha_achieved - want) <= 1e-12
+
+    def test_one_step_matches_per_atom_reference(self):
+        rng = np.random.default_rng(41)
+        for model in _sparse_models():
+            x, y = random_density(rng, model.states), random_density(rng, model.states)
+            joint = coupled_filter_step(model, x, y)
+            ref = _reference_step(model, x.values, y.values)
+            assert joint.n_atoms == len(ref)
+            got = sorted(zip(map(tuple, joint.x_points), map(tuple, joint.y_points),
+                             joint.weights))
+            for (gx, gy, gw), (rx, ry, rw) in zip(got, sorted(
+                    (tuple(px), tuple(py), w) for px, py, w in ref)):
+                np.testing.assert_allclose(gx + gy, rx + ry, atol=1e-12)
+                assert gw == pytest.approx(rw, abs=1e-15)
+
+    def test_marginals_are_filter_laws_at_every_horizon(self):
+        for model in _sparse_models():
+            pi, _ = stationary(model)
+            mu, nu = extremal_pair(pi)
+            x = mu.atom(0)
+            mixture = [filter_laws(model, nu.atom(i), 4) for i in range(nu.n_atoms)]
+            for n, (joint, x_law, *y_laws) in enumerate(
+                    zip(coupled_laws(model, mu, nu, 4), filter_laws(model, x, 4),
+                        *mixture)):
+                y_law = PointMassMeasure(
+                    model.states, np.vstack([law.points for law in y_laws]),
+                    np.concatenate([w * law.weights
+                                    for w, law in zip(nu.weights, y_laws)])).merged()
+                for marg, law in ((joint.marginal_x(), x_law),
+                                  (joint.marginal_y(), y_law)):
+                    # atoms of zero weight (from cells pi does not charge) aside
+                    got, want = marg.weights > 0, law.weights > 0
+                    assert got.sum() == want.sum(), n
+                    np.testing.assert_allclose(marg.points[got], law.points[want],
+                                               atol=1e-12)
+                    np.testing.assert_allclose(marg.weights[got], law.weights[want],
+                                               atol=1e-12)
+
+    def test_chain_is_last_law(self, m2):
+        mu = PointMassMeasure.dirac(e(m2, 1))
+        nu = PointMassMeasure.dirac(e(m2, 2))
+        *_, last = coupled_laws(m2, mu, nu, 3)
+        joint = coupled_chain(m2, mu, nu, 3)
+        np.testing.assert_array_equal(joint.x_points, last.x_points)
+        np.testing.assert_array_equal(joint.weights, last.weights)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from filterlab import filter as filter_module
 from filterlab.errors import BadPartition, NonStochasticEmission
 from filterlab.filter import (
     LipschitzFunction,
     mass_functional,
     pushforward_n,
+    pushforward_nodes,
 )
 from filterlab.lab import (
     barycenter_identity_check,
@@ -149,6 +151,27 @@ class TestOscDecay:
         np.testing.assert_allclose(report.oscillations[0], 1.0, atol=1e-12)
         assert report.monotone_ok
         assert report.decay_detected == [False]
+
+    def test_table_matches_enumeration(self, monkeypatch):
+        # every entry against T^n u from the unmerged sequence enumeration,
+        # with blocks of a few grid points so that several blocks are stepped
+        rng = np.random.default_rng(8)
+        model = random_model(rng, 3, 3, sparsity=0.3)
+        u_list = [mass_functional(model, [1]),
+                  LipschitzFunction(fn=lambda m: (m**2).sum(axis=-1), gamma=2.0,
+                                    sup_norm=1.0, name="sq")]
+        grid = simplex_grid(model.states, step=0.25)
+        monkeypatch.setattr(filter_module, "_GRID_BLOCK", 3**4 * 4)
+        report = osc_decay_report(model, u_list, n_max=4, grid=grid)
+        for n in range(5):
+            for i, u in enumerate(u_list):
+                vals = []
+                for x in grid:
+                    nodes = pushforward_nodes(model, DensityVector.from_masses(
+                        model.states, x), n)
+                    vals.append(sum(node.weight * u(node.point) for node in nodes))
+                want = max(vals) - min(vals)
+                assert report.oscillations[i, n] == pytest.approx(want, abs=1e-12)
 
     def test_csv(self, m2, tmp_path):
         u = mass_functional(m2, [1])

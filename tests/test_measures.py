@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -479,3 +483,23 @@ class TestMergeAtomsProperties:
             members = pts[chain == c]
             first = members[np.lexsort(members.T[::-1])[0]]
             assert (p == first).all(axis=1).sum() == 1
+
+
+class TestLazyScipy:
+    def test_import_does_not_load_scipy(self):
+        code = ("import sys, filterlab, filterlab.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True,
+                             env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert out.stdout.strip() == "[]"
+
+    def test_three_cell_transport_still_certified(self):
+        rng = np.random.default_rng(12)
+        space = _space(3)
+        mu = _random_measure(rng, space, 6, np.full(6, 1 / 6))
+        nu = _random_measure(rng, space, 5, np.full(5, 1 / 5))
+        distance, plan = kantorovich(mu, nu)
+        assert plan.method == "lp"
+        assert plan.marginal_residual <= 1e-10 and plan.slackness_residual <= 1e-9
+        assert distance >= barycenter_lower_bound(mu, nu) - 1e-12

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filterlab.errors import (
     BadPartition,
@@ -216,6 +218,44 @@ class TestStationary:
         pi, report = stationary(periodic_fixture)
         assert not report.ergodic
         assert "periodic" in report.note
+
+    def test_periodic_chain_solved_exactly(self):
+        # power iteration from the uniform start never converges here
+        model = partition_model([[0, .5, .5], [1, 0, 0], [1, 0, 0]], [[1, 2, 3]])
+        pi, report = stationary(model)
+        np.testing.assert_allclose(pi.masses, [0.5, 0.25, 0.25], atol=1e-15)
+        assert report.residual <= 1e-12 and report.converged
+        assert report.null_dim == 1 and "reducible:" not in report.note
+        assert not report.ergodic and "periodic" in report.note
+
+    def test_reducible_chain_flagged(self):
+        model = partition_model([[0.6, 0.4, 0.0], [0.3, 0.7, 0.0], [0.0, 0.0, 1.0]],
+                                [[1, 2, 3]])
+        pi, report = stationary(model)
+        assert report.null_dim == 2
+        assert "not unique" in report.note and not report.ergodic
+        assert report.residual <= 1e-12
+
+    def test_transient_state_gets_no_mass(self):
+        model = partition_model([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.3, 0.3, 0.4]],
+                                [[1, 2, 3]])
+        pi, report = stationary(model)
+        np.testing.assert_allclose(pi.masses, [0.5, 0.5, 0.0], atol=1e-15)
+        assert report.null_dim == 1 and report.ergodic
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 6),
+           sparsity=st.sampled_from([0.0, 0.5, 0.8]))
+    def test_residual_whenever_unique(self, seed, n_states, sparsity):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n_states, 2, weighted=seed % 2 == 0,
+                             sparsity=sparsity)
+        pi, report = stationary(model)
+        assert np.all(pi.masses >= 0) and pi.masses.sum() == pytest.approx(1.0)
+        if report.null_dim == 1:
+            assert report.residual <= 1e-12
+        else:
+            assert "not unique" in report.note
 
     def test_sup_distance_non_increasing(self, m2):
         rng = np.random.default_rng(13)
