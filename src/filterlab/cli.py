@@ -217,25 +217,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="certify filter ergodicity machinery on grid models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    options = {"rho": dict(type=float, default=0.1), "nmax": dict(type=int, default=6),
+               "seed": dict(type=int, default=0), "budget": dict(type=int, default=10**6)}
 
-    def common(p, model=True):
-        if model:
-            p.add_argument("--model", required=True, help="model JSON file")
-        p.add_argument("--rho", type=float, default=0.1)
-        p.add_argument("--nmax", type=int, default=6)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=10**6)
+    def command(name, summary, *flags, inputs=("model",)):
+        # each subcommand declares only the options it reads
+        p = sub.add_parser(name, help=summary)
+        for flag in inputs:
+            p.add_argument(f"--{flag}", required=True, help=f"{flag} JSON file")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **options[flag])
         p.add_argument("--out", default=".", help="output directory")
 
-    common(sub.add_parser("check", help="run condition checkers"))
-    common(sub.add_parser("contract", help="contraction certificates"))
-    common(sub.add_parser("ergodics", help="stationary + merging + oscillation"))
-    t = sub.add_parser("transport", help="distance between measure files")
-    t.add_argument("--mu", required=True)
-    t.add_argument("--nu", required=True)
-    common(t, model=False)
-    common(sub.add_parser("simulate", help="sample a path and filter it"))
-    common(sub.add_parser("couple", help="coupled-closeness evidence"))
+    command("check", "run condition checkers", "rho", "nmax", "seed", "budget")
+    command("contract", "contraction certificates")
+    command("ergodics", "stationary + merging + oscillation", "nmax", "budget")
+    command("transport", "distance between measure files", inputs=("mu", "nu"))
+    command("simulate", "sample a path and filter it", "nmax", "seed")
+    command("couple", "coupled-closeness evidence", "rho", "nmax", "budget")
     return parser
 
 

@@ -295,36 +295,28 @@ def check_condition_KR(model: HmmModel, seq=None, depth: int | None = None,
     """
     if (seq is None) == (depth is None):
         raise ValueError("pass exactly one of seq or depth")
+    # a given sequence offers one observation per step, the search all of them
+    offers = ([[model.obs.index(a)] for a in seq] if seq is not None
+              else [range(model.n_obs)] * depth)
     ratios = []
     chosen = []
-    if seq is not None:
-        product = None
-        for a in seq:
-            step = model.stepping_matrix(a)
-            product = step if product is None else product @ step
-            if product.max() <= 0.0:
-                raise DegenerateProduct(f"product vanished at observation {a!r}")
-            product = product / product.max()
-            chosen.append(a)
-            ratios.append(_sigma_ratio(product))
-    else:
-        product = None
-        for _ in range(depth):
-            best = None
-            for a in range(model.n_obs):
-                step = model.stepping_matrices[a]
-                cand = step if product is None else product @ step
-                if cand.max() <= 0.0:
-                    continue
-                cand = cand / cand.max()
-                r = _sigma_ratio(cand)
-                if best is None or r < best[0]:
-                    best = (r, a, cand)
-            if best is None:
-                raise DegenerateProduct("every one-step extension vanished")
-            r, a, product = best
-            chosen.append(model.obs.cells[a])
-            ratios.append(r)
+    product = None
+    for offer in offers:
+        best = None
+        for a in offer:
+            step = model.stepping_matrices[a]
+            cand = step if product is None else product @ step
+            if cand.max() <= 0.0:
+                continue
+            cand = cand / cand.max()
+            r = _sigma_ratio(cand)
+            if best is None or r < best[0]:
+                best = (r, a, cand)
+        if best is None:
+            raise DegenerateProduct(f"product vanished at step {len(chosen) + 1}")
+        r, a, product = best
+        chosen.append(model.obs.cells[a])
+        ratios.append(r)
     ratios = np.asarray(ratios)
     below = ratios < tol
     verdict = any(below[k:k + sustain].all()

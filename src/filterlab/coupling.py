@@ -18,6 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BarycenterMismatch, BudgetExceeded, SpaceMismatch
+from .filter import _bayes_step, observation_law
 from .measures import PointMassMeasure, barycenter, merge_atoms, tv_distance
 from .model import DensityVector, HmmModel
 
@@ -70,21 +71,20 @@ class ObsCoupling:
         return float(self.diagonal[mask].sum())
 
 
-def _obs_couplings(model: HmmModel, xp: np.ndarray, yp: np.ndarray):
-    """Maximal-diagonal couplings of the observation laws of density rows xp, yp.
+def _obs_couplings(model: HmmModel, gx: np.ndarray, gy: np.ndarray):
+    """Maximal-diagonal couplings of the observation laws with likelihoods gx, gy.
 
-    Returns the likelihoods and diagonal masses (rows x |A|) and the excess
-    products (rows x |A| x |A|), zero on the diagonal: only one law exceeds.
+    Takes the likelihoods of two stacks of densities (rows x |A|) and returns
+    the diagonal masses (rows x |A|) and the excess products (rows x |A| x
+    |A|), zero on the diagonal: only one law exceeds.
     """
-    tau, lam = model.obs.tau_weights, model.states.lambda_weights
-    obs = model.stepping_matrices.sum(axis=2).T
-    gx, gy = xp * lam @ obs, yp * lam @ obs
+    tau = model.obs.tau_weights
     common = np.minimum(gx, gy)
     ex, ey = (gx - common) * tau, (gy - common) * tau
     # a zero total excess leaves ex all zero, so any positive divisor does
     excess = ex.sum(axis=1)
     excess = np.where(excess > 0.0, excess, 1.0)[:, None, None]
-    return gx, gy, common * tau, ex[:, :, None] * ey[:, None, :] / excess
+    return common * tau, ex[:, :, None] * ey[:, None, :] / excess
 
 
 def vasershtein_obs_coupling(model: HmmModel, x: DensityVector,
@@ -95,12 +95,11 @@ def vasershtein_obs_coupling(model: HmmModel, x: DensityVector,
     two observation laws; the leftover excesses are coupled by their product
     normalized by the total excess mass (purely diagonal when there is none).
     """
-    if not (x.space.same_as(model.states) and y.space.same_as(model.states)):
-        raise SpaceMismatch("density lives on a different state space")
-    gx, gy, diag, off = _obs_couplings(model, x.values[None, :], y.values[None, :])
+    gx, gy = observation_law(model, x), observation_law(model, y)
+    diag, off = _obs_couplings(model, gx[None, :], gy[None, :])
     src, tgt = np.nonzero(off[0] > 0.0)
     return ObsCoupling(obs_cells=model.obs.cells, diagonal=diag[0], off_source=src,
-                       off_target=tgt, off_mass=off[0][src, tgt], g_x=gx[0], g_y=gy[0],
+                       off_target=tgt, off_mass=off[0][src, tgt], g_x=gx, g_y=gy,
                        tau=model.obs.tau_weights)
 
 
@@ -158,24 +157,16 @@ class JointFilterMeasure:
                                   weights, pruned_mass=self.pruned_mass)
 
 
-def _bayes_updates(model: HmmModel, points: np.ndarray) -> np.ndarray:
-    """Each row updated by each observation; a zero-likelihood branch keeps the row."""
-    lam = model.states.lambda_weights
-    stepped = (points * lam @ model.stepping_matrices).transpose(1, 0, 2)
-    g = stepped.sum(axis=2, keepdims=True)
-    return np.where(g > 0.0, stepped / np.where(g > 0.0, g, 1.0) / lam,
-                    points[:, None, :])
-
-
 def _coupled_step(model: HmmModel, joint: JointFilterMeasure) -> JointFilterMeasure:
     """One unmerged coupled step of every pair; pairs of zero mass are dropped."""
     live = joint.weights > 0.0
-    xp, yp, w0 = joint.x_points[live], joint.y_points[live], joint.weights[live]
-    _, _, diag, w = _obs_couplings(model, xp, yp)
+    lam, w0 = model.states.lambda_weights, joint.weights[live]
+    gx, hx = _bayes_step(model, joint.x_points[live] * lam)
+    gy, hy = _bayes_step(model, joint.y_points[live] * lam)
+    diag, w = _obs_couplings(model, gx, gy)
     w += diag[:, :, None] * np.eye(model.n_obs)  # the excess products vanish there
     pair, a, b = np.nonzero(w > 0.0)
-    return JointFilterMeasure(model.states, _bayes_updates(model, xp)[pair, a],
-                              _bayes_updates(model, yp)[pair, b],
+    return JointFilterMeasure(model.states, hx[pair, a] / lam, hy[pair, b] / lam,
                               w[pair, a, b] * w0[pair])
 
 

@@ -37,26 +37,51 @@ def _masses(model: HmmModel, x: DensityVector) -> np.ndarray:
     return x.masses
 
 
+def _bayes_step(model: HmmModel, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every row of cell masses stepped by every observation.
+
+    Returns the likelihoods ``g[r, a]`` and the normalized updates
+    ``post[r, a]`` as cell masses.  An update of zero likelihood keeps its
+    row: this is the zero-likelihood convention of the whole package.
+    """
+    stepped = (masses @ model.stepping_matrices).transpose(1, 0, 2)
+    g = stepped.sum(axis=2)
+    pos = g > 0.0
+    post = np.where(pos[:, :, None], stepped / np.where(pos, g, 1.0)[:, :, None],
+                    masses[:, None, :])
+    return g, post
+
+
+def _branch(model: HmmModel, masses: np.ndarray, weights: np.ndarray):
+    """Children of weighted rows in (row, observation) order, weights w * tau * g.
+
+    Children of zero weight are dropped.  Returns their cell masses, their
+    weights, and each child's parent row and observation index.
+    """
+    g, post = _bayes_step(model, masses)
+    w = weights[:, None] * model.obs.tau_weights * g
+    parent, obs = np.nonzero(w > 0.0)
+    return post[parent, obs], w[parent, obs], parent, obs
+
+
 def likelihood(model: HmmModel, x: DensityVector, a) -> float:
     """Mass surviving the stepping kernel of ``a``: the observation density.
 
     Against the tau weights these integrate to one over the observation grid.
     """
-    return float(_masses(model, x) @ model.stepping_matrix(a).sum(axis=1))
+    return float(observation_law(model, x)[model.obs.index(a)])
 
 
 def observation_law(model: HmmModel, x: DensityVector) -> np.ndarray:
     """All likelihoods at once: g(x, a) for every observation cell a."""
-    return _masses(model, x) @ model.stepping_matrices.sum(axis=2).T
+    return _bayes_step(model, _masses(model, x)[None, :])[0][0]
 
 
 def update(model: HmmModel, x: DensityVector, a) -> DensityVector:
-    """Normalized Bayes update; a zero-likelihood observation returns x unchanged."""
-    out = _masses(model, x) @ model.stepping_matrix(a)
-    total = out.sum()
-    if total <= 0.0:
-        return x
-    return DensityVector.from_masses(model.states, out / total)
+    """Normalized Bayes update; a zero-likelihood observation returns x itself."""
+    g, post = _bayes_step(model, _masses(model, x)[None, :])
+    i = model.obs.index(a)
+    return x if g[0, i] <= 0.0 else DensityVector.from_masses(model.states, post[0, i])
 
 
 def pushforward(model: HmmModel, x: DensityVector) -> PointMassMeasure:
@@ -82,34 +107,24 @@ def pushforward_nodes(model: HmmModel, x: DensityVector, n: int,
                       budget: int = ENUMERATION_BUDGET) -> list[PushforwardNode]:
     """Unmerged n-step enumeration in lexicographic sequence order.
 
-    The chain rule for stepping kernels makes the depth-n recursion a product
-    of per-step matrices, so each level multiplies every surviving sequence by
-    every stepping matrix at once.  ``prune_eps`` drops sequences whose
-    cumulative weight falls below it.  Zero-likelihood sequences keep the
-    convention point ``x`` but carry zero weight, so they are omitted.
+    Each level branches every surviving sequence by every observation.
+    ``prune_eps`` drops sequences whose cumulative weight falls below it;
+    zero-likelihood sequences carry zero weight, so they are omitted.
     """
     _check_horizon(model, n, budget)
-    n_obs = model.n_obs
-    tau = model.obs.tau_weights
-    cur = _masses(model, x)[None, :]
-    tau_prod = np.array([1.0])
+    masses = _masses(model, x)[None, :]
+    weights = np.ones(1)
     seqs = np.zeros((1, 0), dtype=np.int64)
     for _ in range(n):
-        # (seq, a, t): advance every sequence by every observation; the mass
-        # vectors carry the cumulative likelihood, tau_prod the tau mass
-        cur = np.einsum("qs,ast->qat", cur, model.stepping_matrices)
-        cur = cur.reshape(-1, model.n_states)
-        seqs = np.column_stack([np.repeat(seqs, n_obs, axis=0),
-                                np.tile(np.arange(n_obs), len(seqs))])
-        tau_prod = (tau_prod[:, None] * tau[None, :]).ravel()
+        masses, weights, parent, obs = _branch(model, masses, weights)
+        seqs = np.column_stack([seqs[parent], obs])
         if prune_eps > 0.0:
-            keep = cur.sum(axis=1) * tau_prod >= prune_eps
-            cur, tau_prod, seqs = cur[keep], tau_prod[keep], seqs[keep]
+            keep = weights >= prune_eps
+            masses, weights, seqs = masses[keep], weights[keep], seqs[keep]
     cells = model.obs.cells
     return [PushforwardNode(tuple(cells[i] for i in seq),
-                            DensityVector.from_masses(model.states, m / m.sum()),
-                            float(w))
-            for m, w, seq in zip(cur, cur.sum(axis=1) * tau_prod, seqs) if w > 0.0]
+                            DensityVector.from_masses(model.states, m), float(w))
+            for m, w, seq in zip(masses, weights, seqs)]
 
 
 def filter_laws(model: HmmModel, x: DensityVector, n_max: int, prune_eps: float = 0.0,
@@ -129,12 +144,7 @@ def filter_laws(model: HmmModel, x: DensityVector, n_max: int, prune_eps: float 
     pruned = 0.0
     for n in range(n_max + 1):
         if n:
-            # (a, atom, t): every atom advanced by every observation
-            stepped = (masses @ model.stepping_matrices).reshape(-1, model.n_states)
-            g = stepped.sum(axis=1)
-            weights = (model.obs.tau_weights[:, None] * weights).ravel() * g
-            keep = weights > 0.0
-            masses, weights = stepped[keep] / g[keep, None], weights[keep]
+            masses, weights, _, _ = _branch(model, masses, weights)
         law = PointMassMeasure(model.states, masses / model.states.lambda_weights,
                                weights, pruned_mass=pruned).merged()
         if n and prune_eps > 0.0:
@@ -239,19 +249,14 @@ def grid_averages(model: HmmModel, u_list, masses_grid: np.ndarray,
     out[0] = [u.on_masses(grid) for u in u_list]
     size = max(1, _GRID_BLOCK // model.n_obs**n_max)
     for s in range(0, len(grid), size):
-        cur = grid[s:s + size, None, :]
-        tw = np.ones(1)
+        block = grid[s:s + size]
+        masses, weights, root = block, np.ones(len(block)), np.arange(len(block))
         for n in range(1, n_max + 1):
-            cur = np.einsum("gqs,ast->gqat", cur, model.stepping_matrices)
-            cur = cur.reshape(len(cur), -1, model.n_states)
-            tw = (tw[:, None] * model.obs.tau_weights).ravel()
-            g = cur.sum(axis=2)
-            pos = g > 0
-            points = cur[pos] / g[pos, None]
+            masses, weights, parent, _ = _branch(model, masses, weights)
+            root = root[parent]
             for i, u in enumerate(u_list):
-                vals = np.zeros_like(g)
-                vals[pos] = u.on_masses(points)
-                out[n, i, s:s + size] = (g * vals) @ tw
+                out[n, i, s:s + size] = np.bincount(root, weights * u.on_masses(masses),
+                                                    minlength=len(block))
     return out
 
 
@@ -292,13 +297,10 @@ def run_filter(model: HmmModel, x0: DensityVector, obs_seq: Sequence
                ) -> FilterTrajectory:
     """Sequential Bayes updates along a fixed observation sequence."""
     states = [x0]
-    zero_steps = []
-    x = x0
-    for k, a in enumerate(obs_seq):
-        if likelihood(model, x, a) <= 0.0:
-            zero_steps.append(k + 1)
-        x = update(model, x, a)
-        states.append(x)
+    for a in obs_seq:
+        states.append(update(model, states[-1], a))
+    # update returns its input itself exactly when the likelihood is zero
+    zero_steps = [k for k in range(1, len(states)) if states[k] is states[k - 1]]
     return FilterTrajectory(tuple(obs_seq), states, zero_steps)
 
 

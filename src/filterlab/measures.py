@@ -58,11 +58,12 @@ def merge_atoms(points, weights, lam, tol: float, blocks: int = 1):
         starts = np.flatnonzero(np.r_[True, (points[1:] != points[:-1]).any(axis=1)])
         points, weights = points[starts], np.add.reduceat(weights[order], starts)
     lam = np.tile(lam, blocks)
-    # TV >= |difference in any one mass coordinate|, so along the widest
-    # coordinate sorted only neighbours within tol can be joined
-    col = int(np.argmax([np.ptp(c) * w for c, w in zip(points.T, lam)]))
-    by_key = np.argsort(points[:, col])
-    key = points[by_key, col] * lam[col]
+    # a projection of all mass coordinates with weights |cos j| / blocks moves
+    # by at most the row distance, so sorted on it only neighbours within tol
+    # can be joined; unlike one column, pairs repeating one half do not tie on it
+    key = points @ (lam * np.cos(np.arange(1, len(lam) + 1)) / blocks)
+    by_key = np.argsort(key)
+    key = key[by_key]
     edges = [np.zeros((2, 0), dtype=np.int64)]
     for d in range(1, len(key)):
         near = np.flatnonzero(key[d:] - key[:-d] <= tol)
@@ -267,8 +268,11 @@ def _lp_plan(w1, w2, C):
     A2 = sparse.coo_matrix((np.ones(m * n), (np.tile(np.arange(n), m), ci)),
                            shape=(n, m * n))
     A = sparse.vstack([A1, A2]).tocsc()
+    # HiGHS's default feasibility tolerances (1e-7) let plans miss _certify
     res = linprog(C.ravel(), A_eq=A, b_eq=np.concatenate([w1, w2]),
-                  bounds=(0, None), method="highs")
+                  bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": MARGINAL_TOL,
+                           "dual_feasibility_tolerance": MARGINAL_TOL})
     if not res.success:
         raise SolverFailure(f"transport LP failed: {res.message}")
     plan = res.x.reshape(m, n)

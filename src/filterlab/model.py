@@ -385,13 +385,12 @@ class ErgodicityReport:
 def stationary(
     model: HmmModel,
     tol: float = 1e-12,
-    horizon: int = 10**6,
     diag_horizon: int = 512,
 ) -> tuple[DensityVector, ErgodicityReport]:
     """Stationary density by a direct solve plus ergodicity diagnostics.
 
     Solves ``pi P = pi`` with ``sum(pi) = 1`` by least squares, so no
-    iteration runs (``iterations`` is 0 and ``horizon`` is not used); the
+    iteration runs (``iterations`` is 0); the
     report is ``converged`` when the residual is at most ``tol``.  A solution
     space of dimension above one (a reducible chain) is reported in
     ``null_dim`` and in the note, and the law returned is then the

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from filterlab.cli import main
+from filterlab.cli import build_parser, main
 
 from conftest import P_SYM, Q_SYM
 
@@ -145,3 +145,28 @@ class TestExitCodes:
         code = main(["transport", "--mu", str(mu_path), "--nu", str(nu_path),
                      "--out", str(tmp_path / "out")])
         assert code == 2
+
+
+class TestDeclaredOptions:
+    # every subcommand takes exactly the options it reads
+    READS = {
+        "check": {"rho", "nmax", "seed", "budget"},
+        "contract": set(),
+        "ergodics": {"nmax", "budget"},
+        "transport": set(),
+        "simulate": {"nmax", "seed"},
+        "couple": {"rho", "nmax", "budget"},
+    }
+
+    def test_unread_options_are_rejected(self):
+        parser = build_parser()
+        inputs = {"transport": ["--mu", "mu.json", "--nu", "nu.json"]}
+        for command, reads in self.READS.items():
+            base = [command, *inputs.get(command, ["--model", "m.json"])]
+            for flag in ("rho", "nmax", "seed", "budget"):
+                argv = base + [f"--{flag}", "1"]
+                if flag in reads:
+                    assert getattr(parser.parse_args(argv), flag) == 1
+                else:
+                    with pytest.raises(SystemExit):
+                        parser.parse_args(argv)

@@ -7,6 +7,8 @@ from hypothesis.extra.numpy import arrays
 from filterlab.errors import BudgetExceeded
 from filterlab.filter import (
     LipschitzFunction,
+    _bayes_step,
+    _branch,
     apply_T,
     apply_T_grid,
     filter_laws,
@@ -97,6 +99,63 @@ class TestUpdate:
                 assert likelihood(model, x, a) == pytest.approx(g, abs=1e-13)
                 np.testing.assert_allclose(update(model, x, a).values, y / g,
                                            atol=1e-13)
+
+
+class TestBayesStep:
+    """The one Bayes step behind every filter and coupling path."""
+
+    def test_matches_per_row_reference(self):
+        rng = np.random.default_rng(31)
+        for _ in range(5):
+            model = random_model(rng, 4, 3, weighted=True, sparsity=0.6)
+            masses = rng.dirichlet(np.ones(4), size=6) * (rng.random((6, 4)) < 0.7)
+            g, post = _bayes_step(model, masses)
+            assert g.shape == (6, 3) and post.shape == (6, 3, 4)
+            for r in range(6):
+                for a in range(3):
+                    stepped = masses[r] @ model.stepping_matrices[a]
+                    assert g[r, a] == pytest.approx(stepped.sum(), abs=1e-15)
+                    if stepped.sum() > 0.0:
+                        np.testing.assert_allclose(post[r, a], stepped / stepped.sum(),
+                                                   atol=1e-15)
+                    else:  # a zero-likelihood update keeps its row
+                        np.testing.assert_array_equal(post[r, a], masses[r])
+
+    def test_branch_order_weights_and_parents(self):
+        rng = np.random.default_rng(32)
+        model = random_model(rng, 3, 3, weighted=True, sparsity=0.7)
+        masses = np.vstack([np.eye(3), rng.dirichlet(np.ones(3), size=2)])
+        weights = np.array([0.3, 0.0, 0.2, 0.4, 0.1])
+        g, post = _bayes_step(model, masses)
+        children, w, parent, obs = _branch(model, masses, weights)
+        want = [(r, a) for r in range(5) for a in range(3)
+                if weights[r] * model.obs.tau_weights[a] * g[r, a] > 0.0]
+        assert list(zip(parent, obs)) == want
+        assert 1 not in parent and ((g == 0.0) & (weights[:, None] > 0.0)).any()
+        np.testing.assert_array_equal(children, post[parent, obs])
+        np.testing.assert_array_equal(
+            w, weights[parent] * model.obs.tau_weights[obs] * g[parent, obs])
+
+    def test_nodes_match_per_sequence_products(self):
+        # every positive-weight sequence, in lexicographic order, with the
+        # normalized product of its stepping matrices
+        rng = np.random.default_rng(33)
+        model = random_model(rng, 3, 2, weighted=True, sparsity=0.5)
+        x = random_density(rng, model.states)
+        nodes = pushforward_nodes(model, x, 4)
+        want = []
+        for seq in np.ndindex(*(2,) * 4):
+            y = x.masses
+            for a in seq:
+                y = y @ model.stepping_matrices[a]
+            w = y.sum() * np.prod(model.obs.tau_weights[list(seq)])
+            if w > 0.0:
+                want.append((tuple(model.obs.cells[a] for a in seq), y / y.sum(), w))
+        assert len(want) < 16
+        assert [node.obs_sequence for node in nodes] == [seq for seq, _, _ in want]
+        for node, (_, y, w) in zip(nodes, want):
+            np.testing.assert_allclose(node.point.masses, y, atol=1e-14)
+            assert node.weight == pytest.approx(w, rel=1e-13)
 
 
 class TestPushforward:

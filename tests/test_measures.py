@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from filterlab.measures import (
     nearest_barycenter_distance,
     tv_distance,
 )
-from filterlab.model import DensityVector, StateSpace, markov_kernel
+from filterlab.model import DensityVector, HmmModel, ObsSpace, StateSpace, markov_kernel
 
 from conftest import e, numeric_csv_rows, random_density
 
@@ -503,3 +504,72 @@ class TestLazyScipy:
         assert plan.method == "lp"
         assert plan.marginal_residual <= 1e-10 and plan.slackness_residual <= 1e-9
         assert distance >= barycenter_lower_bound(mu, nu) - 1e-12
+
+
+class TestTransportLpTolerance:
+    def test_filter_laws_certified_by_lp(self):
+        # HiGHS at its default feasibility tolerances returns a plan on this
+        # pair with marginal residual 8.4e-8, which the certificate rejects
+        rng = np.random.default_rng([3, 3])
+        m = rng.gamma(2.0, size=(3, 3, 3))
+        m /= m.sum(axis=(1, 2), keepdims=True)
+        model = HmmModel(StateSpace((1, 2, 3), np.ones(3)),
+                         ObsSpace((1, 2, 3), np.ones(3)), m)
+        mu = pushforward_n(model, e(model, 1), 5)
+        nu = pushforward_n(model, e(model, 2), 5)
+        assert mu.n_atoms == nu.n_atoms == 243
+        distance, plan = kantorovich(mu, nu)
+        assert plan.method == "lp"
+        assert plan.marginal_residual <= 1e-10
+        assert plan.slackness_residual <= 1e-9
+        assert distance >= barycenter_lower_bound(mu, nu) - 1e-12
+
+
+def _brute_force_components(points, lam, tol, blocks):
+    """Connected components of "TV <= tol" by all-pairs distances and union-find."""
+    n, k = len(points), len(lam)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    lam = np.tile(lam, blocks)
+    for i in range(n):
+        tv = (np.abs(points[i + 1:] - points[i]) * lam).reshape(-1, blocks, k)
+        for j in np.flatnonzero(tv.sum(axis=2).max(axis=1) <= tol) + i + 1:
+            parent[find(j)] = find(i)
+    roots = np.array([find(i) for i in range(n)])
+    return [np.flatnonzero(roots == r) for r in np.unique(roots)]
+
+
+class TestMergeTies:
+    def test_pairs_repeating_one_half(self):
+        # 4,000 pairs whose first half takes two far-apart values, the widest
+        # mass coordinate of the set; second halves form chains of 0.4-tol
+        # links, so every pair ties exactly with 1,999 others in the first half
+        rng = np.random.default_rng(41)
+        tol = MERGE_TOL
+        lam = rng.uniform(0.5, 2.0, 3)
+        rows = []
+        for y in rng.dirichlet(np.full(3, 50.0), size=400):
+            for s in range(5):
+                yy = y + np.array([0.4, -0.4, 0.0]) * tol * s
+                rows += [np.r_[x, yy] for x in ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])]
+        points = np.array(rows) / np.tile(lam, 2)
+        weights = rng.uniform(0.1, 1.0, len(points))
+        start = time.perf_counter()
+        merged, merged_w = merge_atoms(points, weights, lam, tol, blocks=2)
+        elapsed = time.perf_counter() - start
+        comps = _brute_force_components(points, lam, tol, blocks=2)
+        assert len(comps) == len(merged) == 800
+        for comp in comps:
+            first = points[comp][np.lexsort(points[comp].T[::-1])[0]]
+            at = np.flatnonzero((merged == first).all(axis=1))
+            assert len(at) == 1
+            assert merged_w[at[0]] == pytest.approx(weights[comp].sum(), rel=1e-14)
+        # the tol window must not walk through the ties: one window pass per
+        # tied pair took about 0.7 s on 4,000 pairs
+        assert elapsed < 0.1
