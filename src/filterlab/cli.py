@@ -7,7 +7,7 @@ matching between measure files), ``simulate`` (sample paths), ``couple``
 (coupled-closeness evidence).
 
 Exit codes: 0 all assertions passed, 2 an assertion was violated,
-3 inconclusive or budget exhausted.
+3 inconclusive or budget exhausted, 64 a usage error (``EX_USAGE``).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import BudgetExceeded, FilterlabError
 from .filter import mass_functional, run_filter
 from .model import DensityVector, StateSpace, load_model, simulate, stationary
 
-OK, VIOLATED, INCONCLUSIVE = 0, 2, 3
+OK, VIOLATED, INCONCLUSIVE, USAGE = 0, 2, 3, 64
 
 
 def _load_measure(path) -> measures.PointMassMeasure:
@@ -239,7 +239,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code of a violated assertion
+        if exc.code == 2:
+            return USAGE
+        raise
     handlers = {
         "check": cmd_check,
         "contract": cmd_contract,

@@ -499,25 +499,36 @@ class E1Certificate:
 
 
 def _sample_threshold_densities(rng, model, f0_mask, threshold, count):
-    """Random masses with at least ``threshold`` on F0, threshold cases included."""
+    """Random masses with at least ``threshold`` on F0, threshold cases included.
+
+    Sample i mixes a flat Dirichlet draw on F0 with one on the other cells
+    (i % 3 == 0, exactly at the threshold: worst admissible starts), takes
+    the F0 draw alone (i % 3 == 1), or mixes it with one on all cells.  The
+    draws are one ``standard_gamma`` stream, split and normalized as
+    ``Generator.dirichlet`` does sample by sample, so the variates are the
+    ones a loop of ``rng.dirichlet`` calls would return.
+    """
     k = model.n_states
     idx_f0 = np.nonzero(f0_mask)[0]
-    out = np.zeros((count, k))
     others = np.nonzero(~f0_mask)[0]
-    for i in range(count):
-        inner = np.zeros(k)
-        inner[idx_f0] = rng.dirichlet(np.ones(len(idx_f0)))
-        style = i % 3
-        if style == 0 and len(others):
-            # exactly at the threshold: worst admissible starts
-            rest = np.zeros(k)
-            rest[others] = rng.dirichlet(np.ones(len(others)))
-            out[i] = threshold * inner + (1.0 - threshold) * rest
-        elif style == 1:
-            out[i] = inner
-        else:
-            rest = rng.dirichlet(np.ones(k))
-            out[i] = threshold * inner + (1.0 - threshold) * rest
+    style = np.arange(count) % 3
+    at_threshold = (style == 0) & (len(others) > 0)
+    mixed = (style != 1) & ~at_threshold
+    sizes = len(idx_f0) + np.where(at_threshold, len(others), np.where(mixed, k, 0))
+    gammas = rng.standard_gamma(1.0, size=int(sizes.sum()))
+    starts = np.cumsum(sizes) - sizes
+
+    def dirichlet(rows, offset, size):
+        x = gammas[starts[rows, None] + offset + np.arange(size)]
+        # dirichlet sums left to right and scales by the reciprocal
+        return x * (1.0 / np.cumsum(x, axis=1)[:, -1:])
+
+    out = np.zeros((count, k))
+    out[:, idx_f0] = dirichlet(np.arange(count), 0, len(idx_f0))
+    for rows, cells in ((at_threshold, others), (mixed, np.arange(k))):
+        rest = np.zeros((int(rows.sum()), k))
+        rest[:, cells] = dirichlet(np.flatnonzero(rows), len(idx_f0), len(cells))
+        out[rows] = threshold * out[rows] + (1.0 - threshold) * rest
     return out
 
 

@@ -3,9 +3,10 @@
 Measures on the filter's state space K are represented by finite weighted
 lists of density vectors.  The transport distance between two such measures
 uses total variation as ground cost and is solved exactly: a monotone
-(sorted) coupling on two-cell state grids, a sparse LP everywhere else.  Both
-paths return dual potentials, and every plan is certified by marginal
-residuals and complementary slackness before it is accepted.
+(sorted) coupling on two-cell state grids, an LP by column generation
+everywhere else.  Both paths return dual potentials, and every plan is
+certified by marginal residuals and complementary slackness over all atom
+pairs before it is accepted; neither builds an m-by-n cost array.
 """
 
 from __future__ import annotations
@@ -205,10 +206,28 @@ class TransportPlan:
                 fh.write(f"{i},{j},{float(w)!r},{float(c)!r}\n")
 
 
+class _TvRows:
+    """TV ground costs between the rows of two mass matrices, computed on demand.
+
+    ``C[lo:hi]`` is a block of rows and ``C[i, j]`` the costs of the arcs
+    ``(i, j)``; a dense cost array reads the same way, so it can stand in
+    for this one.
+    """
+
+    def __init__(self, a: np.ndarray, b: np.ndarray):
+        self.a, self.b = a, b
+        self.shape = (len(a), len(b))
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return np.abs(self.a[key, None, :] - self.b[None, :, :]).sum(axis=2)
+        i, j = key
+        return np.abs(self.a[i] - self.b[j]).sum(axis=1)
+
+
 def _cost_matrix(mu: PointMassMeasure, nu: PointMassMeasure) -> np.ndarray:
-    a = mu.mass_matrix()
-    b = nu.mass_matrix()
-    return np.abs(a[:, None, :] - b[None, :, :]).sum(axis=2)
+    """Dense ground costs, for the assignment oracle only."""
+    return _TvRows(mu.mass_matrix(), nu.mass_matrix())[:]
 
 
 def _monotone_plan(w1, w2, key1, key2):
@@ -255,43 +274,145 @@ def _line_potentials(key1, key2, w1, w2):
     return u, v
 
 
-def _lp_plan(w1, w2, C):
+def _line_min_reduced(key1, key2, u, v) -> float:
+    """Minimum of ``2|k_i - l_j| - u_i - v_j`` over every pair (i, j).
+
+    Sorted on the target keys, the targets at or above ``k_i`` contribute
+    the suffix minimum of ``2l - v`` minus ``2k_i``, those below it the
+    prefix minimum of ``-2l - v`` plus ``2k_i``: O((m+n) log(m+n)) work and
+    no m-by-n array.
+    """
+    order = np.argsort(key2)
+    l, vl = key2[order], v[order]
+    above = np.minimum.accumulate((2.0 * l - vl)[::-1])[::-1]
+    below = np.minimum.accumulate(-2.0 * l - vl)
+    p = np.searchsorted(l, key1)
+    best = np.full(len(key1), np.inf)
+    up, down = p < len(l), p > 0
+    best[up] = above[p[up]] - 2.0 * key1[up]
+    best[down] = np.minimum(best[down], below[p[down] - 1] + 2.0 * key1[down])
+    return float((best - u).min())
+
+
+_ROW_BLOCK = 256  # rows of the cost matrix read at a time
+_NEAREST = 4      # start arcs per atom, to its nearest atoms of the other side
+# violations of u + v <= C smaller than this are rounding: costs are at most
+# 2, and C - u - v computed at that scale errs by a few units of 2.2e-16
+_PRICE_TOL = 1e-14
+
+
+class _LpPlan(tuple):
+    """``(src, tgt, mass, u, v)`` of an LP plan and its potentials.
+
+    ``min_reduced`` is the minimum of ``C - u - v`` over every arc, from the
+    last reduced-cost scan: the global half of the slackness certificate.
+    """
+
+    def __new__(cls, src, tgt, mass, u, v, min_reduced: float):
+        plan = super().__new__(cls, (src, tgt, mass, u, v))
+        plan.min_reduced = min_reduced
+        return plan
+
+
+def _start_arcs(C) -> np.ndarray:
+    """Each atom's nearest atoms of the other side, as keys ``i * n + j``."""
+    m, n = C.shape
+    kr, kc = min(_NEAREST, n), min(_NEAREST, m)
+    rows = []
+    best = np.full((kc, n), np.inf)
+    best_i = np.zeros((kc, n), dtype=np.int64)
+    for lo in range(0, m, _ROW_BLOCK):
+        block = C[lo:lo + _ROW_BLOCK]
+        near = np.argpartition(block, kr - 1, axis=1)[:, :kr]
+        rows.append((lo + np.arange(len(block)))[:, None] * n + near)
+        # the running kc smallest costs of every column
+        vals = np.vstack([best, block])
+        idx = np.vstack([best_i, np.broadcast_to(lo + np.arange(len(block))[:, None],
+                                                 block.shape)])
+        keep = np.argpartition(vals, kc - 1, axis=0)[:kc]
+        best = np.take_along_axis(vals, keep, axis=0)
+        best_i = np.take_along_axis(idx, keep, axis=0)
+    return np.concatenate([r.ravel() for r in rows] + [(best_i * n + np.arange(n)).ravel()])
+
+
+def _price(C, u, v, arcs):
+    """One scan of the reduced costs ``C - u - v`` in row blocks.
+
+    Returns their minimum over every arc (i, j), and the most violated arc
+    outside the sorted key set ``arcs`` of each row and of each column,
+    where one is violated by more than rounding.
+    """
+    m, n = C.shape
+    worst, new = np.inf, []
+    col_low, col_arg = np.full(n, np.inf), np.zeros(n, dtype=np.int64)
+    for lo in range(0, m, _ROW_BLOCK):
+        reduced = C[lo:lo + _ROW_BLOCK] - u[lo:lo + _ROW_BLOCK, None] - v[None, :]
+        worst = min(worst, float(reduced.min()))
+        a, b = np.searchsorted(arcs, [lo * n, (lo + len(reduced)) * n])
+        reduced[np.divmod(arcs[a:b] - lo * n, n)] = np.inf
+        i, j = np.arange(len(reduced)), reduced.argmin(axis=1)
+        hit = reduced[i, j] < -_PRICE_TOL
+        new.append((lo + i[hit]) * n + j[hit])
+        i, j = reduced.argmin(axis=0), np.arange(n)
+        low = reduced[i, j] < col_low
+        col_low[low], col_arg[low] = reduced[i[low], j[low]], lo + i[low]
+    hit = np.flatnonzero(col_low < -_PRICE_TOL)
+    return worst, np.unique(np.concatenate(new + [col_arg[hit] * n + hit]))
+
+
+def _lp_plan(w1, w2, C) -> _LpPlan:
+    """Optimal plan by column generation on a growing set of arcs.
+
+    ``C`` is read in row blocks (``C[lo:hi]``) and on arcs (``C[i, j]``),
+    as a dense array or :class:`_TvRows` allows.  The arcs start as each
+    atom's nearest atoms of the other side plus the monotone plan in input
+    order, which makes the restricted LP feasible.  Each round solves the
+    LP on the arcs and adds the most violated arc of each row and of each
+    column; the round whose scan adds none ends the loop, and that scan is
+    the global slackness check.  The set only grows, so the loop ends.
+    """
     # imported here: scipy is most of the import time of filterlab, and only
     # transport on three or more cells needs it
     from scipy import sparse
     from scipy.optimize import linprog
 
     m, n = C.shape
-    ci = np.arange(m * n)
-    A1 = sparse.coo_matrix((np.ones(m * n), (np.repeat(np.arange(m), n), ci)),
-                           shape=(m, m * n))
-    A2 = sparse.coo_matrix((np.ones(m * n), (np.tile(np.arange(n), m), ci)),
-                           shape=(n, m * n))
-    A = sparse.vstack([A1, A2]).tocsc()
-    # HiGHS's default feasibility tolerances (1e-7) let plans miss _certify
-    res = linprog(C.ravel(), A_eq=A, b_eq=np.concatenate([w1, w2]),
-                  bounds=(0, None), method="highs",
-                  options={"primal_feasibility_tolerance": MARGINAL_TOL,
-                           "dual_feasibility_tolerance": MARGINAL_TOL})
-    if not res.success:
-        raise SolverFailure(f"transport LP failed: {res.message}")
-    plan = res.x.reshape(m, n)
-    src, tgt = np.nonzero(plan > 0)
-    y = res.eqlin.marginals
-    return src, tgt, plan[src, tgt], y[:m], y[m:]
+    src, tgt, _ = _monotone_plan(w1, w2, np.arange(m), np.arange(n))
+    arcs = np.unique(np.concatenate([_start_arcs(C), src * n + tgt]))
+    b_eq = np.concatenate([w1, w2])
+    while True:
+        i, j = np.divmod(arcs, n)
+        A = sparse.csc_matrix((np.ones(2 * len(arcs)), np.column_stack([i, m + j]).ravel(),
+                               np.arange(0, 2 * len(arcs) + 1, 2)), shape=(m + n, len(arcs)))
+        # HiGHS's default feasibility tolerances (1e-7) let plans miss
+        # _certify; its presolve slows these small LPs by about a third
+        res = linprog(C[i, j], A_eq=A, b_eq=b_eq, bounds=(0, None), method="highs",
+                      options={"primal_feasibility_tolerance": MARGINAL_TOL,
+                               "dual_feasibility_tolerance": MARGINAL_TOL,
+                               "presolve": False})
+        if not res.success:
+            raise SolverFailure(f"transport LP failed: {res.message}")
+        u, v = res.eqlin.marginals[:m], res.eqlin.marginals[m:]
+        worst, new = _price(C, u, v, arcs)
+        if not len(new):
+            break
+        arcs = np.union1d(arcs, new)
+    on = res.x > 0
+    return _LpPlan(i[on], j[on], res.x[on], u, v, worst)
 
 
-def _certify(src, tgt, mass, C, w1, w2, u, v):
-    m, n = C.shape
-    row = np.zeros(m)
-    col = np.zeros(n)
-    np.add.at(row, src, mass)
-    np.add.at(col, tgt, mass)
+def _certify(src, tgt, mass, cost, w1, w2, u, v, min_reduced):
+    """Marginal residual and slackness of a plan with potentials u, v.
+
+    ``cost`` holds the plan's arc costs and ``min_reduced`` a lower bound on
+    ``C - u - v`` over every arc, from the path's own global check.
+    """
+    row = np.bincount(src, weights=mass, minlength=len(w1))
+    col = np.bincount(tgt, weights=mass, minlength=len(w2))
     marg = max(np.abs(row - w1).max(), np.abs(col - w2).max())
-    reduced = C - u[:, None] - v[None, :]
-    slack = max(0.0, float(-reduced.min()))
+    slack = max(0.0, -min_reduced)
     if len(src):
-        slack = max(slack, float(np.abs(reduced[src, tgt]).max()))
+        slack = max(slack, float(np.abs(cost - u[src] - v[tgt]).max()))
     return float(marg), slack
 
 
@@ -302,7 +423,7 @@ def kantorovich(mu: PointMassMeasure, nu: PointMassMeasure,
     Requires equal total mass; for mass ``r != 1`` the distance scales as
     ``r`` times the distance of the normalized measures, which is what the
     plan objective delivers directly.  Raises :class:`SolverFailure` if the
-    optimality certificate does not close.
+    optimality certificate does not close.  No path builds an m-by-n array.
     """
     if not mu.space.same_as(nu.space):
         raise SpaceMismatch("measures live on different state spaces")
@@ -318,27 +439,37 @@ def kantorovich(mu: PointMassMeasure, nu: PointMassMeasure,
     w2 = w2 * (w1.sum() / w2.sum())
     idx1 = np.nonzero(keep1)[0]
     idx2 = np.nonzero(keep2)[0]
-    C = _cost_matrix(mu, nu)[np.ix_(keep1, keep2)]
+    a = mu.mass_matrix()[keep1]
+    b = nu.mass_matrix()[keep2]
+    C = _TvRows(a, b)
 
-    pm1 = mu.point_masses[keep1]
-    pm2 = nu.point_masses[keep2]
-    one_dimensional = (
-        mu.space.n == 2
-        and np.ptp(np.concatenate([pm1, pm2])) <= 1e-12
-    )
+    # spread of the atoms' point masses: on two cells C_ij lies within it
+    # of 2|k_i - l_j|, the cost the monotone path solves for
+    spread = np.ptp(np.concatenate([mu.point_masses[keep1], nu.point_masses[keep2]]))
+    one_dimensional = mu.space.n == 2 and spread <= 1e-12
     attempts = ["monotone", "lp"] if one_dimensional else ["lp"]
     last_error = None
     for method in attempts:
         if method == "monotone":
-            key1 = mu.mass_matrix()[keep1, 0]
-            key2 = nu.mass_matrix()[keep2, 0]
+            key1, key2 = a[:, 0], b[:, 0]
             src, tgt, mass = _monotone_plan(w1, w2, key1, key2)
             u, v = _line_potentials(key1, key2, w1, w2)
+            min_reduced = _line_min_reduced(key1, key2, u, v) - spread
         else:
-            src, tgt, mass, u, v = _lp_plan(w1, w2, C)
-        marg, slack = _certify(src, tgt, mass, C, w1, w2, u, v)
+            # the start plan is monotone in input order: order the atoms
+            # along the projection key merge_atoms sorts on
+            proj = np.cos(np.arange(1, mu.space.n + 1))
+            o1 = np.argsort(a @ proj, kind="stable")
+            o2 = np.argsort(b @ proj, kind="stable")
+            lp = _lp_plan(w1[o1], w2[o2], _TvRows(a[o1], b[o2]))
+            src, tgt, mass, pu, pv = lp
+            src, tgt = o1[src], o2[tgt]
+            u, v = np.empty(len(o1)), np.empty(len(o2))
+            u[o1], v[o2] = pu, pv
+            min_reduced = lp.min_reduced
+        cost = C[src, tgt]
+        marg, slack = _certify(src, tgt, mass, cost, w1, w2, u, v, min_reduced)
         if marg <= MARGINAL_TOL and slack <= SLACKNESS_TOL:
-            cost = C[src, tgt]
             objective = float(mass @ cost)
             plan = TransportPlan(
                 source=idx1[src], target=idx2[tgt], mass=mass, cost=cost,

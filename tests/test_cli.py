@@ -170,3 +170,16 @@ class TestDeclaredOptions:
                 else:
                     with pytest.raises(SystemExit):
                         parser.parse_args(argv)
+
+
+class TestUsageExitCode:
+    def test_usage_error_maps_to_64(self, m2_file, tmp_path):
+        # 2 would read as a violated assertion
+        assert main(["contract", "--model", m2_file, "--rho", "0.1",
+                     "--out", str(tmp_path)]) == 64
+        assert main(["contract"]) == 64
+
+    def test_help_exits_zero(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["contract", "--help"])
+        assert exc.value.code == 0

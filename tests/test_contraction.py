@@ -456,3 +456,45 @@ class TestE1Batched:
             assert got[1] > 0 and got[3] == 0.0
             assert got[:3] == want[:3]
             assert got[3:] == pytest.approx(want[3:], rel=1e-12, abs=0)
+
+
+def _threshold_densities_loop(rng, model, f0_mask, threshold, count):
+    """The sampler as one ``rng.dirichlet`` call per draw, sample by sample."""
+    k = model.n_states
+    idx_f0 = np.nonzero(f0_mask)[0]
+    out = np.zeros((count, k))
+    others = np.nonzero(~f0_mask)[0]
+    for i in range(count):
+        inner = np.zeros(k)
+        inner[idx_f0] = rng.dirichlet(np.ones(len(idx_f0)))
+        style = i % 3
+        if style == 0 and len(others):
+            rest = np.zeros(k)
+            rest[others] = rng.dirichlet(np.ones(len(others)))
+            out[i] = threshold * inner + (1.0 - threshold) * rest
+        elif style == 1:
+            out[i] = inner
+        else:
+            rest = rng.dirichlet(np.ones(k))
+            out[i] = threshold * inner + (1.0 - threshold) * rest
+    return out
+
+
+class TestThresholdDensities:
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_bit_identical_to_the_dirichlet_loop(self, k):
+        rng = np.random.default_rng([17, k])
+        model = product_model(np.full((k, k), 1.0 / k), np.eye(k))
+        masks = [np.ones(k, dtype=bool)]  # no cells outside F0
+        if k > 1:
+            masks += [np.arange(k) < 1, np.arange(k) >= k // 2, rng.random(k) < 0.5]
+        for mask in masks:
+            mask[0] |= not mask.any()
+            for count in (0, 1, 2, 3, 7, 200):
+                threshold = float(rng.uniform())
+                a, b = np.random.default_rng(count), np.random.default_rng(count)
+                want = _threshold_densities_loop(a, model, mask, threshold, count)
+                got = contraction._sample_threshold_densities(b, model, mask, threshold, count)
+                np.testing.assert_array_equal(got, want)
+                # and the stream continues where the loop left it
+                assert a.random() == b.random()

@@ -2,6 +2,8 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,9 @@ from filterlab.errors import (
 )
 from filterlab.filter import pushforward_n
 from filterlab.measures import (
+    MARGINAL_TOL,
     MERGE_TOL,
+    SLACKNESS_TOL,
     LipschitzWitness,
     PointMassMeasure,
     barycenter,
@@ -31,7 +35,14 @@ from filterlab.measures import (
     nearest_barycenter_distance,
     tv_distance,
 )
-from filterlab.model import DensityVector, HmmModel, ObsSpace, StateSpace, markov_kernel
+from filterlab.model import (
+    DensityVector,
+    HmmModel,
+    ObsSpace,
+    StateSpace,
+    load_model,
+    markov_kernel,
+)
 
 from conftest import e, numeric_csv_rows, random_density
 
@@ -573,3 +584,85 @@ class TestMergeTies:
         # the tol window must not walk through the ties: one window pass per
         # tied pair took about 0.7 s on 4,000 pairs
         assert elapsed < 0.1
+
+
+def _dense_transport_lp(mu, nu):
+    """The transport LP over all m*n arcs at once, as one HiGHS solve."""
+    from scipy.optimize import linprog
+
+    a, b = mu.mass_matrix(), nu.mass_matrix()
+    C = np.abs(a[:, None, :] - b[None, :, :]).sum(axis=2)
+    m, n = C.shape
+    A = np.vstack([np.kron(np.eye(m), np.ones(n)), np.kron(np.ones(m), np.eye(n))])
+    res = linprog(C.ravel(), A_eq=A, b_eq=np.r_[mu.weights, nu.weights],
+                  bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": MARGINAL_TOL,
+                           "dual_feasibility_tolerance": MARGINAL_TOL})
+    assert res.success
+    return res.fun
+
+
+class TestTransportPaths:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 5), st.integers(1, 60),
+           st.integers(1, 60), st.floats(0.0, 1.0))
+    def test_lp_matches_dense_linprog(self, seed, k, m, n, shared):
+        rng = np.random.default_rng(seed)
+        space = _space(k, rng, weighted=True)
+        mu = _random_measure(rng, space, m)
+        nu = _random_measure(rng, space, n)
+        # a share of nu's atoms sit exactly on atoms of mu
+        s = int(shared * min(m, n))
+        nu.points[:s] = mu.points[rng.permutation(m)[:s]]
+        nu = nu.scaled(mu.total_mass / nu.total_mass)
+        d, plan = kantorovich(mu, nu)
+        assert plan.method == "lp"
+        assert plan.marginal_residual <= MARGINAL_TOL
+        assert plan.slackness_residual <= SLACKNESS_TOL
+        assert d == pytest.approx(_dense_transport_lp(mu, nu), rel=1e-12, abs=1e-15)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 40),
+           st.sampled_from([0.0, 1e-13, 1e-12]), st.booleans())
+    def test_sorted_slackness_bound(self, seed, m, n, spread, optimal):
+        from filterlab.measures import _cost_matrix, _line_min_reduced, _line_potentials
+        rng = np.random.default_rng(seed)
+        space = _space(2, rng, weighted=True)
+
+        def measure(size):
+            # cell-1 masses on a coarse grid half the time, so keys tie
+            key = rng.uniform(0.0, 1.0, size)
+            if rng.random() < 0.5:
+                key = np.round(key * 4) / 4
+            total = 1.0 + rng.uniform(-spread / 2, spread / 2, size)
+            masses = np.column_stack([key * total, (1.0 - key) * total])
+            return PointMassMeasure(space, masses / space.lambda_weights,
+                                    rng.uniform(0.1, 1.0, size))
+
+        mu, nu = measure(m), measure(n)
+        delta = np.ptp(np.r_[mu.point_masses, nu.point_masses])
+        key1, key2 = mu.mass_matrix()[:, 0], nu.mass_matrix()[:, 0]
+        if optimal:
+            nu = nu.scaled(mu.total_mass / nu.total_mass)
+            u, v = _line_potentials(key1, key2, mu.weights, nu.weights)
+        else:
+            u, v = rng.uniform(-2.0, 2.0, m), rng.uniform(-2.0, 2.0, n)
+        dense = (_cost_matrix(mu, nu) - u[:, None] - v[None, :]).min()
+        assert abs(_line_min_reduced(key1, key2, u, v) - dense) <= delta + 1e-15
+
+
+class TestTransportMemory:
+    def test_4096_atoms_a_side(self):
+        # the dense cost tensor alone of this pair takes 268 MB
+        model = load_model(Path(__file__).parents[1] / "demos/models/noisy_sensor.json")
+        mu = pushforward_n(model, e(model, 1), 12)
+        nu = pushforward_n(model, e(model, 2), 12)
+        assert mu.n_atoms == nu.n_atoms == 4096
+        tracemalloc.start()
+        try:
+            _, plan = kantorovich(mu, nu)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert plan.method == "monotone"
+        assert peak < 100e6
