@@ -51,5 +51,6 @@ print("positive-kernel ratios (geometric at rate 1/3):",
 print("\nsubrectangular witness for the partition model:",
       fl.check_condition_A(partition, max_len=3))
 periodic = fl.lab.periodic_control_model()
-print("witness for the periodic control (none exists up to length 4):",
+print("witness for the periodic control (decided: its support closure is "
+      "exhausted, so no product of any length is subrectangular):",
       fl.check_condition_A(periodic, max_len=4))

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import contraction, coupling, lab, measures
 from .errors import BudgetExceeded, FilterlabError
-from .filter import mass_functional, run_filter
+from .filter import ENUMERATION_BUDGET, mass_functional, run_filter
 from .model import DensityVector, StateSpace, load_model, simulate, stationary
 
 OK, VIOLATED, INCONCLUSIVE, USAGE = 0, 2, 3, 64
@@ -54,11 +54,11 @@ def cmd_check(args) -> int:
         witness = contraction.check_condition_A(model, max_len=args.nmax,
                                                 budget=args.budget)
     except BudgetExceeded as exc:
-        payload["condition_A"] = {"error": str(exc)}
-        witness = None
+        payload["condition_A"] = {"error": str(exc), "decided": False}
         status = INCONCLUSIVE
     else:
-        payload["condition_A"] = {"witness": witness}
+        # a null witness is decided too: the support closure was exhausted
+        payload["condition_A"] = {"witness": witness, "decided": True}
         if witness is None:
             status = INCONCLUSIVE
     kr = contraction.check_condition_KR(model, depth=args.nmax)
@@ -218,23 +218,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     options = {"rho": dict(type=float, default=0.1), "nmax": dict(type=int, default=6),
-               "seed": dict(type=int, default=0), "budget": dict(type=int, default=10**6)}
+               "seed": dict(type=int, default=0),
+               "budget": dict(type=int, default=ENUMERATION_BUDGET,
+                              help="rows a search may hold; checked before each step")}
 
-    def command(name, summary, *flags, inputs=("model",)):
+    def command(name, handler, summary, *flags, inputs=("model",)):
         # each subcommand declares only the options it reads
         p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         for flag in inputs:
             p.add_argument(f"--{flag}", required=True, help=f"{flag} JSON file")
         for flag in flags:
             p.add_argument(f"--{flag}", **options[flag])
         p.add_argument("--out", default=".", help="output directory")
 
-    command("check", "run condition checkers", "rho", "nmax", "seed", "budget")
-    command("contract", "contraction certificates")
-    command("ergodics", "stationary + merging + oscillation", "nmax", "budget")
-    command("transport", "distance between measure files", inputs=("mu", "nu"))
-    command("simulate", "sample a path and filter it", "nmax", "seed")
-    command("couple", "coupled-closeness evidence", "rho", "nmax", "budget")
+    command("check", cmd_check, "run condition checkers", "rho", "nmax", "seed", "budget")
+    command("contract", cmd_contract, "contraction certificates")
+    command("ergodics", cmd_ergodics, "stationary + merging + oscillation", "nmax",
+            "budget")
+    command("transport", cmd_transport, "distance between measure files",
+            inputs=("mu", "nu"))
+    command("simulate", cmd_simulate, "sample a path and filter it", "nmax", "seed")
+    command("couple", cmd_couple, "coupled-closeness evidence", "rho", "nmax", "budget")
     return parser
 
 
@@ -246,16 +251,8 @@ def main(argv=None) -> int:
         if exc.code == 2:
             return USAGE
         raise
-    handlers = {
-        "check": cmd_check,
-        "contract": cmd_contract,
-        "ergodics": cmd_ergodics,
-        "transport": cmd_transport,
-        "simulate": cmd_simulate,
-        "couple": cmd_couple,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return INCONCLUSIVE

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +31,7 @@ from .errors import (
     KappaBelowOne,
     NonpositiveEntry,
 )
+from .filter import ENUMERATION_BUDGET, _check_budget
 from .model import DensityVector, HmmModel
 
 # (sample pair, observation sequence) branches e1_constants checks at once
@@ -67,13 +67,27 @@ def rectangular_support(kernel, zero_tol: float = 0.0) -> RectSupport | None:
     than being coerced either way.
     """
     pos = _positive_mask(kernel, zero_tol)
-    rows = np.nonzero(pos.any(axis=1))[0]
-    cols = np.nonzero(pos.any(axis=0))[0]
-    if len(rows) == 0 or len(cols) == 0:
+    if not pos.any() or not _is_rectangle(pos):
         return None
-    if not pos[np.ix_(rows, cols)].all():
-        return None
+    rows, cols = (np.flatnonzero(pos.any(axis=axis)) for axis in (1, 0))
     return RectSupport(tuple(int(r) for r in rows), tuple(int(c) for c in cols))
+
+
+def _is_rectangle(pos: np.ndarray) -> np.ndarray:
+    """Whether each boolean pattern fills the product of its rows and columns."""
+    return (pos.sum(axis=(-2, -1))
+            == pos.any(axis=-1).sum(axis=-1) * pos.any(axis=-2).sum(axis=-1))
+
+
+def _rows_cols(kernel: np.ndarray, rows, cols) -> tuple[list, list]:
+    """The given row and column sets, else those of the support rectangle."""
+    if rows is None or cols is None:
+        sup = rectangular_support(kernel)
+        if sup is None:
+            raise NonpositiveEntry("kernel has no rectangular support; pass rows/cols")
+        rows = sup.rows if rows is None else rows
+        cols = sup.cols if cols is None else cols
+    return list(rows), list(cols)
 
 
 def is_subrectangular(kernel, zero_tol: float = 0.0) -> bool:
@@ -82,10 +96,7 @@ def is_subrectangular(kernel, zero_tol: float = 0.0) -> bool:
     Equivalent to the positive set being an exact rectangle; the zero kernel
     satisfies the implication vacuously.
     """
-    pos = _positive_mask(kernel, zero_tol)
-    if not pos.any():
-        return True
-    return rectangular_support(kernel, zero_tol) is not None
+    return bool(_is_rectangle(_positive_mask(kernel, zero_tol)))
 
 
 def cross_ratio_kappa(kernel, rows=None, cols=None, max_dense: int = 2_000_000
@@ -97,13 +108,8 @@ def cross_ratio_kappa(kernel, rows=None, cols=None, max_dense: int = 2_000_000
     compute the exact maximum.
     """
     kernel = np.asarray(kernel, dtype=float)
-    if rows is None or cols is None:
-        sup = rectangular_support(kernel)
-        if sup is None:
-            raise NonpositiveEntry("kernel has no rectangular support; pass rows/cols")
-        rows = sup.rows if rows is None else rows
-        cols = sup.cols if cols is None else cols
-    block = kernel[np.ix_(list(rows), list(cols))]
+    rows, cols = _rows_cols(kernel, rows, cols)
+    block = kernel[np.ix_(rows, cols)]
     if np.any(block <= 0):
         i, j = np.argwhere(block <= 0)[0]
         raise NonpositiveEntry(
@@ -202,14 +208,7 @@ def birkhoff_osc_step(kernel, u, v, rows=None, cols=None) -> tuple[float, float]
     kernel = np.asarray(kernel, dtype=float)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if rows is None or cols is None:
-        sup = rectangular_support(kernel)
-        if sup is None:
-            raise NonpositiveEntry("kernel has no rectangular support; pass rows/cols")
-        rows = rows if rows is not None else sup.rows
-        cols = cols if cols is not None else sup.cols
-    rows = list(rows)
-    cols = list(cols)
+    rows, cols = _rows_cols(kernel, rows, cols)
     if np.any(u[cols] <= 0.0):
         raise DivisionByZeroMass("u vanishes on the column set; v/u unbounded")
     u1 = kernel @ u
@@ -233,30 +232,38 @@ def birkhoff_osc_step(kernel, u, v, rows=None, cols=None) -> tuple[float, float]
 
 
 def check_condition_A(model: HmmModel, max_len: int,
-                      budget: int = 10**6):
+                      budget: int = ENUMERATION_BUDGET):
     """Shortest observation sequence whose stepping product is subrectangular.
 
-    Breadth-first in length then lexicographic observation order, so the
-    returned witness is minimal and deterministic.  ``None`` means no witness
-    up to ``max_len`` exists, which is inconclusive rather than a refutation.
+    Decided on supports, which multiply as boolean matrices: a breadth-first
+    search, in length then lexicographic order, that steps each pattern of
+    the finite support semigroup once and computes no float product.
+    Returns the shortest, lexicographically first witness, or ``None`` once
+    the closure is exhausted: no product of any length is subrectangular.
+    Raises :class:`BudgetExceeded`, naming the limit, when ``max_len`` or
+    ``budget`` (patterns held, checked before each level) stops it first.
     """
-    queue = deque()
-    for a in range(model.n_obs):
-        queue.append(((a,), model.stepping_matrices[a]))
-    explored = 0
-    while queue:
-        seq, product = queue.popleft()
-        explored += 1
-        if explored > budget:
-            raise BudgetExceeded(f"explored {explored} sequences, budget {budget}")
-        if product.max() > 0.0 and is_subrectangular(product):
-            return tuple(model.obs.cells[a] for a in seq)
-        if len(seq) < max_len:
-            for a in range(model.n_obs):
-                child = product @ model.stepping_matrices[a]
-                if child.max() > 0.0:
-                    queue.append((seq + (a,), child))
-    return None
+    supports = model.stepping_matrices > 0.0
+    k, n_obs = model.n_states, model.n_obs
+    seen = {np.zeros((k, k), bool).tobytes()}  # a zero product witnesses nothing
+    frontier, seqs = np.eye(k, dtype=bool)[None], np.zeros((1, 0), dtype=np.int64)
+    for length in range(1, max_len + 2):
+        _check_budget(len(seen) + len(frontier) * n_obs, budget,
+                      f"support patterns at length {length}")
+        children = (frontier[:, None] @ supports[None]).reshape(-1, k, k)
+        # the first sequence of every pattern not met before, in sequence order
+        first = {c.tobytes(): i for i, c in reversed(list(enumerate(children)))}
+        keep = np.array(sorted(i for key, i in first.items() if key not in seen), int)
+        seen.update(first)
+        if not keep.size:
+            return None
+        if length > max_len:
+            raise BudgetExceeded(f"max_len {max_len} reached, closure not exhausted")
+        frontier = children[keep]
+        seqs = np.column_stack([seqs[keep // n_obs], keep % n_obs])
+        hits = np.flatnonzero(_is_rectangle(frontier))
+        if hits.size:
+            return tuple(model.obs.cells[a] for a in seqs[hits[0]])
 
 
 @dataclass
@@ -277,11 +284,16 @@ class KrReport:
     tol: float
 
 
-def _sigma_ratio(product: np.ndarray) -> float:
-    s = np.linalg.svd(product / product.max(), compute_uv=False)
-    if s[0] <= 0.0:
-        raise DegenerateProduct("stepping product vanished")
-    return float(s[1] / s[0]) if len(s) > 1 else 0.0
+def _fit_rate(values: np.ndarray) -> tuple[float | None, float | None]:
+    """Geometric rate fitted on the last half of a positive sequence."""
+    n = len(values)
+    idx = np.arange(n)[n // 2:]
+    idx = idx[values[idx] > 0]
+    if len(idx) < 2:
+        return None, None
+    coeffs, res, *_ = np.polyfit(idx.astype(float), np.log(values[idx]), 1,
+                                 full=True)
+    return float(np.exp(coeffs[0])), float(res[0]) if len(res) else 0.0
 
 
 def check_condition_KR(model: HmmModel, seq=None, depth: int | None = None,
@@ -309,7 +321,8 @@ def check_condition_KR(model: HmmModel, seq=None, depth: int | None = None,
             if cand.max() <= 0.0:
                 continue
             cand = cand / cand.max()
-            r = _sigma_ratio(cand)
+            s = np.linalg.svd(cand, compute_uv=False)
+            r = float(s[1] / s[0]) if len(s) > 1 else 0.0
             if best is None or r < best[0]:
                 best = (r, a, cand)
         if best is None:
@@ -321,16 +334,7 @@ def check_condition_KR(model: HmmModel, seq=None, depth: int | None = None,
     below = ratios < tol
     verdict = any(below[k:k + sustain].all()
                   for k in range(max(0, len(ratios) - sustain + 1)))
-    rate = residual = None
-    positive = ratios > 0
-    tail = np.nonzero(positive)[0]
-    tail = tail[tail >= len(ratios) // 2]
-    if len(tail) >= 2:
-        ns = tail.astype(float)
-        logs = np.log(ratios[tail])
-        coeffs, res, *_ = np.polyfit(ns, logs, 1, full=True)
-        rate = float(np.exp(coeffs[0]))
-        residual = float(res[0]) if len(res) else 0.0
+    rate, residual = _fit_rate(ratios)
     return KrReport(sequence=tuple(chosen), ratios=ratios, verdict=bool(verdict),
                     rate=rate, rate_residual=residual, tol=tol)
 

@@ -17,8 +17,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import BarycenterMismatch, BudgetExceeded, SpaceMismatch
-from .filter import _bayes_step, observation_law
+from .errors import BarycenterMismatch, SpaceMismatch
+from .filter import ENUMERATION_BUDGET, _bayes_step, _check_budget, observation_law
 from .measures import PointMassMeasure, barycenter, merge_atoms, tv_distance
 from .model import DensityVector, HmmModel
 
@@ -193,26 +193,25 @@ def product_coupling(mu: PointMassMeasure, nu: PointMassMeasure
 
 
 def coupled_laws(model: HmmModel, mu: PointMassMeasure, nu: PointMassMeasure,
-                 n_max: int, budget: int = 10**6) -> Iterator[JointFilterMeasure]:
+                 n_max: int, budget: int = ENUMERATION_BUDGET
+                 ) -> Iterator[JointFilterMeasure]:
     """Coupled laws of the horizons 0, 1, ..., n_max from the product coupling.
 
     Steps all pairs at once, one horizon at a time, and merges equal pairs
     after every step; the law at horizon n couples the n-step laws of ``mu``
-    and ``nu``.  ``budget`` bounds the number of merged pairs.
+    and ``nu``.  ``budget`` bounds the children of each step, merged pairs
+    times ``|A|**2``, and is checked before the step builds them.
     """
     joint = product_coupling(mu, nu).merged()
     yield joint
-    for _ in range(n_max):
+    for n in range(1, n_max + 1):
+        _check_budget(joint.n_atoms * model.n_obs**2, budget, f"coupled step {n}")
         joint = _coupled_step(model, joint).merged()
-        if joint.n_atoms > budget:
-            raise BudgetExceeded(
-                f"coupled chain support {joint.n_atoms} exceeds budget {budget}"
-            )
         yield joint
 
 
 def coupled_chain(model: HmmModel, mu: PointMassMeasure, nu: PointMassMeasure,
-                  n: int, budget: int = 10**6) -> JointFilterMeasure:
+                  n: int, budget: int = ENUMERATION_BUDGET) -> JointFilterMeasure:
     """The coupled law after n steps: the last law :func:`coupled_laws` yields."""
     for joint in coupled_laws(model, mu, nu, n, budget):
         pass
@@ -256,7 +255,7 @@ def extremal_pair(pi: DensityVector) -> tuple[PointMassMeasure, PointMassMeasure
 
 
 def condition_E_estimate(model: HmmModel, pi: DensityVector, rho: float,
-                         n_max: int, budget: int = 10**6,
+                         n_max: int, budget: int = ENUMERATION_BUDGET,
                          extra_pairs=None,
                          barycenter_tol: float = 1e-10) -> list[EConditionReport]:
     """Coupled-closeness evidence on the extremal barycenter-pi pair.

@@ -19,16 +19,16 @@ from .errors import BudgetExceeded, SpaceMismatch
 from .measures import PointMassMeasure
 from .model import DensityVector, HmmModel
 
-ENUMERATION_BUDGET = 10**7
+# rows a search may hold, checked before each step builds them
+ENUMERATION_BUDGET = 10**6
 # (grid point, observation sequence) branches grid_averages steps at once
 _GRID_BLOCK = 1 << 14
 
 
-def _check_horizon(model: HmmModel, n: int, budget: int) -> None:
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if model.n_obs**n > budget:
-        raise BudgetExceeded(f"|A|^n = {model.n_obs}**{n} exceeds budget {budget}")
+def _check_budget(rows: int, budget: int, what: str) -> None:
+    """The one budget guard: the rows a search step would hold."""
+    if rows > budget:
+        raise BudgetExceeded(f"{what}: {rows} rows exceed budget {budget}")
 
 
 def _masses(model: HmmModel, x: DensityVector) -> np.ndarray:
@@ -107,11 +107,14 @@ def pushforward_nodes(model: HmmModel, x: DensityVector, n: int,
                       budget: int = ENUMERATION_BUDGET) -> list[PushforwardNode]:
     """Unmerged n-step enumeration in lexicographic sequence order.
 
-    Each level branches every surviving sequence by every observation.
+    Each level branches every surviving sequence by every observation, so
+    the budget bounds ``|A|**n``, the sequences this enumeration holds.
     ``prune_eps`` drops sequences whose cumulative weight falls below it;
     zero-likelihood sequences carry zero weight, so they are omitted.
     """
-    _check_horizon(model, n, budget)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    _check_budget(model.n_obs**n, budget, f"|A|^n = {model.n_obs}**{n} sequences")
     masses = _masses(model, x)[None, :]
     weights = np.ones(1)
     seqs = np.zeros((1, 0), dtype=np.int64)
@@ -136,14 +139,17 @@ def filter_laws(model: HmmModel, x: DensityVector, n_max: int, prune_eps: float 
     mass, and the result is merged before the next step, so atoms that meet
     are stepped once.  ``prune_eps`` drops merged atoms of weight below it
     from horizon one on; the dropped mass accumulates in ``pruned_mass``.
-    The budget bounds ``|A|**n_max``, the number of observation sequences.
+    The budget bounds the children of each step, merged atoms times ``|A|``,
+    and is checked before the step builds them.
     """
-    _check_horizon(model, n_max, budget)
+    if n_max < 0:
+        raise ValueError("n must be nonnegative")
     masses = _masses(model, x)[None, :]
     weights = np.array([1.0])
     pruned = 0.0
     for n in range(n_max + 1):
         if n:
+            _check_budget(len(weights) * model.n_obs, budget, f"filter-law step {n}")
             masses, weights, _, _ = _branch(model, masses, weights)
         law = PointMassMeasure(model.states, masses / model.states.lambda_weights,
                                weights, pruned_mass=pruned).merged()

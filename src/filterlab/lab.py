@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contraction import check_condition_P
-from .filter import filter_laws, grid_averages
+from .contraction import _fit_rate, check_condition_P
+from .filter import ENUMERATION_BUDGET, filter_laws, grid_averages
 from .measures import kantorovich
 from .model import (
     DensityVector,
@@ -125,18 +125,6 @@ def simplex_grid(space, step: float | None = None, seed: int = 0,
     return rng.dirichlet(np.ones(k), size=mc_points)
 
 
-def _fit_rate(values: np.ndarray) -> tuple[float | None, float | None]:
-    """Geometric rate fitted on the last half of a positive sequence."""
-    n = len(values)
-    idx = np.arange(n)[n // 2:]
-    idx = idx[values[idx] > 0]
-    if len(idx) < 2:
-        return None, None
-    coeffs, res, *_ = np.polyfit(idx.astype(float), np.log(values[idx]), 1,
-                                 full=True)
-    return float(np.exp(coeffs[0])), float(res[0]) if len(res) else 0.0
-
-
 # ---------------------------------------------------------------------------
 # experiments
 
@@ -171,7 +159,7 @@ class WeakContractionReport:
 
 
 def weak_contraction_report(model: HmmModel, pairs, n_max: int,
-                            budget: int = 10**7,
+                            budget: int = ENUMERATION_BUDGET,
                             prune_eps: float = 0.0) -> WeakContractionReport:
     """Track how the filter laws of paired starts merge in transport distance."""
     P = model.markov_matrix
@@ -244,7 +232,7 @@ def osc_decay_report(model: HmmModel, u_list, n_max: int,
 
 
 def barycenter_identity_check(model: HmmModel, starts, n_max: int,
-                              budget: int = 10**7) -> float:
+                              budget: int = ENUMERATION_BUDGET) -> float:
     """Worst residual of "filter-law mean equals chain marginal" over starts.
 
     The mean of the exact n-step filter law must reproduce the n-step state
@@ -280,7 +268,8 @@ class TightnessReport:
 
 
 def tightness_probe(model: HmmModel, x0: DensityVector, epsilon: float,
-                    starts, n_max: int, budget: int = 10**7) -> TightnessReport:
+                    starts, n_max: int, budget: int = ENUMERATION_BUDGET
+                    ) -> TightnessReport:
     """Exact mass of each n-step filter law in the ball around ``x0``.
 
     The liminf estimate is the smallest tail-half value across all starts;

@@ -464,10 +464,14 @@ def simulate(model: HmmModel, x0: DensityVector, n: int, seed: int) -> Simulatio
     joint = model.m * lam[None, :, None] * tau[None, None, :]
     joint = joint.reshape(model.n_states, -1)
     joint = joint / joint.sum(axis=1, keepdims=True)
+    # one uniform per step through the row CDF, as ``rng.choice(p=joint[s])`` draws
+    cdf = joint.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    u = rng.random(n)
     states = [model.states.cells[s]]
     observations = []
-    for _ in range(n):
-        flat = int(rng.choice(joint.shape[1], p=joint[s]))
+    for k in range(n):
+        flat = int(cdf[s].searchsorted(u[k], side="right"))
         t, a = divmod(flat, model.n_obs)
         states.append(model.states.cells[t])
         observations.append(model.obs.cells[a])

@@ -63,6 +63,20 @@ class TestCheck:
         doc = json.loads((out / "check.json").read_text())
         assert doc["condition_A"]["witness"] is None
 
+    def test_condition_A_decided(self, periodic_file, m2_file, tmp_path):
+        # the periodic closure (2 patterns) is exhausted at length 3: a
+        # decided "none" from --nmax 2 on, still exit 3; --nmax 1 stops first
+        def condition_a(name, *args):
+            assert main(["check", *args, "--out", str(tmp_path / name)]) == 3
+            return json.loads((tmp_path / name / "check.json").read_text())["condition_A"]
+
+        assert condition_a("a", "--model", periodic_file, "--nmax", "2") == \
+            {"witness": None, "decided": True}
+        stopped = condition_a("b", "--model", periodic_file, "--nmax", "1")
+        assert stopped["decided"] is False and "max_len 1" in stopped["error"]
+        stopped = condition_a("c", "--model", m2_file, "--budget", "1")
+        assert stopped["decided"] is False and "budget 1" in stopped["error"]
+
 
 class TestContract:
     def test_m2(self, m2_file, tmp_path):

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filterlab.contraction import (
     check_condition_A,
@@ -18,6 +20,7 @@ from filterlab.contraction import (
 )
 from filterlab.errors import (
     AmbiguousSupport,
+    BudgetExceeded,
     CertificateInvalid,
     DegenerateProduct,
     DivisionByZeroMass,
@@ -26,7 +29,15 @@ from filterlab.errors import (
     NonpositiveEntry,
 )
 from filterlab import contraction
-from filterlab.model import build_model, partition_model, product_model, stationary
+from filterlab.model import (
+    HmmModel,
+    ObsSpace,
+    StateSpace,
+    build_model,
+    partition_model,
+    product_model,
+    stationary,
+)
 
 
 
@@ -224,6 +235,82 @@ class TestConditionA:
 
     def test_permutation_chain_absent(self, periodic_fixture):
         assert check_condition_A(periodic_fixture, max_len=3) is None
+
+
+def _float_bfs_witness(model, max_len):
+    """Shortest, lexicographically first witness found by float products.
+
+    Level by level over every observation sequence, without merging equal
+    supports; zero products are not extended.
+    """
+    steps = model.stepping_matrices
+    products = np.eye(model.n_states)[None]
+    seqs = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(max_len):
+        children = products[:, None] @ steps[None]
+        parent, obs = np.divmod(np.arange(len(products) * model.n_obs), model.n_obs)
+        children = children.reshape(-1, model.n_states, model.n_states)
+        alive = children.max(axis=(1, 2)) > 0.0
+        products = children[alive]
+        seqs = np.column_stack([seqs[parent[alive]], obs[alive]])
+        # a rectangle: the support equals the product of its rows and columns
+        pos = products > 0.0
+        full = pos.any(axis=2)[:, :, None] & pos.any(axis=1)[:, None, :]
+        hits = np.flatnonzero((pos == full).all(axis=(1, 2)))
+        if hits.size:
+            return tuple(model.obs.cells[a] for a in seqs[hits[0]])
+    return None
+
+
+def _structured_sparse_model(seed, n_states, n_obs, sparsity, kind):
+    """Random sparse model whose chain is free, periodic or reducible."""
+    rng = np.random.default_rng(seed)
+    s, t = np.indices((n_states, n_states))
+    allowed = {"free": np.ones((n_states, n_states), bool),
+               "periodic": (s % 2) != (t % 2),
+               "reducible": t >= s}[kind]
+    m = rng.gamma(2.0, size=(n_states, n_states, n_obs))
+    m *= (rng.random(m.shape) >= sparsity) & allowed[:, :, None]
+    for row in range(n_states):
+        if m[row].max() <= 0.0:  # keep every row alive inside the structure
+            m[row, rng.choice(np.flatnonzero(allowed[row])), rng.integers(n_obs)] = 1.0
+    lam = rng.uniform(0.5, 2.0, n_states)
+    tau = rng.uniform(0.5, 2.0, n_obs)
+    m /= np.einsum("sta,t,a->s", m, lam, tau)[:, None, None]
+    return HmmModel(StateSpace(tuple(range(1, n_states + 1)), lam),
+                    ObsSpace(tuple(range(1, n_obs + 1)), tau), m)
+
+
+class TestConditionASemigroup:
+    @settings(max_examples=250, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(2, 5), st.integers(1, 3),
+           st.floats(0.3, 0.8), st.sampled_from(["free", "periodic", "reducible"]))
+    def test_matches_float_product_search(self, seed, n_states, n_obs, sparsity, kind):
+        model = _structured_sparse_model(seed, n_states, n_obs, sparsity, kind)
+        try:
+            witness = check_condition_A(model, max_len=6)
+        except BudgetExceeded:
+            # stopped at max_len: no witness that short
+            assert _float_bfs_witness(model, 6) is None
+            return
+        if witness is None:
+            # an exhausted closure: no product of any length is a rectangle
+            assert _float_bfs_witness(model, 10) is None
+        else:
+            assert witness == _float_bfs_witness(model, 6)
+
+    def test_max_len_stops_before_a_length_three_witness(self):
+        # 1 -> 2 -> 3 -> everywhere: only the third power is a full rectangle
+        model = partition_model([[0, 1, 0], [0, 0, 1], [1 / 3, 1 / 3, 1 / 3]],
+                                [[1, 2, 3]])
+        with pytest.raises(BudgetExceeded, match="max_len"):
+            check_condition_A(model, max_len=2)
+        assert check_condition_A(model, max_len=3) == (1, 1, 1)
+        assert _float_bfs_witness(model, 3) == (1, 1, 1)
+
+    def test_budget_counts_patterns(self, partition_fixture):
+        with pytest.raises(BudgetExceeded, match="budget"):
+            check_condition_A(partition_fixture, max_len=3, budget=1)
 
 
 class TestConditionKR:

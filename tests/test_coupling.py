@@ -16,7 +16,8 @@ from filterlab.coupling import (
     product_coupling,
     vasershtein_obs_coupling,
 )
-from filterlab.errors import BarycenterMismatch
+from filterlab import coupling
+from filterlab.errors import BarycenterMismatch, BudgetExceeded
 from filterlab.filter import filter_laws, observation_law, pushforward_n
 from filterlab.measures import PointMassMeasure
 from filterlab.model import DensityVector, partition_model, stationary
@@ -132,6 +133,18 @@ class TestCoupledChain:
                                        np.sort(law.points, axis=0), atol=1e-10)
             np.testing.assert_allclose(np.sort(marg.weights),
                                        np.sort(law.weights), atol=1e-10)
+
+    def test_budget_checked_before_the_step(self, m2, monkeypatch):
+        mu = PointMassMeasure(m2.states, [[1, 0], [0, 1]], [0.5, 0.5])
+        laws = coupled_laws(m2, mu, mu, 3, budget=4 * m2.n_obs**2 - 1)
+        assert next(laws).n_atoms == 4
+
+        def no_step(*args):
+            raise AssertionError("stepped past the budget")
+
+        monkeypatch.setattr(coupling, "_coupled_step", no_step)
+        with pytest.raises(BudgetExceeded):
+            next(laws)
 
 
 class TestConditionEEstimate:

@@ -223,6 +223,17 @@ class TestPushforwardN:
         with pytest.raises(BudgetExceeded):
             pushforward_n(m2, e(m2, 1), 40)
 
+    def test_budget_bounds_the_merged_frontier(self):
+        # demos/models/block_partition.json: 2**40 sequences, 18 merged atoms
+        model = partition_model([[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.25, 0.25, 0.5]],
+                                [[1, 2], [3]])
+        marginal = e(model, 1).masses
+        for law in filter_laws(model, e(model, 1), 40):
+            assert law.total_mass == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(law.barycenter_masses(), marginal, atol=1e-12)
+            marginal = marginal @ model.markov_matrix
+        assert law.n_atoms == 18
+
     def test_filter_laws_match_nodes_merged_once(self):
         rng = np.random.default_rng(29)
         for n_states, n_obs, weighted in [(2, 3, False), (3, 2, True), (4, 2, False)]:

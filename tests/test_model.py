@@ -27,7 +27,7 @@ from filterlab.model import (
     stepping_kernel,
 )
 
-from conftest import P_SYM, Q_SYM, e, random_model
+from conftest import P_SYM, Q_SYM, e, random_density, random_model
 
 M2_SPEC = {
     "states": {"ids": [1, 2], "lambda": [1.0, 1.0]},
@@ -266,6 +266,28 @@ class TestStationary:
             assert np.all(diffs <= 1e-12)
 
 
+def _simulate_by_choice(model, x0, n, seed):
+    """Sample path drawn by one ``Generator.choice`` call per step."""
+    rng = np.random.default_rng(seed)
+    lam = model.states.lambda_weights
+    tau = model.obs.tau_weights
+    start = x0.masses
+    start = start / start.sum()
+    s = int(rng.choice(model.n_states, p=start))
+    joint = model.m * lam[None, :, None] * tau[None, None, :]
+    joint = joint.reshape(model.n_states, -1)
+    joint = joint / joint.sum(axis=1, keepdims=True)
+    states = [model.states.cells[s]]
+    observations = []
+    for _ in range(n):
+        flat = int(rng.choice(joint.shape[1], p=joint[s]))
+        t, a = divmod(flat, model.n_obs)
+        states.append(model.states.cells[t])
+        observations.append(model.obs.cells[a])
+        s = t
+    return tuple(states), tuple(observations)
+
+
 class TestSimulate:
     def test_constant_model(self):
         model = build_model({
@@ -301,6 +323,16 @@ class TestSimulate:
                     p = m2.m[s, t, a]
                     sigma = np.sqrt(p * (1 - p) / count_s)
                     assert abs(hits / count_s - p) < 3.5 * sigma
+
+    def test_matches_one_choice_per_step(self, m2):
+        rng = np.random.default_rng(31)
+        sparse = random_model(rng, 4, 3, weighted=True, sparsity=0.5)
+        for model in (sparse, m2):
+            x0 = random_density(rng, model.states)
+            for seed in range(5):
+                path = simulate(model, x0, 3000, seed=seed)
+                assert (path.states, path.observations) == \
+                    _simulate_by_choice(model, x0, 3000, seed)
 
 
 class TestPartitionBuilder:
