@@ -20,9 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from . import contraction, coupling, lab, measures
-from .errors import BudgetExceeded, FilterlabError
+from .errors import BudgetExceeded, FilterlabError, SolverFailure
 from .filter import ENUMERATION_BUDGET, mass_functional, run_filter
-from .model import DensityVector, StateSpace, load_model, simulate, stationary
+from .model import (DensityVector, StateSpace, _write_csv, load_model, simulate,
+                    stationary)
 
 OK, VIOLATED, INCONCLUSIVE, USAGE = 0, 2, 3, 64
 
@@ -126,11 +127,8 @@ def cmd_ergodics(args) -> int:
     e1v = DensityVector.point_mass(model.states, model.states.cells[0])
     e2v = DensityVector.point_mass(model.states, model.states.cells[-1])
     status = OK
-    try:
-        wc = lab.weak_contraction_report(model, [(e1v, e2v)], n_max=args.nmax,
-                                         budget=args.budget)
-    except BudgetExceeded:
-        return INCONCLUSIVE
+    wc = lab.weak_contraction_report(model, [(e1v, e2v)], n_max=args.nmax,
+                                     budget=args.budget)
     wc.to_csv(out / "weak_contraction.csv")
     u = mass_functional(model, [model.states.cells[0]])
     osc = lab.osc_decay_report(model, [u], n_max=min(args.nmax, 8))
@@ -186,11 +184,8 @@ def cmd_simulate(args) -> int:
     path = simulate(model, x0, n=args.nmax, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "simulate.csv", "w") as fh:
-        fh.write("step,state,observation\n")
-        fh.write(f"0,{path.states[0]},\n")
-        for k, (s, a) in enumerate(zip(path.states[1:], path.observations)):
-            fh.write(f"{k + 1},{s},{a}\n")
+    _write_csv(out / "simulate.csv", "step,state,observation",
+               zip(range(len(path.states)), path.states, ["", *path.observations]))
     traj = run_filter(model, x0, path.observations)
     traj.to_csv(out / "filter_trajectory.csv")
     return OK
@@ -199,12 +194,8 @@ def cmd_simulate(args) -> int:
 def cmd_couple(args) -> int:
     model = load_model(args.model)
     pi, _ = stationary(model)
-    try:
-        reports = coupling.condition_E_estimate(model, pi, rho=args.rho,
-                                                n_max=args.nmax,
-                                                budget=args.budget)
-    except BudgetExceeded:
-        return INCONCLUSIVE
+    reports = coupling.condition_E_estimate(model, pi, rho=args.rho, n_max=args.nmax,
+                                            budget=args.budget)
     payload = [json.loads(r.to_json()) for r in reports]
     _write_json(Path(args.out), "couple.json", payload)
     best = coupling.first_positive_alpha(reports)
@@ -253,8 +244,10 @@ def main(argv=None) -> int:
         raise
     try:
         return args.handler(args)
-    except BudgetExceeded as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
+    except (BudgetExceeded, SolverFailure) as exc:
+        # a spent budget or a solve that missed its certificate decides nothing
+        kind = "budget exhausted" if isinstance(exc, BudgetExceeded) else "solver failed"
+        print(f"{kind}: {exc}", file=sys.stderr)
         return INCONCLUSIVE
     except FilterlabError as exc:
         print(f"assertion violated: {exc}", file=sys.stderr)

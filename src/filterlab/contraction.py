@@ -90,13 +90,13 @@ def _rows_cols(kernel: np.ndarray, rows, cols) -> tuple[list, list]:
     return list(rows), list(cols)
 
 
-def is_subrectangular(kernel, zero_tol: float = 0.0) -> bool:
+def is_subrectangular(kernel) -> bool:
     """Positivity at (i1,j1) and (i2,j2) forces it at (i1,j2) and (i2,j1).
 
-    Equivalent to the positive set being an exact rectangle; the zero kernel
-    satisfies the implication vacuously.
+    Equivalent to the positive set (entries above zero) being an exact
+    rectangle; the zero kernel satisfies the implication vacuously.
     """
-    return bool(_is_rectangle(_positive_mask(kernel, zero_tol)))
+    return bool(_is_rectangle(_positive_mask(kernel, 0.0)))
 
 
 def cross_ratio_kappa(kernel, rows=None, cols=None, max_dense: int = 2_000_000
@@ -151,7 +151,7 @@ class HopfCheck:
         return self.achieved <= self.bound + 1e-12
 
 
-def verify_hopf(kernels, x, y, zero_tol: float = 0.0) -> HopfCheck:
+def verify_hopf(kernels, x, y) -> HopfCheck:
     """Evaluate the contraction estimate on a concrete kernel product.
 
     ``x`` and ``y`` are nonnegative mass row-vectors.  Hypotheses checked:
@@ -166,7 +166,7 @@ def verify_hopf(kernels, x, y, zero_tol: float = 0.0) -> HopfCheck:
     supports = []
     kappas = []
     for m, k in enumerate(kernels):
-        sup = rectangular_support(k, zero_tol)
+        sup = rectangular_support(k)
         if sup is None:
             raise HypothesisViolated(f"kernel {m} does not have rectangular support")
         supports.append(sup)
@@ -296,17 +296,18 @@ def _fit_rate(values: np.ndarray) -> tuple[float | None, float | None]:
     return float(np.exp(coeffs[0])), float(res[0]) if len(res) else 0.0
 
 
-def check_condition_KR(model: HmmModel, seq=None, depth: int | None = None,
-                       tol: float = 1e-8, sustain: int = 3) -> KrReport:
+def check_condition_KR(model: HmmModel, seq=None, depth: int | None = None
+                       ) -> KrReport:
     """Probe whether normalized stepping products approach a rank-one kernel.
 
     Either follow a given observation sequence or search greedily (smallest
     singular-value ratio, ties to the lexicographically first observation) up
-    to ``depth``.  Verdict requires the ratio to stay below ``tol`` for
-    ``sustain`` consecutive lengths.
+    to ``depth``.  Verdict requires the ratio to stay below 1e-8 (recorded
+    in ``tol``) for 3 consecutive lengths.
     """
     if (seq is None) == (depth is None):
         raise ValueError("pass exactly one of seq or depth")
+    tol, sustain = 1e-8, 3
     # a given sequence offers one observation per step, the search all of them
     offers = ([[model.obs.index(a)] for a in seq] if seq is not None
               else [range(model.n_obs)] * depth)

@@ -19,10 +19,9 @@ import numpy as np
 
 from .errors import BarycenterMismatch, SpaceMismatch
 from .filter import ENUMERATION_BUDGET, _bayes_step, _check_budget, observation_law
-from .measures import PointMassMeasure, barycenter, merge_atoms, tv_distance
+from .measures import (MARGINAL_TOL, MERGE_TOL, PointMassMeasure, barycenter,
+                       merge_atoms, tv_distance)
 from .model import DensityVector, HmmModel
-
-PAIR_MERGE_TOL = 1e-12
 
 
 @dataclass
@@ -147,11 +146,11 @@ class JointFilterMeasure:
         """Joint mass on pairs closer than ``rho`` in total variation."""
         return float(self.weights[self.pair_tv() < rho].sum())
 
-    def merged(self, tol: float = PAIR_MERGE_TOL) -> "JointFilterMeasure":
-        """Merge pairs whose two halves each lie within ``tol`` in TV."""
+    def merged(self) -> "JointFilterMeasure":
+        """Merge pairs whose two halves each lie within ``MERGE_TOL`` in TV."""
         stacked = np.hstack([self.x_points, self.y_points])
         points, weights = merge_atoms(stacked, self.weights, self.space.lambda_weights,
-                                      tol, blocks=2)
+                                      MERGE_TOL, blocks=2)
         k = self.space.n
         return JointFilterMeasure(self.space, points[:, :k], points[:, k:],
                                   weights, pruned_mass=self.pruned_mass)
@@ -256,20 +255,19 @@ def extremal_pair(pi: DensityVector) -> tuple[PointMassMeasure, PointMassMeasure
 
 def condition_E_estimate(model: HmmModel, pi: DensityVector, rho: float,
                          n_max: int, budget: int = ENUMERATION_BUDGET,
-                         extra_pairs=None,
-                         barycenter_tol: float = 1e-10) -> list[EConditionReport]:
+                         extra_pairs=None) -> list[EConditionReport]:
     """Coupled-closeness evidence on the extremal barycenter-pi pair.
 
     For each horizon up to ``n_max``, couples the two extremal measures with
     barycenter ``pi`` (plus any user-supplied pairs, validated to share that
-    barycenter) and reports the joint mass within ``rho``.
+    barycenter within ``MARGINAL_TOL``) and reports the joint mass within ``rho``.
     """
     dirac_pi, atomized_pi = extremal_pair(pi)
     pairs = [(dirac_pi, atomized_pi, "dirac(pi)", "atomized(pi)")]
     for k, (mu, nu) in enumerate(extra_pairs or []):
         for name, m in (("mu", mu), ("nu", nu)):
             gap = tv_distance(barycenter(m), pi)
-            if gap > barycenter_tol:
+            if gap > MARGINAL_TOL:
                 raise BarycenterMismatch(
                     f"extra pair {k}: {name} barycenter differs from pi by {gap!r}"
                 )

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, SpaceMismatch
 from .measures import PointMassMeasure
-from .model import DensityVector, HmmModel
+from .model import DensityVector, HmmModel, _write_csv
 
 # rows a search may hold, checked before each step builds them
 ENUMERATION_BUDGET = 10**6
@@ -103,14 +103,12 @@ class PushforwardNode:
 
 
 def pushforward_nodes(model: HmmModel, x: DensityVector, n: int,
-                      prune_eps: float = 0.0,
                       budget: int = ENUMERATION_BUDGET) -> list[PushforwardNode]:
     """Unmerged n-step enumeration in lexicographic sequence order.
 
     Each level branches every surviving sequence by every observation, so
     the budget bounds ``|A|**n``, the sequences this enumeration holds.
-    ``prune_eps`` drops sequences whose cumulative weight falls below it;
-    zero-likelihood sequences carry zero weight, so they are omitted.
+    Zero-likelihood sequences carry zero weight, so they are omitted.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -121,9 +119,6 @@ def pushforward_nodes(model: HmmModel, x: DensityVector, n: int,
     for _ in range(n):
         masses, weights, parent, obs = _branch(model, masses, weights)
         seqs = np.column_stack([seqs[parent], obs])
-        if prune_eps > 0.0:
-            keep = weights >= prune_eps
-            masses, weights, seqs = masses[keep], weights[keep], seqs[keep]
     cells = model.obs.cells
     return [PushforwardNode(tuple(cells[i] for i in seq),
                             DensityVector.from_masses(model.states, m), float(w))
@@ -289,14 +284,10 @@ class FilterTrajectory:
     zero_likelihood_steps: list[int] = field(default_factory=list)
 
     def to_csv(self, path) -> None:
-        space = self.states[0].space
-        with open(path, "w") as fh:
-            cells = ",".join(str(c) for c in space.cells)
-            fh.write(f"step,observation,{cells}\n")
-            for k, state in enumerate(self.states):
-                obs = "" if k == 0 else str(self.observations[k - 1])
-                vals = ",".join(repr(float(v)) for v in state.values)
-                fh.write(f"{k},{obs},{vals}\n")
+        cells = ",".join(str(c) for c in self.states[0].space.cells)
+        obs = ["", *self.observations]
+        _write_csv(path, f"step,observation,{cells}",
+                   ([k, obs[k], *state.values] for k, state in enumerate(self.states)))
 
 
 def run_filter(model: HmmModel, x0: DensityVector, obs_seq: Sequence

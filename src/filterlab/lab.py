@@ -18,6 +18,7 @@ from .measures import kantorovich
 from .model import (
     DensityVector,
     HmmModel,
+    _write_csv,
     partition_model,
     product_model,
     stationary,
@@ -150,12 +151,9 @@ class WeakContractionReport:
         return bool(np.all(self.distances >= self.lower_bounds - 1e-9))
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("pair,n,distance,lower_bound\n")
-            for i in range(len(self.pairs)):
-                for n in range(1, self.n_max + 1):
-                    fh.write(f"{i},{n},{float(self.distances[i, n-1])!r},"
-                             f"{float(self.lower_bounds[i, n-1])!r}\n")
+        _write_csv(path, "pair,n,distance,lower_bound",
+                   ((i, n, self.distances[i, n - 1], self.lower_bounds[i, n - 1])
+                    for i in range(len(self.pairs)) for n in range(1, self.n_max + 1)))
 
 
 def weak_contraction_report(model: HmmModel, pairs, n_max: int,
@@ -202,20 +200,18 @@ class OscDecayReport:
     decay_ratio: float = 0.5
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("function,n,oscillation\n")
-            for i, name in enumerate(self.names):
-                for n in range(self.n_max + 1):
-                    fh.write(f"{name},{n},{float(self.oscillations[i, n])!r}\n")
+        _write_csv(path, "function,n,oscillation",
+                   ((name, n, osc) for name, row in zip(self.names, self.oscillations)
+                    for n, osc in enumerate(row)))
 
 
 def osc_decay_report(model: HmmModel, u_list, n_max: int,
-                     grid: np.ndarray | None = None,
-                     decay_ratio: float = 0.5) -> OscDecayReport:
+                     grid: np.ndarray | None = None) -> OscDecayReport:
     """Measure the oscillation decay of iterated averages on a grid.
 
-    A plateau (final oscillation above ``decay_ratio`` times the initial one)
-    is flagged as no-decay; periodic fixtures must trip that flag.
+    A plateau (final oscillation above ``OscDecayReport.decay_ratio``, a
+    half, times the initial one) is flagged as no-decay; periodic fixtures
+    must trip that flag.
     """
     if grid is None:
         grid = simplex_grid(model.states)
@@ -223,12 +219,11 @@ def osc_decay_report(model: HmmModel, u_list, n_max: int,
     osc = (vals.max(axis=2) - vals.min(axis=2)).T
     monotone_ok = bool(np.all(osc[:, 1:] <= osc[:, :-1] + 1e-12))
     rates = [_fit_rate(row) for row in osc]
-    decay = [bool(row[-1] <= decay_ratio * row[0] + 1e-15) for row in osc]
+    decay = [bool(row[-1] <= OscDecayReport.decay_ratio * row[0] + 1e-15) for row in osc]
     names = [u.name or f"u{i}" for i, u in enumerate(u_list)]
     return OscDecayReport(names=names, n_max=n_max, oscillations=osc,
                           monotone_ok=monotone_ok, rates=rates,
-                          decay_detected=decay, grid_points=len(grid),
-                          decay_ratio=decay_ratio)
+                          decay_detected=decay, grid_points=len(grid))
 
 
 def barycenter_identity_check(model: HmmModel, starts, n_max: int,
@@ -260,11 +255,9 @@ class TightnessReport:
     pruned_mass: float
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("start,n,ball_mass\n")
-            for i in range(self.masses.shape[0]):
-                for n in range(self.masses.shape[1]):
-                    fh.write(f"{i},{n},{float(self.masses[i, n])!r}\n")
+        _write_csv(path, "start,n,ball_mass",
+                   ((i, n, m) for i, row in enumerate(self.masses)
+                    for n, m in enumerate(row)))
 
 
 def tightness_probe(model: HmmModel, x0: DensityVector, epsilon: float,

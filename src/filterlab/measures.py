@@ -25,7 +25,7 @@ from .errors import (
     SolverFailure,
     SpaceMismatch,
 )
-from .model import DensityVector, StateSpace
+from .model import DensityVector, StateSpace, _write_csv
 
 MERGE_TOL = 1e-12
 MARGINAL_TOL = 1e-10
@@ -153,9 +153,10 @@ class PointMassMeasure:
         d = np.abs(self.mass_matrix() - center.masses[None, :]).sum(axis=1)
         return float(self.weights[d < eps].sum())
 
-    def merged(self, tol: float = MERGE_TOL) -> "PointMassMeasure":
-        """Merge atoms into the connected components of "TV <= tol"."""
-        merged = merge_atoms(self.points, self.weights, self.space.lambda_weights, tol)
+    def merged(self) -> "PointMassMeasure":
+        """Merge atoms into the connected components of "TV <= MERGE_TOL"."""
+        merged = merge_atoms(self.points, self.weights, self.space.lambda_weights,
+                             MERGE_TOL)
         return PointMassMeasure(self.space, *merged, pruned_mass=self.pruned_mass)
 
     def scaled(self, factor: float) -> "PointMassMeasure":
@@ -200,10 +201,8 @@ class TransportPlan:
     method: str
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("i,j,mass,cost\n")
-            for i, j, w, c in zip(self.source, self.target, self.mass, self.cost):
-                fh.write(f"{i},{j},{float(w)!r},{float(c)!r}\n")
+        _write_csv(path, "i,j,mass,cost",
+                   zip(self.source, self.target, self.mass, self.cost))
 
 
 class _TvRows:
@@ -230,27 +229,42 @@ def _cost_matrix(mu: PointMassMeasure, nu: PointMassMeasure) -> np.ndarray:
     return _TvRows(mu.mass_matrix(), nu.mass_matrix())[:]
 
 
+def _line_sums(w1, w2, key1, key2):
+    """Each side's key order and cumulative weight sums along it.
+
+    Compensated as in Ogita, Rump and Oishi's Sum2 (each addition's exact
+    TwoSum error is added back), the sums err by about eps times the total
+    at any length.  The plan and its potentials both read them.
+    """
+    sides = []
+    for w, key in ((w1, key1), (w2, key2)):
+        order = np.argsort(key, kind="stable")
+        w = w[order]
+        c = np.cumsum(w)
+        prev = np.r_[0.0, c[:-1]]
+        z = c - prev
+        err = (prev - (c - z)) + (w - z)
+        sides += [order, np.maximum.accumulate(c + np.cumsum(err))]  # nondecreasing
+    return sides
+
+
 def _monotone_plan(w1, w2, key1, key2):
-    """Sorted (comonotone) coupling for atoms keyed by a scalar coordinate."""
-    o1 = np.argsort(key1, kind="stable")
-    o2 = np.argsort(key2, kind="stable")
-    src, tgt, mass = [], [], []
-    i = j = 0
-    r1 = w1[o1].copy()
-    r2 = w2[o2].copy()
-    while i < len(o1) and j < len(o2):
-        take = min(r1[i], r2[j])
-        if take > 0:
-            src.append(o1[i])
-            tgt.append(o2[j])
-            mass.append(take)
-        r1[i] -= take
-        r2[j] -= take
-        if r1[i] <= r2[j]:
-            i += 1
-        else:
-            j += 1
-    return np.array(src), np.array(tgt), np.array(mass)
+    """Sorted (comonotone) coupling for atoms keyed by a scalar coordinate.
+
+    The arcs are the gaps between consecutive breakpoints of the two sums of
+    :func:`_line_sums`, each joining the atoms whose intervals hold it; mass
+    past the lighter side's total is left unplanned.  Each atom's planned
+    mass is its weight within a few units in the last place of the total.
+    """
+    o1, c1, o2, c2 = _line_sums(w1, w2, key1, key2)
+    cuts = np.union1d(c1, c2)
+    cuts = cuts[cuts <= min(c1[-1], c2[-1])]
+    # segment k, from cut k-1 to cut k, lies in the interval of the atom
+    # that follows every breakpoint at or below cut k-1
+    seg = np.arange(len(cuts))
+    src = np.searchsorted(np.searchsorted(cuts, c1), seg)
+    tgt = np.searchsorted(np.searchsorted(cuts, c2), seg)
+    return o1[src], o2[tgt], np.diff(cuts, prepend=0.0)
 
 
 def _line_potentials(key1, key2, w1, w2):
@@ -259,15 +273,14 @@ def _line_potentials(key1, key2, w1, w2):
     The one-Lipschitz potential integrates minus the sign of the difference
     of the two cumulative distributions; its value gap across any transported
     segment matches the distance exactly, which is what the complementary
-    slackness certificate re-checks numerically.
+    slackness certificate re-checks numerically.  Both distributions are
+    the sums of :func:`_line_sums`, which the plan cuts.
     """
-    pts = np.concatenate([key1, key2])
-    jumps = np.concatenate([w1, -w2])
-    uniq, inv = np.unique(pts, return_inverse=True)
-    fdiff = np.zeros(len(uniq))
-    np.add.at(fdiff, inv, jumps)
-    cum = np.cumsum(fdiff)
-    slope = -np.sign(cum[:-1])
+    o1, c1, o2, c2 = _line_sums(w1, w2, key1, key2)
+    uniq = np.union1d(key1, key2)
+    gap = (np.r_[0.0, c1][np.searchsorted(key1[o1], uniq, "right")]
+           - np.r_[0.0, c2][np.searchsorted(key2[o2], uniq, "right")])
+    slope = -np.sign(gap[:-1])
     u_uniq = np.concatenate([[0.0], np.cumsum(slope * np.diff(uniq))])
     u = 2.0 * u_uniq[np.searchsorted(uniq, key1)]
     v = -2.0 * u_uniq[np.searchsorted(uniq, key2)]
@@ -416,19 +429,21 @@ def _certify(src, tgt, mass, cost, w1, w2, u, v, min_reduced):
     return float(marg), slack
 
 
-def kantorovich(mu: PointMassMeasure, nu: PointMassMeasure,
-                mass_tol: float = MARGINAL_TOL) -> tuple[float, TransportPlan]:
+def kantorovich(mu: PointMassMeasure, nu: PointMassMeasure
+                ) -> tuple[float, TransportPlan]:
     """Exact transport distance with total-variation ground cost.
 
-    Requires equal total mass; for mass ``r != 1`` the distance scales as
-    ``r`` times the distance of the normalized measures, which is what the
-    plan objective delivers directly.  Raises :class:`SolverFailure` if the
-    optimality certificate does not close.  No path builds an m-by-n array.
+    Requires equal total mass within ``MARGINAL_TOL`` (relative); for mass
+    ``r != 1`` the distance scales as ``r`` times the distance of the
+    normalized measures, which is what the plan objective delivers directly.
+    One path per input, certified once: the monotone plan on two cells whose
+    point masses spread by at most 1e-12, else the LP; a plan that misses
+    its certificate raises :class:`SolverFailure`.  No m-by-n array is built.
     """
     if not mu.space.same_as(nu.space):
         raise SpaceMismatch("measures live on different state spaces")
     r1, r2 = mu.total_mass, nu.total_mass
-    if abs(r1 - r2) > mass_tol * max(1.0, r1, r2):
+    if abs(r1 - r2) > MARGINAL_TOL * max(1.0, r1, r2):
         raise MassMismatch(f"total masses differ: {r1!r} vs {r2!r}")
     keep1 = mu.weights > 0
     keep2 = nu.weights > 0
@@ -446,39 +461,37 @@ def kantorovich(mu: PointMassMeasure, nu: PointMassMeasure,
     # spread of the atoms' point masses: on two cells C_ij lies within it
     # of 2|k_i - l_j|, the cost the monotone path solves for
     spread = np.ptp(np.concatenate([mu.point_masses[keep1], nu.point_masses[keep2]]))
-    one_dimensional = mu.space.n == 2 and spread <= 1e-12
-    attempts = ["monotone", "lp"] if one_dimensional else ["lp"]
-    last_error = None
-    for method in attempts:
-        if method == "monotone":
-            key1, key2 = a[:, 0], b[:, 0]
-            src, tgt, mass = _monotone_plan(w1, w2, key1, key2)
-            u, v = _line_potentials(key1, key2, w1, w2)
-            min_reduced = _line_min_reduced(key1, key2, u, v) - spread
-        else:
-            # the start plan is monotone in input order: order the atoms
-            # along the projection key merge_atoms sorts on
-            proj = np.cos(np.arange(1, mu.space.n + 1))
-            o1 = np.argsort(a @ proj, kind="stable")
-            o2 = np.argsort(b @ proj, kind="stable")
-            lp = _lp_plan(w1[o1], w2[o2], _TvRows(a[o1], b[o2]))
-            src, tgt, mass, pu, pv = lp
-            src, tgt = o1[src], o2[tgt]
-            u, v = np.empty(len(o1)), np.empty(len(o2))
-            u[o1], v[o2] = pu, pv
-            min_reduced = lp.min_reduced
-        cost = C[src, tgt]
-        marg, slack = _certify(src, tgt, mass, cost, w1, w2, u, v, min_reduced)
-        if marg <= MARGINAL_TOL and slack <= SLACKNESS_TOL:
-            objective = float(mass @ cost)
-            plan = TransportPlan(
-                source=idx1[src], target=idx2[tgt], mass=mass, cost=cost,
-                objective=objective, potential_source=u, potential_target=v,
-                marginal_residual=marg, slackness_residual=slack, method=method,
-            )
-            return objective, plan
-        last_error = f"{method}: marginal residual {marg:g}, slackness {slack:g}"
-    raise SolverFailure(f"no certified plan found ({last_error})")
+    if mu.space.n == 2 and spread <= 1e-12:
+        method = "monotone"
+        key1, key2 = a[:, 0], b[:, 0]
+        src, tgt, mass = _monotone_plan(w1, w2, key1, key2)
+        u, v = _line_potentials(key1, key2, w1, w2)
+        min_reduced = _line_min_reduced(key1, key2, u, v) - spread
+    else:
+        method = "lp"
+        # the start plan is monotone in input order: order the atoms
+        # along the projection key merge_atoms sorts on
+        proj = np.cos(np.arange(1, mu.space.n + 1))
+        o1 = np.argsort(a @ proj, kind="stable")
+        o2 = np.argsort(b @ proj, kind="stable")
+        lp = _lp_plan(w1[o1], w2[o2], _TvRows(a[o1], b[o2]))
+        src, tgt, mass, pu, pv = lp
+        src, tgt = o1[src], o2[tgt]
+        u, v = np.empty(len(o1)), np.empty(len(o2))
+        u[o1], v[o2] = pu, pv
+        min_reduced = lp.min_reduced
+    cost = C[src, tgt]
+    marg, slack = _certify(src, tgt, mass, cost, w1, w2, u, v, min_reduced)
+    if marg > MARGINAL_TOL or slack > SLACKNESS_TOL:
+        raise SolverFailure(f"{method} plan not certified: marginal residual "
+                            f"{marg:g}, slackness {slack:g}")
+    objective = float(mass @ cost)
+    plan = TransportPlan(
+        source=idx1[src], target=idx2[tgt], mass=mass, cost=cost,
+        objective=objective, potential_source=u, potential_target=v,
+        marginal_residual=marg, slackness_residual=slack, method=method,
+    )
+    return objective, plan
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +552,7 @@ def barycenter_lower_bound(mu: PointMassMeasure, nu: PointMassMeasure) -> float:
 # constructive barycenter matching
 
 
-def barycenter_match(phi: PointMassMeasure, b: DensityVector,
-                     mass_tol: float = MARGINAL_TOL) -> PointMassMeasure:
+def barycenter_match(phi: PointMassMeasure, b: DensityVector) -> PointMassMeasure:
     """Move phi's atoms so the barycenter becomes ``b`` at minimal total cost.
 
     Returns a measure with the same weights beta_k and new points zeta_k such
@@ -549,7 +561,8 @@ def barycenter_match(phi: PointMassMeasure, b: DensityVector,
     coupling can be.  The construction peels the last atom, splits the state
     cells by the sign of (current barycenter - target), removes the overlap
     ``min(beta_N xi_N, a - b)`` on the heavy side, and refills the light side
-    proportionally; ties go to the heavy side.
+    proportionally; ties go to the heavy side.  The target's mass must
+    match the barycenter's within ``MARGINAL_TOL`` (relative).
     """
     if np.any(b.values < 0):
         raise NegativeTarget("target density must be nonnegative")
@@ -557,7 +570,7 @@ def barycenter_match(phi: PointMassMeasure, b: DensityVector,
         raise SpaceMismatch("target lives on a different state space")
     a_mass = phi.barycenter_masses()
     b_mass = b.masses.copy()
-    if abs(a_mass.sum() - b_mass.sum()) > mass_tol * max(1.0, a_mass.sum()):
+    if abs(a_mass.sum() - b_mass.sum()) > MARGINAL_TOL * max(1.0, a_mass.sum()):
         raise MassMismatch(
             f"target mass {b_mass.sum()!r} != barycenter mass {a_mass.sum()!r}"
         )
@@ -610,21 +623,22 @@ def nearest_barycenter_distance(mu: PointMassMeasure, y: DensityVector
     return psi, achieved
 
 
-def half_mass_check(mu: PointMassMeasure, F, pi: DensityVector | None = None,
-                    tol: float = MARGINAL_TOL) -> tuple[float, float]:
+def half_mass_check(mu: PointMassMeasure, F, pi: DensityVector | None = None
+                    ) -> tuple[float, float]:
     """Mass of atoms holding at least half the reference mass of ``F``.
 
     For any measure with barycenter ``pi``, the set of points x with
     ``x(F) >= pi(F)/2`` carries mass at least ``pi(F)/2``.  Returns the
     achieved mass and that bound.  ``pi`` defaults to the measure's own
-    barycenter; a supplied ``pi`` is checked against it.
+    barycenter; a supplied ``pi`` is checked against it.  Both the unit
+    mass and that check hold within ``MARGINAL_TOL``.
     """
-    if abs(mu.total_mass - 1.0) > tol:
+    if abs(mu.total_mass - 1.0) > MARGINAL_TOL:
         raise MassMismatch("half-mass bound applies to probability measures")
     bary = barycenter(mu)
     if pi is None:
         pi = bary
-    elif tv_distance(bary, pi) > tol:
+    elif tv_distance(bary, pi) > MARGINAL_TOL:
         raise BarycenterMismatch(
             f"measure barycenter differs from pi by {tv_distance(bary, pi)!r}"
         )

@@ -307,6 +307,16 @@ def load_model(path) -> HmmModel:
         return build_model(json.load(fh))
 
 
+def _write_csv(path, header: str, rows) -> None:
+    """The one CSV writer: floats as ``repr(float(v))``, which round-trips
+    (a numpy 2 scalar's own ``repr`` reads ``np.float64(...)``), the rest by ``str``."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) if isinstance(v, (float, np.floating))
+                              else str(v) for v in row) + "\n")
+
+
 def stepping_kernel(model: HmmModel, a) -> SteppingKernel:
     """The kernel "transition and observe ``a``" acting on cell masses.
 
@@ -382,22 +392,20 @@ class ErgodicityReport:
     null_dim: int = 1
 
 
-def stationary(
-    model: HmmModel,
-    tol: float = 1e-12,
-    diag_horizon: int = 512,
-) -> tuple[DensityVector, ErgodicityReport]:
+def stationary(model: HmmModel) -> tuple[DensityVector, ErgodicityReport]:
     """Stationary density by a direct solve plus ergodicity diagnostics.
 
     Solves ``pi P = pi`` with ``sum(pi) = 1`` by least squares, so no
-    iteration runs (``iterations`` is 0); the
-    report is ``converged`` when the residual is at most ``tol``.  A solution
+    iteration runs (``iterations`` is 0); the report is ``converged`` when
+    the residual is at most 1e-12, and ``ergodic`` when the worst-case
+    distance of ``P^n`` rows to pi falls to 1e-12 within 512 steps.  A solution
     space of dimension above one (a reducible chain) is reported in
     ``null_dim`` and in the note, and the law returned is then the
     minimum-norm solution, a mixture of the chain's closed classes.  Ties and
     periodicity are reported, never resolved: the report's flags say whether
     the worst-case mixing distance actually decayed.
     """
+    tol, diag_horizon = 1e-12, 512
     P = model.markov_matrix
     k = model.n_states
     A = P.T - np.eye(k)
@@ -414,7 +422,7 @@ def stationary(
     for _ in range(diag_horizon):
         rows = rows @ P
         sup_tv.append(float(np.abs(rows - x[None, :]).sum(axis=1).max()))
-        if sup_tv[-1] <= max(tol, 1e-12):
+        if sup_tv[-1] <= tol:
             ergodic = True
             break
     notes = [] if null_dim == 1 else [

@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from filterlab import measures
 from filterlab.cli import build_parser, main
+from filterlab.errors import SolverFailure
 
 from conftest import P_SYM, Q_SYM
 
@@ -159,6 +162,26 @@ class TestExitCodes:
         code = main(["transport", "--mu", str(mu_path), "--nu", str(nu_path),
                      "--out", str(tmp_path / "out")])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["ergodics", "couple"])
+    def test_budget_exit_names_the_reason(self, command, tmp_path, capsys):
+        model = Path(__file__).parents[1] / "demos/models/noisy_sensor.json"
+        code = main([command, "--model", str(model), "--budget", "4",
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("budget exhausted:") and "budget 4" in err
+
+    def test_uncertified_solve_is_inconclusive(self, tmp_path, capsys, monkeypatch):
+        def fail(mu, nu):
+            raise SolverFailure("lp plan not certified: marginal residual 1")
+        monkeypatch.setattr(measures, "kantorovich", fail)
+        mu_path = tmp_path / "mu.json"
+        mu_path.write_text(json.dumps(_measure_doc([([1.0, 0.0], 1.0)])))
+        code = main(["transport", "--mu", str(mu_path), "--nu", str(mu_path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("solver failed: lp plan not certified")
 
 
 class TestDeclaredOptions:

@@ -651,6 +651,138 @@ class TestTransportPaths:
         assert abs(_line_min_reduced(key1, key2, u, v) - dense) <= delta + 1e-15
 
 
+# acceptance criterion 06 draws its inputs from default_rng(60); its trial
+# 189 moves 3 atoms on 2 weighted cells to a new barycenter
+_CRITERION_06_PAIR = """
+import sys
+import numpy as np
+from filterlab.measures import PointMassMeasure, kantorovich, nearest_barycenter_distance
+from filterlab.model import DensityVector, StateSpace
+rng = np.random.default_rng(60)
+for trial in range(190):
+    k = int(rng.integers(2, 7))
+    lam = rng.uniform(0.5, 2.0, k) if trial % 3 == 0 else np.ones(k)
+    space = StateSpace(tuple(range(k)), lam)
+    n = int(rng.integers(1, 6))
+    pts = rng.dirichlet(np.ones(k), n) / space.lambda_weights
+    weights = rng.uniform(0.1, 1.5, n)
+    phi = PointMassMeasure(space, pts, weights)
+    target_mass = rng.dirichlet(np.ones(k)) * phi.total_mass
+y = DensityVector.from_masses(space, target_mass / phi.total_mass)
+psi, _ = nearest_barycenter_distance(phi, y)
+_, plan = kantorovich(phi, psi)
+print(k, n, plan.method, any(m.startswith("scipy") for m in sys.modules))
+"""
+
+
+def _line_distance(mu, nu):
+    """Two-cell closed form: 2 times the integral of |F_mu - F_nu| over cell-1 masses."""
+    keys = np.concatenate([mu.mass_matrix()[:, 0], nu.mass_matrix()[:, 0]])
+    order = np.argsort(keys, kind="stable")
+    cdf_gap = np.cumsum(np.concatenate([mu.weights, -nu.weights])[order])[:-1]
+    return 2.0 * float(np.abs(cdf_gap) @ np.diff(keys[order]))
+
+
+class TestMonotonePlan:
+    def test_criterion_06_pair_stays_monotone(self):
+        # no rounding-level arc may cross this plan and send it to the LP
+        out = subprocess.run([sys.executable, "-c", _CRITERION_06_PAIR],
+                             capture_output=True, text=True, check=True,
+                             env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert out.stdout.split() == ["2", "3", "monotone", "False"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 39), st.integers(1, 39),
+           st.sampled_from(["independent", "permuted", "barycenter", "tied", "light"]))
+    def test_certified_and_closed_form(self, seed, m, n, kind):
+        rng = np.random.default_rng(seed)
+        space = _space(2, rng, weighted=bool(rng.integers(2)))
+        mu = _random_measure(rng, space, m)
+        if kind == "light":
+            # weights over sixteen orders of magnitude, with a run of atoms
+            # lighter than 1e-12 next to each other in key order
+            w = 10 ** rng.uniform(-16, 0, m)
+            order = np.argsort(mu.mass_matrix()[:, 0])
+            run = order[rng.integers(m):][:rng.integers(1, 9)]
+            w[run] = 10 ** rng.uniform(-17, -12, len(run))
+            mu = PointMassMeasure(space, mu.points, w)
+            if rng.integers(2):
+                nu = _random_measure(rng, space, m, rng.permutation(w))
+            else:
+                nu = _random_measure(rng, space, n, 10 ** rng.uniform(-16, 0, n))
+                nu = nu.scaled(mu.total_mass / nu.total_mass)
+        elif kind == "independent":
+            nu = _random_measure(rng, space, n)
+            nu = nu.scaled(mu.total_mass / nu.total_mass)
+        elif kind == "permuted":
+            nu = _random_measure(rng, space, m, rng.permutation(mu.weights))
+        elif kind == "barycenter":
+            target = rng.dirichlet(np.ones(2)) * mu.total_mass
+            nu = barycenter_match(mu, DensityVector.from_masses(space, target,
+                                                                unnormalized=True))
+        else:
+            def tied(size):
+                key = rng.integers(0, 5, size) / 4
+                masses = np.column_stack([key, 1.0 - key])
+                return masses / space.lambda_weights
+            mu = PointMassMeasure(space, tied(m), mu.weights)
+            nu = PointMassMeasure(space, tied(n), rng.uniform(0.1, 1.0, n))
+            nu = nu.scaled(mu.total_mass / nu.total_mass)
+        d, plan = kantorovich(mu, nu)
+        assert plan.method == "monotone"
+        assert plan.marginal_residual <= MARGINAL_TOL
+        assert plan.slackness_residual <= SLACKNESS_TOL
+        assert abs(d - _line_distance(mu, nu)) <= 1e-12
+
+
+    def test_run_of_light_atoms_keeps_the_heavy_one(self):
+        # 3,000 atoms of 1e-13 follow one of 0.5 in key order: together
+        # they outweigh the marginal tolerance, so none may give its mass
+        # to the heavy atom
+        space = _space(2)
+        key = np.linspace(0.1, 0.9, 3001)
+        w = np.r_[0.5, np.full(3000, 1e-13)]
+        mu = PointMassMeasure(space, np.column_stack([key, 1 - key]), w)
+        nu = PointMassMeasure(space, np.array([[0.5, 0.5]]), np.array([w.sum()]))
+        d, plan = kantorovich(mu, nu)
+        assert plan.method == "monotone"
+        assert plan.marginal_residual <= 1e-15
+        assert plan.slackness_residual <= SLACKNESS_TOL
+        assert abs(d - _line_distance(mu, nu)) <= 1e-12
+
+    def test_light_last_atom_has_the_sign_of_its_arc(self):
+        # past key 0.8 the two distribution functions differ by 1e-16 only;
+        # the potentials must slope the way the plan's last arc runs
+        space = _space(2)
+        key = np.array([0.7, 0.6, 0.4, 0.9])
+        mu = PointMassMeasure(space, np.column_stack([key, 1 - key]),
+                              np.array([0.1, 0.97, 0.88, 1e-16]))
+        nu = PointMassMeasure(space, np.array([[0.8, 0.2]]), np.array([mu.total_mass]))
+        d, plan = kantorovich(mu, nu)
+        assert plan.method == "monotone"
+        assert plan.slackness_residual <= SLACKNESS_TOL
+        assert abs(d - _line_distance(mu, nu)) <= 1e-12
+
+    def test_light_atom_among_600000(self):
+        # (m + n) eps, the rounding error of a plain cumulative sum at this
+        # size, exceeds MARGINAL_TOL; an atom of 1.2e-10 must keep its arc
+        rng = np.random.default_rng(11)
+        m = 300_000
+        w = rng.uniform(0.5, 1.5, m)
+        w /= w.sum()
+        w[m // 2] = 1.2e-10
+        space = _space(2)
+        def line_measure(weights):
+            key = np.sort(rng.random(m))
+            return PointMassMeasure(space, np.column_stack([key, 1 - key]), weights)
+        mu, nu = line_measure(w), line_measure(rng.permutation(w))
+        d, plan = kantorovich(mu, nu)
+        assert plan.method == "monotone"
+        assert plan.marginal_residual <= 1e-15
+        assert plan.slackness_residual <= SLACKNESS_TOL
+        assert abs(d - _line_distance(mu, nu)) <= 1e-12
+
+
 class TestTransportMemory:
     def test_4096_atoms_a_side(self):
         # the dense cost tensor alone of this pair takes 268 MB
