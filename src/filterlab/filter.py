@@ -11,13 +11,14 @@ evaluates the induced averaging operator on test functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceeded, SpaceMismatch
 from .measures import PointMassMeasure
-from .model import DensityVector, HmmModel, _write_csv
+from .model import DensityVector, HmmModel, StateSpace, _write_csv
 
 # rows a search may hold, checked before each step builds them
 ENUMERATION_BUDGET = 10**6
@@ -31,10 +32,14 @@ def _check_budget(rows: int, budget: int, what: str) -> None:
         raise BudgetExceeded(f"{what}: {rows} rows exceed budget {budget}")
 
 
-def _masses(model: HmmModel, x: DensityVector) -> np.ndarray:
+def _values(model: HmmModel, x: DensityVector) -> np.ndarray:
     if not x.space.same_as(model.states):
         raise SpaceMismatch("density lives on a different state space")
-    return x.masses
+    return x.values
+
+
+def _masses(model: HmmModel, x: DensityVector) -> np.ndarray:
+    return _values(model, x) * model.states.lambda_weights
 
 
 def _bayes_step(model: HmmModel, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -79,9 +84,8 @@ def observation_law(model: HmmModel, x: DensityVector) -> np.ndarray:
 
 def update(model: HmmModel, x: DensityVector, a) -> DensityVector:
     """Normalized Bayes update; a zero-likelihood observation returns x itself."""
-    g, post = _bayes_step(model, _masses(model, x)[None, :])
-    i = model.obs.index(a)
-    return x if g[0, i] <= 0.0 else DensityVector.from_masses(model.states, post[0, i])
+    values, zero_steps = _filter_values(model, x, [a])
+    return x if zero_steps else DensityVector(model.states, values[1])
 
 
 def pushforward(model: HmmModel, x: DensityVector) -> PointMassMeasure:
@@ -270,35 +274,67 @@ def apply_T_grid(model: HmmModel, u: LipschitzFunction, masses_grid: np.ndarray,
     return grid_averages(model, [u], masses_grid, n)[n, 0]
 
 
-@dataclass
+@dataclass(eq=False)
 class FilterTrajectory:
     """Filter states along an observation sequence.
 
-    ``states[0]`` is the start; ``zero_likelihood_steps`` lists the indices
-    where the observation had zero likelihood and the convention "keep the
-    current density" was applied.
+    ``values[k]`` holds the density values of the state after ``k``
+    observations, ``values[0]`` the start; ``zero_likelihood_steps`` lists the
+    indices where the observation had zero likelihood and the convention
+    "keep the current density" was applied.
     """
 
     observations: tuple
-    states: list[DensityVector]
+    values: np.ndarray
+    space: StateSpace
     zero_likelihood_steps: list[int] = field(default_factory=list)
 
+    @cached_property
+    def states(self) -> list[DensityVector]:
+        """The rows of ``values`` as validated densities, built on first read."""
+        return [DensityVector(self.space, row) for row in self.values]
+
     def to_csv(self, path) -> None:
-        cells = ",".join(str(c) for c in self.states[0].space.cells)
+        cells = ",".join(str(c) for c in self.space.cells)
         obs = ["", *self.observations]
         _write_csv(path, f"step,observation,{cells}",
-                   ([k, obs[k], *state.values] for k, state in enumerate(self.states)))
+                   ([k, obs[k], *row] for k, row in enumerate(self.values.tolist())))
+
+
+def _filter_values(model: HmmModel, x: DensityVector, obs_seq: Sequence
+                   ) -> tuple[np.ndarray, list[int]]:
+    """The sequential Bayes recursion on plain density values.
+
+    Row ``k`` of the returned array is the density after ``k`` observations.
+    Each step is the arithmetic of :func:`_bayes_step` for the one observed
+    cell: masses ``y * lambda`` times its stepping matrix, divided by their sum
+    ``g``, divided by lambda.  A step with ``g = 0`` keeps the previous row and
+    is listed in the returned zero-likelihood steps.
+    """
+    lam = model.states.lambda_weights
+    mats = model.stepping_matrices
+    y = _values(model, x)
+    obs_idx = [model.obs.index(a) for a in obs_seq]
+    values = np.empty((len(obs_idx) + 1, model.n_states))
+    values[0] = y
+    zero_steps = []
+    for k, i in enumerate(obs_idx, 1):
+        v = (y * lam) @ mats[i]
+        g = v.sum()
+        if g > 0.0:
+            y = v / g / lam
+        else:
+            zero_steps.append(k)
+        values[k] = y
+    values.setflags(write=False)
+    return values, zero_steps
 
 
 def run_filter(model: HmmModel, x0: DensityVector, obs_seq: Sequence
                ) -> FilterTrajectory:
     """Sequential Bayes updates along a fixed observation sequence."""
-    states = [x0]
-    for a in obs_seq:
-        states.append(update(model, states[-1], a))
-    # update returns its input itself exactly when the likelihood is zero
-    zero_steps = [k for k in range(1, len(states)) if states[k] is states[k - 1]]
-    return FilterTrajectory(tuple(obs_seq), states, zero_steps)
+    values, zero_steps = _filter_values(model, x0, obs_seq)
+    return FilterTrajectory(tuple(obs_seq), values, model.states, zero_steps)
 
 
 @dataclass

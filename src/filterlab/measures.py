@@ -561,7 +561,8 @@ def barycenter_match(phi: PointMassMeasure, b: DensityVector) -> PointMassMeasur
     coupling can be.  The construction peels the last atom, splits the state
     cells by the sign of (current barycenter - target), removes the overlap
     ``min(beta_N xi_N, a - b)`` on the heavy side, and refills the light side
-    proportionally; ties go to the heavy side.  The target's mass must
+    proportionally; ties go to the heavy side.  The heaviest atom is peeled
+    last and takes what remains of the target.  The target's mass must
     match the barycenter's within ``MARGINAL_TOL`` (relative).
     """
     if np.any(b.values < 0):
@@ -576,9 +577,12 @@ def barycenter_match(phi: PointMassMeasure, b: DensityVector) -> PointMassMeasur
         )
     xis = phi.mass_matrix()
     betas = phi.weights
-    n = phi.n_atoms
     zetas = np.array(xis, dtype=float)
-    active = [k for k in range(n) if betas[k] > 0]
+    active = np.flatnonzero(betas > 0).tolist()
+    if active:
+        # divided by a rounding-level weight, the last remainder would leave
+        # the simplex; the rest keep their peel order
+        active.insert(0, active.pop(int(np.argmax(betas[active]))))
 
     a = a_mass.copy()
     b_cur = b_mass.copy()

@@ -313,8 +313,8 @@ def _write_csv(path, header: str, rows) -> None:
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(repr(float(v)) if isinstance(v, (float, np.floating))
-                              else str(v) for v in row) + "\n")
+            fh.write(",".join([repr(float(v)) if isinstance(v, (float, np.floating))
+                               else str(v) for v in row]) + "\n")
 
 
 def stepping_kernel(model: HmmModel, a) -> SteppingKernel:

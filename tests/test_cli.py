@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -7,6 +8,8 @@ import pytest
 from filterlab import measures
 from filterlab.cli import build_parser, main
 from filterlab.errors import SolverFailure
+from filterlab.filter import update
+from filterlab.model import DensityVector, load_model
 
 from conftest import P_SYM, Q_SYM
 
@@ -134,6 +137,32 @@ class TestSimulate:
         assert (out1 / "simulate.csv").read_text() == \
             (out2 / "simulate.csv").read_text()
         assert (out1 / "filter_trajectory.csv").exists()
+
+    def test_trajectory_is_the_update_chain_on_weighted_cells(self, tmp_path):
+        # lambda and tau away from one, so the recursion's divisions by lambda
+        # show; every CSV cell must read back to the update chain's float
+        rng = np.random.default_rng(11)
+        lam, tau = [0.5, 1.25, 2.0], [0.75, 1.5]
+        m = rng.gamma(2.0, size=(3, 3, 2))
+        m /= np.einsum("sta,t,a->s", m, lam, tau)[:, None, None]
+        doc = {"states": {"ids": [1, 2, 3], "lambda": lam},
+               "obs": {"ids": [1, 2], "tau": tau}, "m": {"dense": m.tolist()}}
+        path = tmp_path / "weighted.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["simulate", "--model", str(path), "--nmax", "200",
+                     "--seed", "3", "--out", str(out)]) == 0
+        with open(out / "filter_trajectory.csv", newline="") as fh:
+            got = list(csv.reader(fh))
+        assert got[0] == ["step", "observation", "1", "2", "3"]
+        model = load_model(path)
+        x = DensityVector.uniform(model.states)
+        for k, row in enumerate(got[1:]):
+            if k:
+                x = update(model, x, int(row[1]))
+            assert row[0] == str(k)
+            assert row[2:] == [repr(v) for v in x.values.tolist()]
+        assert len(got) == 202
 
 
 class TestCouple:

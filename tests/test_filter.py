@@ -347,6 +347,43 @@ class TestRunFilter:
         assert float(rows[-1]["2"]) == traj.states[-1].values[1]
 
 
+def _bayes_chain(model, x, obs_seq):
+    """Density rows of single-step batched Bayes updates, and the zero steps."""
+    lam = model.states.lambda_weights
+    rows, zero_steps = [x.values], []
+    for k, a in enumerate(obs_seq, 1):
+        g, post = _bayes_step(model, (rows[-1] * lam)[None, :])
+        i = model.obs.index(a)
+        if g[0, i] > 0.0:
+            rows.append(post[0, i] / lam)
+        else:
+            rows.append(rows[-1])
+            zero_steps.append(k)
+    return np.array(rows), zero_steps
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.integers(1, 4),
+       st.floats(0.0, 0.8), st.integers(0, 40), st.booleans())
+def test_run_filter_is_the_bayes_chain(seed, n_states, n_obs, sparsity, n, point_start):
+    # bit-identical, zero-likelihood steps included, on non-unit lambda and tau
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, n_states, n_obs, weighted=True, sparsity=sparsity)
+    x = e(model, 1) if point_start else random_density(rng, model.states)
+    obs_seq = [model.obs.cells[i] for i in rng.integers(n_obs, size=n)]
+    traj = run_filter(model, x, obs_seq)
+    want, zero_steps = _bayes_chain(model, x, obs_seq)
+    assert traj.values.shape == want.shape
+    assert traj.values.tobytes() == want.tobytes()
+    assert traj.zero_likelihood_steps == zero_steps
+    for k, state in enumerate(traj.states):
+        assert state.values.tobytes() == traj.values[k].tobytes()
+    for k in zero_steps:
+        assert traj.values[k].tobytes() == traj.values[k - 1].tobytes()
+        before = traj.states[k - 1]
+        assert update(model, before, obs_seq[k - 1]) is before
+
+
 class TestGammaEstimate:
     def test_lower_bounds_analytic_constant(self, m2):
         from filterlab.filter import estimate_gamma, lipschitz_function_from

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from filterlab import filter as filter_module
-from filterlab.errors import BadPartition, NonStochasticEmission
+from filterlab.errors import BadPartition, MassMismatch, NonStochasticEmission
 from filterlab.filter import (
     LipschitzFunction,
     mass_functional,
@@ -22,7 +22,8 @@ from filterlab.lab import (
     tightness_probe,
     weak_contraction_report,
 )
-from filterlab.model import DensityVector, markov_kernel, stationary
+from filterlab.model import (DensityVector, HmmModel, ObsSpace, StateSpace, markov_kernel,
+                             stationary)
 
 from conftest import P_SYM, Q_SYM, e, numeric_csv_rows, random_model
 
@@ -117,6 +118,20 @@ class TestWeakContraction:
         report = weak_contraction_report(model, [(x, y)], n_max=5)
         np.testing.assert_allclose(report.distances, report.lower_bounds,
                                    atol=1e-12)
+
+    @pytest.mark.xfail(strict=True, raises=MassMismatch,
+                       reason="the two pruned laws lose different masses, and "
+                              "kantorovich demands equal ones (ROADMAP item 1)")
+    def test_pruned_laws_are_compared(self):
+        rng = np.random.default_rng([0, 3])
+        m = rng.gamma(2.0, size=(4, 4, 3))
+        m /= m.sum(axis=(1, 2))[:, None, None]
+        model = HmmModel(StateSpace((1, 2, 3, 4), np.ones(4)),
+                         ObsSpace((1, 2, 3), np.ones(3)), m)
+        report = weak_contraction_report(model, [(e(model, 1), e(model, 2))],
+                                         n_max=5, prune_eps=1e-3)
+        assert report.pruned_mass > 0.0
+        assert np.all(np.isfinite(report.distances))
 
     def test_csv(self, m2, tmp_path):
         report = weak_contraction_report(m2, [(e(m2, 1), e(m2, 2))], n_max=2)

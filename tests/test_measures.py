@@ -309,6 +309,25 @@ class TestBarycenterMatch:
             # every moved atom must stay a probability density
             np.testing.assert_allclose(psi.point_masses, 1.0, atol=1e-10)
 
+    def test_rounding_level_weights_stay_on_simplex(self):
+        # weights down to 1e-16: the atom that takes the last remainder must
+        # not be a rounding-level one, or dividing by its weight leaves K
+        rng = np.random.default_rng(3)
+        for _ in range(3000):
+            k = int(rng.integers(2, 6))
+            space = _space(k)
+            n = int(rng.integers(1, 8))
+            w = 10.0 ** rng.uniform(-16, 0, n)
+            phi = PointMassMeasure(space, rng.dirichlet(np.ones(k), size=n), w)
+            target_mass = rng.dirichlet(np.ones(k)) * w.sum()
+            psi = barycenter_match(phi, DensityVector.from_masses(space, target_mass,
+                                                                  unnormalized=True))
+            assert np.all(psi.points >= 0)
+            np.testing.assert_allclose(psi.point_masses, 1.0, rtol=0, atol=1e-12)
+            cost = float(w @ np.abs(phi.mass_matrix() - psi.mass_matrix()).sum(axis=1))
+            want = float(np.abs(phi.barycenter_masses() - target_mass).sum())
+            assert cost == pytest.approx(want, rel=0, abs=1e-12)
+
     def test_mass_mismatch(self, m2):
         phi = PointMassMeasure.dirac(e(m2, 1))
         with pytest.raises(MassMismatch):
