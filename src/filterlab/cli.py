@@ -172,7 +172,8 @@ def cmd_transport(args) -> int:
         "barycenter_match_distance": achieved,
     }
     status = OK
-    if floor > distance + 1e-9 or abs(achieved - floor) > 1e-9:
+    tol = 1e-9 * max(1.0, mu.total_mass)
+    if floor > distance + tol or abs(achieved - floor) > tol:
         status = VIOLATED
     _write_json(out, "transport.json", payload)
     return status

@@ -377,8 +377,7 @@ def lipschitz_probe(model: HmmModel, u: LipschitzFunction, n: int,
     tv = np.abs(xs - ys).sum(axis=1)
     keep = tv > 1e-9
     xs, ys, tv = xs[keep], ys[keep], tv[keep]
-    tx = grid_averages(model, [u], xs, n)[:, 0]
-    ty = grid_averages(model, [u], ys, n)[:, 0]
+    tx, ty = np.split(grid_averages(model, [u], np.vstack([xs, ys]), n)[:, 0], 2, axis=1)
     max_ratio: dict[int, float] = {}
     for horizon in range(1, n + 1):
         ratios = np.abs(tx[horizon] - ty[horizon]) / tv

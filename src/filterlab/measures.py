@@ -32,6 +32,12 @@ MARGINAL_TOL = 1e-10
 SLACKNESS_TOL = 1e-9
 
 
+def _check_equal_mass(r1: float, r2: float) -> None:
+    """Equal total masses, within ``MARGINAL_TOL`` relative to ``max(1, r1, r2)``."""
+    if abs(r1 - r2) > MARGINAL_TOL * max(1.0, r1, r2):
+        raise MassMismatch(f"total masses differ: {r1!r} vs {r2!r}")
+
+
 def tv_distance(x: DensityVector, y: DensityVector) -> float:
     """Total variation between two densities: the lambda-weighted L1 distance."""
     if not x.space.same_as(y.space):
@@ -442,9 +448,7 @@ def kantorovich(mu: PointMassMeasure, nu: PointMassMeasure
     """
     if not mu.space.same_as(nu.space):
         raise SpaceMismatch("measures live on different state spaces")
-    r1, r2 = mu.total_mass, nu.total_mass
-    if abs(r1 - r2) > MARGINAL_TOL * max(1.0, r1, r2):
-        raise MassMismatch(f"total masses differ: {r1!r} vs {r2!r}")
+    _check_equal_mass(mu.total_mass, nu.total_mass)
     keep1 = mu.weights > 0
     keep2 = nu.weights > 0
     if not keep1.any() or not keep2.any():
@@ -543,8 +547,7 @@ def barycenter_lower_bound(mu: PointMassMeasure, nu: PointMassMeasure) -> float:
     """Transport distance is at least the barycenter gap in total variation."""
     if not mu.space.same_as(nu.space):
         raise SpaceMismatch("measures live on different state spaces")
-    if abs(mu.total_mass - nu.total_mass) > MARGINAL_TOL:
-        raise MassMismatch("equal total mass required")
+    _check_equal_mass(mu.total_mass, nu.total_mass)
     return float(np.abs(mu.barycenter_masses() - nu.barycenter_masses()).sum())
 
 
@@ -558,72 +561,48 @@ def barycenter_match(phi: PointMassMeasure, b: DensityVector) -> PointMassMeasur
     Returns a measure with the same weights beta_k and new points zeta_k such
     that sum beta_k zeta_k = b and sum beta_k ||xi_k - zeta_k|| equals the
     distance between the old and new barycenters, which is the cheapest any
-    coupling can be.  The construction peels the last atom, splits the state
-    cells by the sign of (current barycenter - target), removes the overlap
-    ``min(beta_N xi_N, a - b)`` on the heavy side, and refills the light side
-    proportionally; ties go to the heavy side.  The heaviest atom is peeled
-    last and takes what remains of the target.  The target's mass must
-    match the barycenter's within ``MARGINAL_TOL`` (relative).
+    coupling can be.  The transfer is proportional, in cell masses: with
+    barycenter a and d = a - b, every atom gives up the share d/a of its
+    mass on each cell where a exceeds b (at most all of it, as b >= 0) and
+    spreads what it gave over the cells where b exceeds a in proportion to
+    their shortfall.  Each atom keeps its lambda-mass, and no weight is
+    divided by.  The target's mass must match the barycenter's.
     """
     if np.any(b.values < 0):
         raise NegativeTarget("target density must be nonnegative")
     if not phi.space.same_as(b.space):
         raise SpaceMismatch("target lives on a different state space")
-    a_mass = phi.barycenter_masses()
-    b_mass = b.masses.copy()
-    if abs(a_mass.sum() - b_mass.sum()) > MARGINAL_TOL * max(1.0, a_mass.sum()):
-        raise MassMismatch(
-            f"target mass {b_mass.sum()!r} != barycenter mass {a_mass.sum()!r}"
-        )
     xis = phi.mass_matrix()
-    betas = phi.weights
-    zetas = np.array(xis, dtype=float)
-    active = np.flatnonzero(betas > 0).tolist()
-    if active:
-        # divided by a rounding-level weight, the last remainder would leave
-        # the simplex; the rest keep their peel order
-        active.insert(0, active.pop(int(np.argmax(betas[active]))))
-
-    a = a_mass.copy()
-    b_cur = b_mass.copy()
-    matched_early = False
-    for pos in range(len(active) - 1, 0, -1):
-        k = active[pos]
-        diff = a - b_cur
-        delta = 0.5 * np.abs(diff).sum()
-        if delta <= 1e-15 * max(1.0, a.sum()):
-            matched_early = True  # remaining atoms already average to the target
-            break
-        f1 = diff >= 0
-        contrib = betas[k] * xis[k]
-        c = np.where(f1, np.minimum(contrib, diff), 0.0)
-        c = np.maximum(c, 0.0)
-        delta0 = c.sum()
-        zeta = np.where(f1, xis[k] - c / betas[k],
-                        xis[k] + (delta0 / delta) * (-diff) / betas[k])
-        zetas[k] = np.maximum(zeta, 0.0)
-        b_cur = np.maximum(b_cur - betas[k] * zetas[k], 0.0)
-        a = a - contrib
-    if active and not matched_early:
-        k0 = active[0]
-        zetas[k0] = b_cur / betas[k0]
-
-    points = zetas / phi.space.lambda_weights[None, :]
-    return PointMassMeasure(phi.space, points, betas)
+    a = phi.weights @ xis
+    _check_equal_mass(a.sum(), b.masses.sum())
+    d = a - b.masses
+    over = d > 0
+    given = xis * (np.where(over, d, 0.0) / np.where(over, a, 1.0))
+    zetas = xis - given
+    need = np.maximum(-d, 0.0)
+    if need.sum() > 0:
+        zetas += np.outer(given.sum(axis=1), need / need.sum())
+    return PointMassMeasure(phi.space, zetas / phi.space.lambda_weights, phi.weights)
 
 
 def nearest_barycenter_distance(mu: PointMassMeasure, y: DensityVector
                                 ) -> tuple[PointMassMeasure, float]:
     """Closest measure with barycenter ``r*y`` and the certified distance.
 
-    The returned distance is the exact transport cost to the constructed
-    measure; combined with the barycenter lower bound it pins the infimum
-    over all measures with that barycenter to ``r * ||x - y||``.
+    The distance is the cost of moving each atom in place to its match from
+    :func:`barycenter_match`, the upper bound; no measure with barycenter
+    ``r*y`` lies closer than the barycenter gap ``r * ||x - y||``, the lower
+    bound.  The two must meet within ``MARGINAL_TOL`` relative to
+    ``max(1, r)``, or :class:`SolverFailure` is raised; no transport
+    problem is solved.
     """
     r = mu.total_mass
     target = DensityVector(mu.space, y.values * r, unnormalized=True)
     psi = barycenter_match(mu, target)
-    achieved, _ = kantorovich(mu, psi)
+    achieved = float(mu.weights @ np.abs(mu.mass_matrix() - psi.mass_matrix()).sum(axis=1))
+    gap = float(np.abs(mu.barycenter_masses() - target.masses).sum())
+    if abs(achieved - gap) > MARGINAL_TOL * max(1.0, r):
+        raise SolverFailure(f"barycenter match costs {achieved!r} against a gap of {gap!r}")
     return psi, achieved
 
 

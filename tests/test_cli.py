@@ -126,6 +126,21 @@ class TestTransport:
         assert doc["barycenter_lower_bound"] == pytest.approx(1.0, abs=1e-12)
         assert (out / "plan.csv").exists()
 
+    def test_equal_mass_is_relative(self, tmp_path):
+        # masses 1000 and 1000.00000001 agree within 1e-10 relative, as
+        # kantorovich and every other equal-mass check in measures accept
+        mu_path = tmp_path / "mu.json"
+        nu_path = tmp_path / "nu.json"
+        mu_path.write_text(json.dumps(_measure_doc(
+            [([0.9, 0.1], 500.0), ([0.2, 0.8], 500.0)])))
+        nu_path.write_text(json.dumps(_measure_doc([([0.6, 0.4], 1000.00000001)])))
+        out = tmp_path / "out"
+        code = main(["transport", "--mu", str(mu_path), "--nu", str(nu_path),
+                     "--out", str(out)])
+        assert code == 0
+        doc = json.loads((out / "transport.json").read_text())
+        assert doc["barycenter_match_distance"] == pytest.approx(100.0, rel=1e-12)
+
 
 class TestSimulate:
     def test_deterministic_output(self, m2_file, tmp_path):

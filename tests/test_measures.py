@@ -16,6 +16,7 @@ from filterlab.errors import (
     NegativeTarget,
     SpaceMismatch,
 )
+from filterlab import measures
 from filterlab.filter import pushforward_n
 from filterlab.measures import (
     MARGINAL_TOL,
@@ -365,6 +366,40 @@ class TestNearestBarycenterDistance:
         assert d == pytest.approx(0.4, abs=1e-9)
         # certified two-sided: the lower bound meets the achieved cost
         assert barycenter_lower_bound(mu, psi) == pytest.approx(d, abs=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_transfer_hits_the_target_at_the_gap(self, seed, at_barycenter):
+        # weights over sixteen orders of magnitude, some exactly zero: every
+        # bound is relative to the total weight, which may be far below one
+        rng = np.random.default_rng(seed)
+        k, n = int(rng.integers(2, 6)), int(rng.integers(1, 8))
+        space = _space(k, rng, weighted=True)
+        w = 10.0 ** rng.uniform(-16, 0, n)
+        w[rng.random(n) < 0.25] = 0.0
+        w[rng.integers(n)] = 10.0 ** rng.uniform(-16, 0)
+        phi = _random_measure(rng, space, n, w)
+        r = phi.total_mass
+        y_mass = phi.barycenter_masses() / r if at_barycenter else rng.dirichlet(np.ones(k))
+        y = DensityVector.from_masses(space, y_mass, unnormalized=True)
+        target = DensityVector(space, y.values * r, unnormalized=True)
+        psi = barycenter_match(phi, target)
+        assert np.abs(psi.barycenter_masses() - target.masses).sum() <= 1e-14 * r
+        cost = float(w @ np.abs(phi.mass_matrix() - psi.mass_matrix()).sum(axis=1))
+        gap = float(np.abs(phi.barycenter_masses() - target.masses).sum())
+        assert abs(cost - gap) <= 1e-14 * r
+        assert np.all(psi.points >= 0)
+        np.testing.assert_allclose(psi.point_masses, 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(psi.weights, w)
+
+        def no_transport(*args):
+            raise AssertionError("nearest_barycenter_distance solved a transport problem")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measures, "kantorovich", no_transport)
+            psi2, d = nearest_barycenter_distance(phi, y)
+        np.testing.assert_array_equal(psi2.points, psi.points)
+        assert d == cost
 
 
 class TestHalfMass:
