@@ -32,7 +32,7 @@ def _load_measure(path) -> measures.PointMassMeasure:
     with open(path) as fh:
         doc = json.load(fh)
     sp = doc["space"]
-    space = StateSpace(sp["ids"], sp.get("lambda", [1.0] * len(sp["ids"])))
+    space = StateSpace._counted(len(sp["ids"]), sp["ids"], sp.get("lambda"))
     pts = [a["point"] for a in doc["atoms"]]
     ws = [a["weight"] for a in doc["atoms"]]
     return measures.PointMassMeasure(space, np.asarray(pts, dtype=float), ws)

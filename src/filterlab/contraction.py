@@ -14,9 +14,10 @@ uniform-likelihood/contraction constants with their sampled verification.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -176,9 +177,7 @@ def verify_hopf(kernels, x, y) -> HopfCheck:
         raise HypothesisViolated("x carries no mass on the first row set")
     if y[f1].sum() <= 0.0:
         raise HypothesisViolated("y carries no mass on the first row set")
-    product = kernels[0]
-    for k in kernels[1:]:
-        product = product @ k
+    product = functools.reduce(np.matmul, kernels)
     row_mass = product[f1].sum(axis=1)
     if np.any(row_mass <= 0.0):
         bad = f1[int(np.argmin(row_mass))]
@@ -266,7 +265,7 @@ def check_condition_A(model: HmmModel, max_len: int,
             return tuple(model.obs.cells[a] for a in seqs[hits[0]])
 
 
-@dataclass
+@dataclass(eq=False)
 class KrReport:
     """Rank-one approach of normalized stepping products along a sequence.
 
@@ -309,28 +308,26 @@ def check_condition_KR(model: HmmModel, seq=None, depth: int | None = None
         raise ValueError("pass exactly one of seq or depth")
     tol, sustain = 1e-8, 3
     # a given sequence offers one observation per step, the search all of them
-    offers = ([[model.obs.index(a)] for a in seq] if seq is not None
-              else [range(model.n_obs)] * depth)
+    offers = ([np.array([model.obs.index(a)]) for a in seq] if seq is not None
+              else [np.arange(model.n_obs)] * depth)
     ratios = []
     chosen = []
     product = None
     for offer in offers:
-        best = None
-        for a in offer:
-            step = model.stepping_matrices[a]
-            cand = step if product is None else product @ step
-            if cand.max() <= 0.0:
-                continue
-            cand = cand / cand.max()
-            s = np.linalg.svd(cand, compute_uv=False)
-            r = float(s[1] / s[0]) if len(s) > 1 else 0.0
-            if best is None or r < best[0]:
-                best = (r, a, cand)
-        if best is None:
+        cands = model.stepping_matrices[offer]
+        if product is not None:
+            cands = product @ cands
+        top = cands.max(axis=(1, 2))
+        live = top > 0.0
+        if not live.any():
             raise DegenerateProduct(f"product vanished at step {len(chosen) + 1}")
-        r, a, product = best
-        chosen.append(model.obs.cells[a])
-        ratios.append(r)
+        cands, offer = cands[live] / top[live, None, None], offer[live]
+        s = np.linalg.svd(cands, compute_uv=False)
+        r = s[:, 1] / s[:, 0] if s.shape[1] > 1 else np.zeros(len(s))
+        best = int(np.argmin(r))  # the first minimum
+        product = cands[best]
+        chosen.append(model.obs.cells[offer[best]])
+        ratios.append(float(r[best]))
     ratios = np.asarray(ratios)
     below = ratios < tol
     verdict = any(below[k:k + sustain].all()
@@ -493,13 +490,7 @@ class E1Certificate:
             "threshold": self.threshold,
         }
         if self.verification is not None:
-            v = self.verification
-            payload["verification"] = {
-                "n_pairs": v.n_pairs, "n_sequences": v.n_sequences,
-                "exhaustive_sequences": v.exhaustive_sequences,
-                "g_violations": v.g_violations, "h_violations": v.h_violations,
-                "min_g": v.min_g, "max_tv": v.max_tv,
-            }
+            payload["verification"] = asdict(self.verification)
         return json.dumps(payload)
 
 
@@ -587,9 +578,7 @@ def e1_constants(model: HmmModel, pi: DensityVector, cert: PCertificate,
     block = max(1, _E1_BLOCK // max(1, sample_pairs))
     for s in range(0, len(sequences), block):
         seqs = sequences[s:s + block]
-        product = model.stepping_matrices[seqs[:, 0]]
-        for a in seqs[:, 1:].T:
-            product = product @ model.stepping_matrices[a]
+        product = functools.reduce(np.matmul, model.stepping_matrices[seqs.T])
         # rows (side, pair, sequence) by cells from one GEMM; sums as matrix-
         # vector products, which beat a reduction over a short axis
         gz = (zs @ product.transpose(1, 0, 2).reshape(k, -1)).reshape(2, -1, k)

@@ -24,7 +24,7 @@ from .measures import (MARGINAL_TOL, MERGE_TOL, PointMassMeasure, barycenter,
 from .model import DensityVector, HmmModel
 
 
-@dataclass
+@dataclass(eq=False)
 class ObsCoupling:
     """Coupling of the observation laws of two filter states.
 

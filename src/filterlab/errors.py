@@ -21,12 +21,12 @@ class UnknownObservation(FilterlabError):
     """Observation id not present in the observation space."""
 
 
-class StateSpaceMismatch(FilterlabError):
-    """Two models do not share the same state space."""
-
-
 class SpaceMismatch(FilterlabError):
     """Two vectors or measures live over different spaces."""
+
+
+class StateSpaceMismatch(SpaceMismatch):
+    """Two models do not share the same state space."""
 
 
 class MassMismatch(FilterlabError):

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceeded, SpaceMismatch
-from .measures import PointMassMeasure
+from .measures import LipschitzFunction, PointMassMeasure
 from .model import DensityVector, HmmModel, StateSpace, _write_csv
 
 # rows a search may hold, checked before each step builds them
@@ -172,28 +172,6 @@ def pushforward_n(model: HmmModel, x: DensityVector, n: int,
     return law
 
 
-@dataclass(frozen=True)
-class LipschitzFunction:
-    """Bounded test function on K with declared Lipschitz data.
-
-    ``fn`` maps an array of cell-mass vectors with shape ``(..., n_cells)``
-    to values of shape ``(...)``; ``gamma`` and ``sup_norm`` are the declared
-    Lipschitz constant (against total variation) and sup norm.
-    """
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    gamma: float
-    sup_norm: float
-    name: str = ""
-
-    def __call__(self, x) -> float:
-        masses = x.masses if isinstance(x, DensityVector) else np.asarray(x)
-        return float(self.fn(masses))
-
-    def on_masses(self, masses: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(masses), dtype=float)
-
-
 def mass_functional(model_or_space, cells, name: str = "") -> LipschitzFunction:
     """u(x) = x(F): the mass a density gives to a fixed cell subset.
 
@@ -207,6 +185,16 @@ def mass_functional(model_or_space, cells, name: str = "") -> LipschitzFunction:
     )
 
 
+def _dirichlet_pairs(k: int, count: int, seed: int):
+    """Seeded flat-Dirichlet mass pairs on ``k`` cells, kept with their TV if above 1e-9."""
+    rng = np.random.default_rng(seed)
+    xs = rng.dirichlet(np.ones(k), size=count)
+    ys = rng.dirichlet(np.ones(k), size=count)
+    tv = np.abs(xs - ys).sum(axis=1)
+    keep = tv > 1e-9
+    return xs[keep], ys[keep], tv[keep]
+
+
 def estimate_gamma(fn, space, samples: int = 2000, seed: int = 0) -> float:
     """Sampled lower bound on the Lipschitz constant of a user function.
 
@@ -214,13 +202,9 @@ def estimate_gamma(fn, space, samples: int = 2000, seed: int = 0) -> float:
     ``|u(x) - u(y)| / ||x - y||``.  This is a lower bound only; supply the
     analytic constant when one is known.
     """
-    rng = np.random.default_rng(seed)
-    xs = rng.dirichlet(np.ones(space.n), size=samples)
-    ys = rng.dirichlet(np.ones(space.n), size=samples)
-    tv = np.abs(xs - ys).sum(axis=1)
-    keep = tv > 1e-9
-    vals = np.abs(np.asarray(fn(xs[keep])) - np.asarray(fn(ys[keep])))
-    return float((vals / tv[keep]).max()) if keep.any() else 0.0
+    xs, ys, tv = _dirichlet_pairs(space.n, samples, seed)
+    vals = np.abs(np.asarray(fn(xs)) - np.asarray(fn(ys)))
+    return float((vals / tv).max()) if len(tv) else 0.0
 
 
 def lipschitz_function_from(fn, space, sup_norm: float, samples: int = 2000,
@@ -233,8 +217,7 @@ def lipschitz_function_from(fn, space, sup_norm: float, samples: int = 2000,
 def apply_T(model: HmmModel, u: LipschitzFunction, x: DensityVector, n: int,
             budget: int = ENUMERATION_BUDGET) -> float:
     """n-fold averaging operator: expectation of u under the n-step filter law."""
-    law = pushforward_n(model, x, n, budget=budget)
-    return float(law.weights @ u.on_masses(law.mass_matrix()))
+    return u.expectation(pushforward_n(model, x, n, budget=budget))
 
 
 def grid_averages(model: HmmModel, u_list, masses_grid: np.ndarray,
@@ -247,7 +230,9 @@ def grid_averages(model: HmmModel, u_list, masses_grid: np.ndarray,
     and evaluates every function on each level's branches, so each branch is
     stepped once.  A block holds about ``_GRID_BLOCK`` branches at the last
     level, so no array over the whole grid times all ``|A|**n_max``
-    sequences is built; zero-likelihood branches contribute nothing.
+    sequences is built; zero-likelihood branches contribute nothing.  The
+    budget bounds a block's branches at the last level, ``|A|**n_max`` per
+    grid point, and is checked before the block is stepped.
     """
     grid = np.atleast_2d(np.asarray(masses_grid, dtype=float))
     out = np.zeros((n_max + 1, len(u_list), len(grid)))
@@ -255,6 +240,8 @@ def grid_averages(model: HmmModel, u_list, masses_grid: np.ndarray,
     size = max(1, _GRID_BLOCK // model.n_obs**n_max)
     for s in range(0, len(grid), size):
         block = grid[s:s + size]
+        _check_budget(len(block) * model.n_obs**n_max, ENUMERATION_BUDGET,
+                      f"{len(block)} grid points times |A|^n = {model.n_obs}**{n_max}")
         masses, weights, root = block, np.ones(len(block)), np.arange(len(block))
         for n in range(1, n_max + 1):
             masses, weights, parent, _ = _branch(model, masses, weights)
@@ -370,13 +357,7 @@ def lipschitz_probe(model: HmmModel, u: LipschitzFunction, n: int,
     checks compare it against the one-step bound ``sup_norm + 2 gamma`` and
     the uniform bound ``3 gamma``.
     """
-    rng = np.random.default_rng(seed)
-    k = model.n_states
-    xs = rng.dirichlet(np.ones(k), size=sample_pairs)
-    ys = rng.dirichlet(np.ones(k), size=sample_pairs)
-    tv = np.abs(xs - ys).sum(axis=1)
-    keep = tv > 1e-9
-    xs, ys, tv = xs[keep], ys[keep], tv[keep]
+    xs, ys, tv = _dirichlet_pairs(model.n_states, sample_pairs, seed)
     tx, ty = np.split(grid_averages(model, [u], np.vstack([xs, ys]), n)[:, 0], 2, axis=1)
     max_ratio: dict[int, float] = {}
     for horizon in range(1, n + 1):

@@ -25,14 +25,9 @@ from .model import (
 )
 
 
-def example_partition(p, partition, state_ids=None) -> HmmModel:
-    """Model observing which partition block the chain entered.
-
-    The observation masks the landing state to one block: informative exactly
-    to the resolution of the partition.  Requires a true partition (disjoint
-    blocks covering every state).
-    """
-    return partition_model(p, partition, state_ids=state_ids)
+# the worked example builders are the model builders themselves
+example_partition = partition_model
+example_product = product_model
 
 
 @dataclass
@@ -69,13 +64,6 @@ def partition_hypothesis_report(model: HmmModel) -> PartitionHypothesisReport:
             })
     return PartitionHypothesisReport(candidates=candidates,
                                      stationary_ok=erg.ergodic)
-
-
-def example_product(p, q, tau_weights=None, state_ids=None, obs_ids=None
-                    ) -> HmmModel:
-    """Model with emissions depending only on the landing state."""
-    return product_model(p, q, tau_weights=tau_weights, state_ids=state_ids,
-                         obs_ids=obs_ids)
 
 
 def product_hypothesis_check(model: HmmModel, F0, B0):
@@ -130,7 +118,7 @@ def simplex_grid(space, step: float | None = None, seed: int = 0,
 # experiments
 
 
-@dataclass
+@dataclass(eq=False)
 class WeakContractionReport:
     """Exact transport distances between two filter laws per horizon.
 
@@ -182,7 +170,7 @@ def weak_contraction_report(model: HmmModel, pairs, n_max: int,
                                  prune_eps=prune_eps)
 
 
-@dataclass
+@dataclass(eq=False)
 class OscDecayReport:
     """Oscillation of iterated averages of test functions over a grid.
 
@@ -243,7 +231,7 @@ def barycenter_identity_check(model: HmmModel, starts, n_max: int,
     return worst
 
 
-@dataclass
+@dataclass(eq=False)
 class TightnessReport:
     """Mass the n-step filter law keeps near a probe center, per start."""
 

@@ -12,6 +12,7 @@ pairs before it is accepted; neither builds an m-by-n cost array.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -184,7 +185,7 @@ def barycenter(mu: PointMassMeasure) -> DensityVector:
 # exact optimal transport
 
 
-@dataclass
+@dataclass(eq=False)
 class TransportPlan:
     """Sparse optimal plan with its optimality certificate.
 
@@ -503,16 +504,35 @@ def kantorovich(mu: PointMassMeasure, nu: PointMassMeasure
 
 
 @dataclass(frozen=True)
-class LipschitzWitness:
-    """A test function on K with declared Lipschitz constant for the dual form."""
+class LipschitzFunction:
+    """Bounded test function on K with declared Lipschitz data.
+
+    ``fn`` maps an array of cell-mass vectors with shape ``(..., n_cells)``
+    to values of shape ``(...)``; ``gamma`` and ``sup_norm`` are the declared
+    Lipschitz constant (against total variation) and sup norm.  As a dual
+    witness for transport only ``gamma`` is needed, and ``sup_norm`` may
+    stay unbounded.
+    """
 
     fn: Callable[[np.ndarray], np.ndarray]
     gamma: float
+    sup_norm: float = math.inf
     name: str = ""
 
+    def __call__(self, x) -> float:
+        masses = x.masses if isinstance(x, DensityVector) else np.asarray(x)
+        return float(self.fn(masses))
+
+    def on_masses(self, masses: np.ndarray) -> np.ndarray:
+        return np.asarray(self.fn(masses), dtype=float)
+
     def expectation(self, mu: PointMassMeasure) -> float:
-        vals = np.asarray(self.fn(mu.mass_matrix()), dtype=float)
-        return float(mu.weights @ vals)
+        """The integral of the function against ``mu``."""
+        return float(mu.weights @ self.on_masses(mu.mass_matrix()))
+
+
+# the dual witnesses of transport are test functions like any other
+LipschitzWitness = LipschitzFunction
 
 
 def hahn_witness(mu: PointMassMeasure, nu: PointMassMeasure) -> LipschitzWitness:

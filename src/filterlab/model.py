@@ -43,26 +43,38 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class StateSpace:
-    """Finite state grid: ordered cell ids plus a positive weight per cell."""
+class _Grid:
+    """Finite grid: ordered cell ids plus a positive weight per cell.
 
-    cells: tuple
-    lambda_weights: np.ndarray
+    The one implementation behind :class:`StateSpace` and :class:`ObsSpace`.
+    Grids compare by value: same class, same cells, same weights.
+    """
 
-    def __init__(self, cells: Sequence, lambda_weights: Sequence[float]):
-        cells = tuple(cells)
-        lam = _freeze(lambda_weights)
+    # set by each subclass: the space, ids and weight names its messages use
+    # (the weights live in the field ``<weight name>_weights``), then the noun
+    # and error class of an unknown cell
+    _names = ()
+
+    def __post_init__(self):
+        space, ids, name, _, _ = self._names
+        cells, w = tuple(self.cells), _freeze(getattr(self, f"{name}_weights"))
         if len(cells) == 0:
-            raise ValueError("state space needs at least one cell")
+            raise ValueError(f"{space} needs at least one cell")
         if len(set(cells)) != len(cells):
-            raise ValueError("state cell ids must be unique")
-        if lam.shape != (len(cells),):
-            raise ValueError("one lambda weight per cell required")
-        if np.any(lam <= 0):
-            raise ValueError("lambda weights must be positive")
+            raise ValueError(f"{ids} must be unique")
+        if w.shape != (len(cells),):
+            raise ValueError(f"one {name} weight per cell required")
+        if np.any(w <= 0):
+            raise ValueError(f"{name} weights must be positive")
         object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "lambda_weights", lam)
+        object.__setattr__(self, f"{name}_weights", w)
+        object.__setattr__(self, "_weights", w)  # the same array, read by the grid
+
+    @classmethod
+    def _counted(cls, n: int, ids=None, weights=None):
+        """``n`` cells with ids 1..n and counting weights, unless given."""
+        return cls(tuple(range(1, n + 1)) if ids is None else ids,
+                   [1.0] * n if weights is None else weights)
 
     @property
     def n(self) -> int:
@@ -72,7 +84,8 @@ class StateSpace:
         try:
             return self.cells.index(cell)
         except ValueError:
-            raise KeyError(f"unknown state cell {cell!r}") from None
+            *_, noun, error = self._names
+            raise error(f"unknown {noun} {cell!r}") from None
 
     def mask(self, subset: Iterable) -> np.ndarray:
         """Boolean mask of a subset given by cell ids."""
@@ -81,48 +94,33 @@ class StateSpace:
             out[self.index(c)] = True
         return out
 
-    def same_as(self, other: "StateSpace") -> bool:
-        return self.cells == other.cells and np.array_equal(
-            self.lambda_weights, other.lambda_weights
-        )
+    def __eq__(self, other):
+        return (type(self) is type(other) and self.cells == other.cells
+                and np.array_equal(self._weights, other._weights))
+
+    same_as = __eq__
+
+    def __hash__(self):
+        return hash((type(self), self.cells, self._weights.tobytes()))
 
 
-@dataclass(frozen=True)
-class ObsSpace:
+@dataclass(frozen=True, eq=False)
+class StateSpace(_Grid):
+    """Finite state grid: ordered cell ids plus a positive weight per cell."""
+
+    cells: tuple
+    lambda_weights: np.ndarray
+    _names = ("state space", "state cell ids", "lambda", "state cell", KeyError)
+
+
+@dataclass(frozen=True, eq=False)
+class ObsSpace(_Grid):
     """Finite observation grid: ordered ids plus a positive tau weight each."""
 
     cells: tuple
     tau_weights: np.ndarray
-
-    def __init__(self, cells: Sequence, tau_weights: Sequence[float]):
-        cells = tuple(cells)
-        tau = _freeze(tau_weights)
-        if len(cells) == 0:
-            raise ValueError("observation space needs at least one cell")
-        if len(set(cells)) != len(cells):
-            raise ValueError("observation ids must be unique")
-        if tau.shape != (len(cells),):
-            raise ValueError("one tau weight per cell required")
-        if np.any(tau <= 0):
-            raise ValueError("tau weights must be positive")
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "tau_weights", tau)
-
-    @property
-    def n(self) -> int:
-        return len(self.cells)
-
-    def index(self, cell) -> int:
-        try:
-            return self.cells.index(cell)
-        except ValueError:
-            raise UnknownObservation(f"unknown observation {cell!r}") from None
-
-    def mask(self, subset: Iterable) -> np.ndarray:
-        out = np.zeros(self.n, dtype=bool)
-        for c in subset:
-            out[self.index(c)] = True
-        return out
+    _names = ("observation space", "observation ids", "tau", "observation",
+              UnknownObservation)
 
 
 class DensityVector:
@@ -185,7 +183,7 @@ class DensityVector:
         return f"DensityVector({np.array2string(self.values, precision=6)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SteppingKernel:
     """Sub-Markov matrix for one observation: entry (s,t) = m(s,t,a)*lambda(t).
 
@@ -280,14 +278,9 @@ def build_model(spec: dict) -> HmmModel:
 
     ``lambda``/``tau`` default to counting weights when omitted.
     """
-    st = spec["states"]
-    ids = st["ids"]
-    lam = st.get("lambda", [1.0] * len(ids))
-    states = StateSpace(ids, lam)
-    ob = spec["obs"]
-    oids = ob["ids"]
-    tau = ob.get("tau", [1.0] * len(oids))
-    obs = ObsSpace(oids, tau)
+    st, ob = spec["states"], spec["obs"]
+    states = StateSpace._counted(len(st["ids"]), st["ids"], st.get("lambda"))
+    obs = ObsSpace._counted(len(ob["ids"]), ob["ids"], ob.get("tau"))
     mspec = spec["m"]
     if "dense" in mspec:
         m = np.asarray(mspec["dense"], dtype=float)
@@ -331,6 +324,17 @@ def markov_kernel(model: HmmModel) -> np.ndarray:
     return model.markov_matrix
 
 
+def _chain(m: np.ndarray, tau: np.ndarray, model: HmmModel):
+    """Densities and tau weights of ``(m, tau)`` followed by one step of ``model``.
+
+    The intermediate state is integrated against lambda; the observations of
+    the result are the pairs, ordered lexicographically.
+    """
+    s = model.n_states
+    m = np.einsum("ska,k,ktb->stab", m, model.states.lambda_weights, model.m)
+    return m.reshape(s, s, -1), np.outer(tau, model.obs.tau_weights).ravel()
+
+
 def compose(model1: HmmModel, model2: HmmModel) -> HmmModel:
     """Chain two models over the same state grid.
 
@@ -339,12 +343,8 @@ def compose(model1: HmmModel, model2: HmmModel) -> HmmModel:
     """
     if not model1.states.same_as(model2.states):
         raise StateSpaceMismatch("composition requires identical state spaces")
-    lam = model1.states.lambda_weights
-    m12 = np.einsum("ska,k,ktb->stab", model1.m, lam, model2.m)
-    s = model1.n_states
-    m12 = m12.reshape(s, s, model1.n_obs * model2.n_obs)
+    m12, tau = _chain(model1.m, model1.obs.tau_weights, model2)
     ids = [(a, b) for a in model1.obs.cells for b in model2.obs.cells]
-    tau = np.outer(model1.obs.tau_weights, model2.obs.tau_weights).ravel()
     return HmmModel(model1.states, ObsSpace(ids, tau), m12)
 
 
@@ -358,20 +358,14 @@ def iterate(model: HmmModel, n: int) -> HmmModel:
         raise ValueError("iterate requires n >= 1")
     if n == 1:
         return model
-    lam = model.states.lambda_weights
-    s = model.n_states
-    cur = model.m
+    m, tau = model.m, model.obs.tau_weights
     for _ in range(n - 1):
-        cur = np.einsum("ska,k,ktb->stab", cur, lam, model.m).reshape(s, s, -1)
+        m, tau = _chain(m, tau, model)
     ids = list(itertools.product(model.obs.cells, repeat=n))
-    tau = model.obs.tau_weights
-    tau_n = tau
-    for _ in range(n - 1):
-        tau_n = np.outer(tau_n, tau).ravel()
-    return HmmModel(model.states, ObsSpace(ids, tau_n), cur)
+    return HmmModel(model.states, ObsSpace(ids, tau), m)
 
 
-@dataclass
+@dataclass(eq=False)
 class ErgodicityReport:
     """Direct-solve outcome plus per-step worst-case mixing distances.
 
@@ -495,16 +489,15 @@ def partition_model(p, partition: Sequence[Sequence], state_ids=None,
                     lambda_weights=None) -> HmmModel:
     """Model that observes which block of a state partition was entered.
 
-    ``m(s,t,a) = p(s,t) * 1[t in block a]`` with counting tau.  Raises
-    :class:`BadPartition` unless the blocks cover every state exactly once.
+    ``m(s,t,a) = p(s,t) * 1[t in block a]`` with counting tau, informative
+    exactly to the resolution of the partition.  Raises :class:`BadPartition`
+    unless the blocks cover every state exactly once.
     """
     p = np.asarray(p, dtype=float)
     n = p.shape[0]
     if p.shape != (n, n):
         raise ValueError("p must be square")
-    ids = tuple(state_ids) if state_ids is not None else tuple(range(1, n + 1))
-    lam = lambda_weights if lambda_weights is not None else [1.0] * n
-    states = StateSpace(ids, lam)
+    states = StateSpace._counted(n, state_ids, lambda_weights)
     row = p @ states.lambda_weights
     if np.max(np.abs(row - 1.0)) > STOCHASTIC_TOL:
         raise NonStochastic("p is not row-stochastic under lambda")
@@ -518,7 +511,7 @@ def partition_model(p, partition: Sequence[Sequence], state_ids=None,
         seen.extend(states.index(c) for c in block)
     if sorted(seen) != list(range(n)):
         raise BadPartition("blocks must cover every state exactly once")
-    obs = ObsSpace(tuple(range(1, len(masks) + 1)), [1.0] * len(masks))
+    obs = ObsSpace._counted(len(masks))
     m = np.stack([p * mask[None, :] for mask in masks], axis=2)
     return HmmModel(states, obs, m)
 
@@ -531,17 +524,13 @@ def product_model(p, q, tau_weights=None, state_ids=None, obs_ids=None,
     n, n_obs = q.shape
     if p.shape != (n, n):
         raise ValueError("p must be square and match q's state dimension")
-    ids = tuple(state_ids) if state_ids is not None else tuple(range(1, n + 1))
-    lam = lambda_weights if lambda_weights is not None else [1.0] * n
-    states = StateSpace(ids, lam)
-    oids = tuple(obs_ids) if obs_ids is not None else tuple(range(1, n_obs + 1))
-    tau = tau_weights if tau_weights is not None else [1.0] * n_obs
-    obs = ObsSpace(oids, tau)
+    states = StateSpace._counted(n, state_ids, lambda_weights)
+    obs = ObsSpace._counted(n_obs, obs_ids, tau_weights)
     rows = q @ obs.tau_weights
     if np.max(np.abs(rows - 1.0)) > STOCHASTIC_TOL:
         bad = int(np.argmax(np.abs(rows - 1.0)))
         raise NonStochasticEmission(
-            f"emission row {ids[bad]!r} integrates to {rows[bad]!r}"
+            f"emission row {states.cells[bad]!r} integrates to {rows[bad]!r}"
         )
     prow = p @ states.lambda_weights
     if np.max(np.abs(prow - 1.0)) > STOCHASTIC_TOL:

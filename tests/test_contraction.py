@@ -365,6 +365,45 @@ class TestConditionKR:
                   f"singular ratios {np.round(report.ratios, 5)}")
 
 
+def _kr_by_loop(model, depth):
+    """The greedy rank-one search scored one candidate at a time, as a reference."""
+    ratios, chosen, product = [], [], None
+    for _ in range(depth):
+        best = None
+        for a in range(model.n_obs):
+            step = model.stepping_matrices[a]
+            cand = step if product is None else product @ step
+            if cand.max() <= 0.0:
+                continue
+            cand = cand / cand.max()
+            s = np.linalg.svd(cand, compute_uv=False)
+            r = float(s[1] / s[0]) if len(s) > 1 else 0.0
+            if best is None or r < best[0]:
+                best = (r, a, cand)
+        if best is None:
+            return None
+        r, a, product = best
+        chosen.append(model.obs.cells[a])
+        ratios.append(r)
+    return tuple(chosen), ratios
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 5), st.integers(1, 4),
+       st.floats(0.0, 0.8), st.sampled_from(["free", "periodic", "reducible"]))
+def test_kr_search_scores_offers_like_the_loop(seed, n_states, n_obs, sparsity, kind):
+    """Stacked candidates give the loop's sequence and bit-identical ratios."""
+    model = _structured_sparse_model(seed, n_states, n_obs, sparsity, kind)
+    want = _kr_by_loop(model, 6)
+    if want is None:
+        with pytest.raises(DegenerateProduct):
+            check_condition_KR(model, depth=6)
+        return
+    report = check_condition_KR(model, depth=6)
+    assert report.sequence == want[0]
+    assert report.ratios.tolist() == want[1]
+
+
 class TestConditionP:
     def test_partition_fixture_certificate(self, partition_fixture):
         pi, _ = stationary(partition_fixture)

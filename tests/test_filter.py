@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import filterlab.filter as filter_module
 from filterlab.errors import BudgetExceeded
 from filterlab.filter import (
     LipschitzFunction,
@@ -428,3 +429,15 @@ def test_norm_inequality(y1, y2):
     lhs = np.abs(y1 / s1 - y2 / s2).sum()
     rhs = 2.0 * np.abs(y1 - y2).sum() / s1
     assert lhs <= rhs + 1e-12
+
+
+def test_grid_averages_check_the_budget_before_stepping(m2, monkeypatch):
+    """One grid point at n = 20 holds 2**20 branches, above the 10**6 budget."""
+
+    def no_step(*args):
+        raise AssertionError("stepped past the budget")
+
+    monkeypatch.setattr(filter_module, "_branch", no_step)
+    u = mass_functional(m2, [1])
+    with pytest.raises(BudgetExceeded):
+        apply_T_grid(m2, u, np.array([[0.5, 0.5]]), 20)

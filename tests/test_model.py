@@ -3,14 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from filterlab.contraction import check_condition_KR
+from filterlab.coupling import vasershtein_obs_coupling
 from filterlab.errors import (
     BadPartition,
     NegativeDensity,
     NonStochastic,
     NonStochasticEmission,
+    SpaceMismatch,
     StateSpaceMismatch,
     UnknownObservation,
 )
+from filterlab.filter import mass_functional
+from filterlab.lab import osc_decay_report
+from filterlab.measures import PointMassMeasure, kantorovich
 from filterlab.model import (
     DensityVector,
     HmmModel,
@@ -354,3 +360,51 @@ class TestProductBuilder:
     def test_emission_must_be_stochastic(self):
         with pytest.raises(NonStochasticEmission):
             product_model(P_SYM, [[0.8, 0.1], [0.2, 0.8]])
+
+
+class TestGridValues:
+    def test_equal_grids_compare_and_hash_equal(self):
+        a = StateSpace([1, 2, 3], [1.0, 0.5, 2.0])
+        b = StateSpace((1, 2, 3), np.array([1.0, 0.5, 2.0]))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        o1, o2 = ObsSpace(["x", "y"], [1.0, 1.0]), ObsSpace(("x", "y"), [1, 1])
+        assert o1 == o2 and hash(o1) == hash(o2)
+
+    def test_different_weights_compare_unequal(self):
+        assert StateSpace([1, 2], [1.0, 1.0]) != StateSpace([1, 2], [1.0, 2.0])
+        assert ObsSpace([1, 2], [1.0, 1.0]) != ObsSpace([1, 2], [2.0, 1.0])
+        assert StateSpace([1, 2], [1.0, 1.0]) != StateSpace([2, 1], [1.0, 1.0])
+
+    def test_state_and_obs_grids_never_equal(self):
+        assert StateSpace([1, 2], [1.0, 1.0]) != ObsSpace([1, 2], [1.0, 1.0])
+
+    def test_grids_stay_immutable(self):
+        space = StateSpace([1, 2], [1.0, 1.0])
+        with pytest.raises(AttributeError):
+            space.cells = (3, 4)
+        assert not space.lambda_weights.flags.writeable
+
+    def test_reports_compare_without_raising(self, m2):
+        x, y = e(m2, 1), e(m2, 2)
+        mu = PointMassMeasure(m2.states, [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
+        u = mass_functional(m2, [1])
+        builders = [
+            lambda: stationary(m2)[1],
+            lambda: stepping_kernel(m2, 1),
+            lambda: check_condition_KR(m2, depth=3),
+            lambda: kantorovich(mu, mu)[1],
+            lambda: vasershtein_obs_coupling(m2, x, y),
+            lambda: osc_decay_report(m2, [u], 2),
+        ]
+        for build in builders:
+            first, second = build(), build()
+            assert first == first
+            assert isinstance(first == second, bool)
+            hash(first)
+
+
+def test_compose_refusal_is_a_space_mismatch(m2):
+    other = random_model(np.random.default_rng(0), 3, 2)
+    with pytest.raises(SpaceMismatch):
+        compose(m2, other)
