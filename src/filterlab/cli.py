@@ -7,7 +7,8 @@ matching between measure files), ``simulate`` (sample paths), ``couple``
 (coupled-closeness evidence).
 
 Exit codes: 0 all assertions passed, 2 an assertion was violated,
-3 inconclusive or budget exhausted, 64 a usage error (``EX_USAGE``).
+3 inconclusive or budget exhausted, 64 a usage error (``EX_USAGE``): a bad
+option or an input file that cannot be read as a model or measure file.
 """
 
 from __future__ import annotations
@@ -28,12 +29,35 @@ from .model import (DensityVector, StateSpace, _write_csv, load_model, simulate,
 OK, VIOLATED, INCONCLUSIVE, USAGE = 0, 2, 3, 64
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse's own exit, 2, would read as a violated assertion
+        self.exit(USAGE, f"usage error: {message}\n")
+
+
+def _ranged(cast, ok, rule):
+    """An argparse type: ``cast`` the text and refuse a value outside ``rule``."""
+    def number(text):  # argparse names it in "invalid number value"
+        if not ok(value := cast(text)):
+            raise argparse.ArgumentTypeError(f"{text} is not {rule}")
+        return value
+    return number
+
+
+def _read(path, load):
+    """``load(path)``; a file not in the model or measure format is a usage error."""
+    try:
+        return load(path)
+    except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
+        print(f"usage error: cannot read {path}: {exc!r}", file=sys.stderr)
+        raise SystemExit(USAGE) from None
+
+
 def _load_measure(path) -> measures.PointMassMeasure:
     with open(path) as fh:
         doc = json.load(fh)
     sp = doc["space"]
     space = StateSpace._counted(len(sp["ids"]), sp["ids"], sp.get("lambda"))
-    pts = [a["point"] for a in doc["atoms"]]
+    pts = [DensityVector(space, a["point"]).values for a in doc["atoms"]]
     ws = [a["weight"] for a in doc["atoms"]]
     return measures.PointMassMeasure(space, np.asarray(pts, dtype=float), ws)
 
@@ -47,7 +71,7 @@ def _write_json(out: Path, name: str, payload) -> Path:
 
 
 def cmd_check(args) -> int:
-    model = load_model(args.model)
+    model = _read(args.model, load_model)
     pi, erg = stationary(model)
     payload = {"stationary": list(pi.values), "ergodic_evidence": erg.ergodic}
     status = OK
@@ -89,7 +113,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_contract(args) -> int:
-    model = load_model(args.model)
+    model = _read(args.model, load_model)
     payload = {"observations": []}
     status = OK
     for a in model.obs.cells:
@@ -97,20 +121,13 @@ def cmd_contract(args) -> int:
         sup = contraction.rectangular_support(kernel)
         entry = {"observation": str(a), "rectangular": sup is not None}
         if sup is not None:
-            kappa = contraction.cross_ratio_kappa(kernel, sup.rows, sup.cols)
-            entry["kappa"] = kappa
-            entry["bound"] = contraction.hopf_bound([kappa])
-            x = np.zeros(model.n_states)
-            y = np.zeros(model.n_states)
-            x[sup.rows[0]] = 1.0
-            y[sup.rows[-1]] = 1.0
+            x, y = np.eye(model.n_states)[[sup.rows[0], sup.rows[-1]]]
             try:
                 check = contraction.verify_hopf([kernel], x, y)
-                entry["achieved"] = check.achieved
-                entry["ok"] = check.ok
+                entry.update(kappa=check.kappas[0], bound=check.bound,
+                             achieved=check.achieved, ok=check.ok)
             except FilterlabError as exc:
-                entry["ok"] = False
-                entry["error"] = str(exc)
+                entry.update(ok=False, error=str(exc))
                 status = VIOLATED
         payload["observations"].append(entry)
     if not any(e["rectangular"] for e in payload["observations"]):
@@ -120,7 +137,7 @@ def cmd_contract(args) -> int:
 
 
 def cmd_ergodics(args) -> int:
-    model = load_model(args.model)
+    model = _read(args.model, load_model)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     pi, erg = stationary(model)
@@ -153,8 +170,7 @@ def cmd_ergodics(args) -> int:
 
 
 def cmd_transport(args) -> int:
-    mu = _load_measure(args.mu)
-    nu = _load_measure(args.nu)
+    mu, nu = _read(args.mu, _load_measure), _read(args.nu, _load_measure)
     out = Path(args.out)
     distance, plan = measures.kantorovich(mu, nu)
     out.mkdir(parents=True, exist_ok=True)
@@ -180,7 +196,7 @@ def cmd_transport(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    model = load_model(args.model)
+    model = _read(args.model, load_model)
     x0 = DensityVector.uniform(model.states)
     path = simulate(model, x0, n=args.nmax, seed=args.seed)
     out = Path(args.out)
@@ -193,7 +209,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_couple(args) -> int:
-    model = load_model(args.model)
+    model = _read(args.model, load_model)
     pi, _ = stationary(model)
     reports = coupling.condition_E_estimate(model, pi, rho=args.rho, n_max=args.nmax,
                                             budget=args.budget)
@@ -204,14 +220,16 @@ def cmd_couple(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="filterlab",
         description="certify filter ergodicity machinery on grid models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    options = {"rho": dict(type=float, default=0.1), "nmax": dict(type=int, default=6),
-               "seed": dict(type=int, default=0),
-               "budget": dict(type=int, default=ENUMERATION_BUDGET,
+    count = _ranged(int, lambda n: n >= 1, "at least 1")
+    options = {"rho": dict(type=_ranged(float, lambda r: 0 < r <= 2, "in (0, 2]"), default=0.1),
+               "nmax": dict(type=count, default=6),
+               "seed": dict(type=_ranged(int, lambda s: s >= 0, "at least 0"), default=0),
+               "budget": dict(type=count, default=ENUMERATION_BUDGET,
                               help="rows a search may hold; checked before each step")}
 
     def command(name, handler, summary, *flags, inputs=("model",)):
@@ -238,13 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        return args.handler(args)
     except SystemExit as exc:
-        # argparse exits 2 on a usage error, the code of a violated assertion
-        if exc.code == 2:
+        # a bad option or an input file that cannot be read, named on stderr
+        if exc.code == USAGE:
             return USAGE
         raise
-    try:
-        return args.handler(args)
     except (BudgetExceeded, SolverFailure) as exc:
         # a spent budget or a solve that missed its certificate decides nothing
         kind = "budget exhausted" if isinstance(exc, BudgetExceeded) else "solver failed"

@@ -21,7 +21,7 @@ from .errors import BarycenterMismatch, SpaceMismatch
 from .filter import ENUMERATION_BUDGET, _bayes_step, _check_budget, observation_law
 from .measures import (MARGINAL_TOL, MERGE_TOL, PointMassMeasure, barycenter,
                        merge_atoms, tv_distance)
-from .model import DensityVector, HmmModel
+from .model import DensityVector, HmmModel, ObsSpace
 
 
 @dataclass(eq=False)
@@ -64,9 +64,7 @@ class ObsCoupling:
                          np.abs(col - self.g_y * self.tau).max()))
 
     def diagonal_mass_on(self, obs_subset) -> float:
-        mask = np.zeros(len(self.obs_cells), dtype=bool)
-        for a in obs_subset:
-            mask[self.obs_cells.index(a)] = True
+        mask = ObsSpace(self.obs_cells, self.tau).mask(obs_subset)
         return float(self.diagonal[mask].sum())
 
 
@@ -117,10 +115,8 @@ class JointFilterMeasure:
         self.y_points = np.atleast_2d(np.asarray(y_points, dtype=float))
         self.weights = np.asarray(weights, dtype=float)
         self.pruned_mass = float(pruned_mass)
-        if self.x_points.shape != self.y_points.shape:
-            raise ValueError("coupled point arrays must have equal shapes")
-        if len(self.weights) != len(self.x_points):
-            raise ValueError("one weight per coupled pair required")
+        for points in (self.x_points, self.y_points):  # each half is a point-mass measure
+            PointMassMeasure(space, points, self.weights)
 
     @property
     def n_atoms(self) -> int:

@@ -178,7 +178,7 @@ def mass_functional(model_or_space, cells, name: str = "") -> LipschitzFunction:
     Lipschitz constant one half, sup norm one.
     """
     space = getattr(model_or_space, "states", model_or_space)
-    mask = cells if isinstance(cells, np.ndarray) else space.mask(cells)
+    mask = space.mask(cells)
     return LipschitzFunction(
         fn=lambda masses: masses[..., mask].sum(axis=-1),
         gamma=0.5, sup_norm=1.0, name=name or f"mass_of({cells})",

@@ -276,8 +276,7 @@ def restricted_perron_density(model: HmmModel, F0, observation) -> DensityVector
     normalized filter iterates under repeated such observations converge to
     it, which makes it a natural tightness-probe center.
     """
-    mask = F0 if isinstance(F0, np.ndarray) else model.states.mask(F0)
-    idx = np.nonzero(mask)[0]
+    idx = np.nonzero(model.states.mask(F0))[0]
     block = model.stepping_matrix(observation)[np.ix_(idx, idx)]
     vals, vecs = np.linalg.eig(block.T)
     lead = int(np.argmax(vals.real))

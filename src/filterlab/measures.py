@@ -26,7 +26,7 @@ from .errors import (
     SolverFailure,
     SpaceMismatch,
 )
-from .model import DensityVector, StateSpace, _write_csv
+from .model import DensityVector, StateSpace, _check_nonnegative, _write_csv
 
 MERGE_TOL = 1e-12
 MARGINAL_TOL = 1e-10
@@ -113,10 +113,8 @@ class PointMassMeasure:
         weights = np.asarray(weights, dtype=float)
         if points.shape != (weights.size, space.n):
             raise ValueError("points must have shape (n_atoms, n_cells)")
-        if np.any(weights < 0):
-            raise NegativeDensity("atom weights must be nonnegative")
-        if np.any(points < 0):
-            raise NegativeDensity("atom densities must be nonnegative")
+        _check_nonnegative(weights, NegativeDensity, "atom weights")
+        _check_nonnegative(points, NegativeDensity, "atom densities")
         self.space = space
         self.points = points
         self.weights = weights
@@ -645,7 +643,7 @@ def half_mass_check(mu: PointMassMeasure, F, pi: DensityVector | None = None
         raise BarycenterMismatch(
             f"measure barycenter differs from pi by {tv_distance(bary, pi)!r}"
         )
-    mask = F if isinstance(F, np.ndarray) else mu.space.mask(F)
+    mask = mu.space.mask(F)
     threshold = pi.mass_of(mask) / 2.0
     atom_f_mass = mu.mass_matrix()[:, mask].sum(axis=1)
     achieved = float(mu.weights[atom_f_mass >= threshold - 1e-15].sum())

@@ -43,6 +43,12 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_nonnegative(values: np.ndarray, error, what: str) -> None:
+    """Refuse a negative, NaN or infinite entry, in two reads of the array."""
+    if not (values >= 0).all() or not np.isfinite(values).all():
+        raise error(f"{what} must be nonnegative and finite")
+
+
 class _Grid:
     """Finite grid: ordered cell ids plus a positive weight per cell.
 
@@ -64,8 +70,8 @@ class _Grid:
             raise ValueError(f"{ids} must be unique")
         if w.shape != (len(cells),):
             raise ValueError(f"one {name} weight per cell required")
-        if np.any(w <= 0):
-            raise ValueError(f"{name} weights must be positive")
+        if not (w > 0).all() or not np.isfinite(w).all():
+            raise ValueError(f"{name} weights must be positive and finite")
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, f"{name}_weights", w)
         object.__setattr__(self, "_weights", w)  # the same array, read by the grid
@@ -88,7 +94,11 @@ class _Grid:
             raise error(f"unknown {noun} {cell!r}") from None
 
     def mask(self, subset: Iterable) -> np.ndarray:
-        """Boolean mask of a subset given by cell ids."""
+        """The one subset rule: cell ids, or a boolean mask of the grid's length."""
+        if isinstance(subset, np.ndarray) and subset.dtype == bool:
+            if subset.shape != (self.n,):
+                raise ValueError(f"subset mask has shape {subset.shape}, not ({self.n},)")
+            return subset
         out = np.zeros(self.n, dtype=bool)
         for c in subset:
             out[self.index(c)] = True
@@ -137,8 +147,7 @@ class DensityVector:
         vals = _freeze(values)
         if vals.shape != (space.n,):
             raise ValueError("one density value per state cell required")
-        if np.any(vals < 0):
-            raise NegativeDensity("density values must be nonnegative")
+        _check_nonnegative(vals, NegativeDensity, "density values")
         if not unnormalized:
             mass = float(vals @ space.lambda_weights)
             if abs(mass - 1.0) > NORMALIZED_TOL:
@@ -176,8 +185,7 @@ class DensityVector:
 
     def mass_of(self, subset) -> float:
         """Mass carried by a subset of cells (ids or boolean mask)."""
-        mask = subset if isinstance(subset, np.ndarray) else self.space.mask(subset)
-        return float(self.masses[mask].sum())
+        return float(self.masses[self.space.mask(subset)].sum())
 
     def __repr__(self):
         return f"DensityVector({np.array2string(self.values, precision=6)})"
@@ -196,8 +204,7 @@ class SteppingKernel:
 
     def __init__(self, observation, matrix):
         mat = _freeze(matrix)
-        if np.any(mat < 0):
-            raise NegativeDensity("stepping kernel entries must be nonnegative")
+        _check_nonnegative(mat, NegativeDensity, "stepping kernel entries")
         object.__setattr__(self, "observation", observation)
         object.__setattr__(self, "matrix", mat)
 
@@ -227,8 +234,7 @@ class HmmModel:
                 f"density tensor must have shape (|S|,|S|,|A|)="
                 f"({states.n},{states.n},{obs.n}), got {m.shape}"
             )
-        if np.any(m < 0):
-            raise NegativeDensity("density tensor must be nonnegative")
+        _check_nonnegative(m, NegativeDensity, "density tensor")
         lam = states.lambda_weights
         tau = obs.tau_weights
         row_integrals = np.einsum("sta,t,a->s", m, lam, tau)
@@ -278,21 +284,15 @@ def build_model(spec: dict) -> HmmModel:
 
     ``lambda``/``tau`` default to counting weights when omitted.
     """
-    st, ob = spec["states"], spec["obs"]
+    st, ob, mspec = spec["states"], spec["obs"], spec["m"]
+    if "dense" not in mspec and "p" in mspec and "q" in mspec:
+        return product_model(mspec["p"], mspec["q"], ob.get("tau"), st["ids"], ob["ids"],
+                             st.get("lambda"))
     states = StateSpace._counted(len(st["ids"]), st["ids"], st.get("lambda"))
     obs = ObsSpace._counted(len(ob["ids"]), ob["ids"], ob.get("tau"))
-    mspec = spec["m"]
-    if "dense" in mspec:
-        m = np.asarray(mspec["dense"], dtype=float)
-    elif "p" in mspec and "q" in mspec:
-        p = np.asarray(mspec["p"], dtype=float)
-        q = np.asarray(mspec["q"], dtype=float)
-        if p.shape != (states.n, states.n) or q.shape != (states.n, obs.n):
-            raise ValueError("factored form needs p of shape (|S|,|S|), q of (|S|,|A|)")
-        m = p[:, :, None] * q[None, :, :]
-    else:
+    if "dense" not in mspec:
         raise ValueError("m must supply either 'dense' or factored 'p'/'q'")
-    return HmmModel(states, obs, m)
+    return HmmModel(states, obs, np.asarray(mspec["dense"], dtype=float))
 
 
 def load_model(path) -> HmmModel:
@@ -490,30 +490,20 @@ def partition_model(p, partition: Sequence[Sequence], state_ids=None,
     """Model that observes which block of a state partition was entered.
 
     ``m(s,t,a) = p(s,t) * 1[t in block a]`` with counting tau, informative
-    exactly to the resolution of the partition.  Raises :class:`BadPartition`
-    unless the blocks cover every state exactly once.
+    exactly to the resolution of the partition: the :func:`product_model` of
+    ``p`` and the blocks' 0/1 indicator emission.  Raises
+    :class:`BadPartition` unless the blocks cover every state exactly once.
     """
-    p = np.asarray(p, dtype=float)
-    n = p.shape[0]
-    if p.shape != (n, n):
-        raise ValueError("p must be square")
-    states = StateSpace._counted(n, state_ids, lambda_weights)
-    row = p @ states.lambda_weights
-    if np.max(np.abs(row - 1.0)) > STOCHASTIC_TOL:
-        raise NonStochastic("p is not row-stochastic under lambda")
-    seen = []
-    masks = []
-    for block in partition:
-        mask = states.mask(block)
-        if not mask.any():
+    states = StateSpace._counted(len(p), state_ids, lambda_weights)
+    q = np.zeros((states.n, len(partition)))
+    for a, block in enumerate(partition):
+        rows = [states.index(c) for c in block]
+        if not rows:
             raise BadPartition("empty partition block")
-        masks.append(mask)
-        seen.extend(states.index(c) for c in block)
-    if sorted(seen) != list(range(n)):
+        np.add.at(q, (rows, a), 1.0)  # a cell listed twice in a block counts twice
+    if np.any(q.sum(axis=1) != 1.0):
         raise BadPartition("blocks must cover every state exactly once")
-    obs = ObsSpace._counted(len(masks))
-    m = np.stack([p * mask[None, :] for mask in masks], axis=2)
-    return HmmModel(states, obs, m)
+    return product_model(p, q, state_ids=states.cells, lambda_weights=states.lambda_weights)
 
 
 def product_model(p, q, tau_weights=None, state_ids=None, obs_ids=None,
@@ -522,10 +512,10 @@ def product_model(p, q, tau_weights=None, state_ids=None, obs_ids=None,
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     n, n_obs = q.shape
-    if p.shape != (n, n):
-        raise ValueError("p must be square and match q's state dimension")
     states = StateSpace._counted(n, state_ids, lambda_weights)
     obs = ObsSpace._counted(n_obs, obs_ids, tau_weights)
+    if p.shape != (states.n, states.n) or q.shape != (states.n, obs.n):
+        raise ValueError("factored form needs p of shape (|S|,|S|), q of (|S|,|A|)")
     rows = q @ obs.tau_weights
     if np.max(np.abs(rows - 1.0)) > STOCHASTIC_TOL:
         bad = int(np.argmax(np.abs(rows - 1.0)))

@@ -1,0 +1,229 @@
+"""What enters the library passes one gate per kind of input.
+
+One sign check refuses negative, NaN and infinite entries everywhere; one
+subset rule reads cell ids or a boolean mask of the grid's length; one
+builder makes every product-form model; and the CLI turns a bad option or an
+unreadable input file into exit 64 with one line on stderr.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from filterlab.cli import main
+from filterlab.contraction import check_condition_P
+from filterlab.coupling import JointFilterMeasure, vasershtein_obs_coupling
+from filterlab.errors import (
+    BadPartition,
+    NegativeDensity,
+    NonStochastic,
+    UnknownObservation,
+)
+from filterlab.measures import PointMassMeasure
+from filterlab.model import (
+    DensityVector,
+    HmmModel,
+    ObsSpace,
+    SteppingKernel,
+    StateSpace,
+    build_model,
+    load_model,
+    partition_model,
+    stationary,
+)
+
+from conftest import P_SYM, Q_SYM, e
+
+BAD = [float("nan"), float("inf"), -float("inf"), -1.0]
+DEMOS = Path(__file__).parents[1] / "demos" / "models"
+
+
+def _with(values, bad, at=(0,)):
+    out = np.array(values, dtype=float)
+    out[at] = bad
+    return out
+
+
+class TestSignCheck:
+    def test_grid_weights(self):
+        for bad in BAD:
+            with pytest.raises(ValueError, match="positive and finite"):
+                StateSpace((1, 2), [1.0, bad])
+            with pytest.raises(ValueError, match="positive and finite"):
+                ObsSpace((1, 2), [bad, 1.0])
+
+    def test_density_vector(self, m2):
+        for bad in BAD:
+            with pytest.raises(NegativeDensity):
+                DensityVector(m2.states, [bad, 1.0])
+            with pytest.raises(NegativeDensity):
+                DensityVector(m2.states, [0.5, bad], unnormalized=True)
+
+    def test_stepping_kernel(self):
+        for bad in BAD:
+            with pytest.raises(NegativeDensity):
+                SteppingKernel(1, _with([[0.5, 0.5], [0.5, 0.5]], bad, (1, 0)))
+
+    def test_hmm_model(self, m2):
+        for bad in BAD:
+            with pytest.raises(NegativeDensity):
+                HmmModel(m2.states, m2.obs, _with(m2.m, bad, (0, 1, 1)))
+
+    def test_build_model_dense_and_factored(self, m2):
+        for bad in BAD:
+            dense = {"states": {"ids": [1, 2]}, "obs": {"ids": [1, 2]},
+                     "m": {"dense": _with(m2.m, bad, (1, 0, 0)).tolist()}}
+            with pytest.raises(NegativeDensity):
+                build_model(dense)
+            for key, base in (("p", P_SYM), ("q", Q_SYM)):
+                spec = {"states": {"ids": [1, 2]}, "obs": {"ids": [1, 2]},
+                        "m": {"p": P_SYM, "q": Q_SYM}}
+                spec["m"][key] = _with(base, bad, (0, 1)).tolist()
+                # a bad row sum may be caught first; a NaN passes no check
+                with pytest.raises((NegativeDensity, NonStochastic)):
+                    build_model(spec)
+
+    def test_point_mass_measure(self, m2):
+        for bad in BAD:
+            with pytest.raises(NegativeDensity, match="atom weights"):
+                PointMassMeasure(m2.states, [[1.0, 0.0], [0.0, 1.0]], [bad, 0.5])
+            with pytest.raises(NegativeDensity, match="atom densities"):
+                PointMassMeasure(m2.states, [[bad, 1.0]], [1.0])
+
+    def test_joint_filter_measure(self, m2):
+        pts = [[1.0, 0.0], [0.0, 1.0]]
+        for bad in BAD:
+            with pytest.raises(NegativeDensity, match="atom weights"):
+                JointFilterMeasure(m2.states, pts, pts, [bad, 0.5])
+            with pytest.raises(NegativeDensity, match="atom densities"):
+                JointFilterMeasure(m2.states, _with(pts, bad, (1, 1)), pts, [0.5, 0.5])
+            with pytest.raises(NegativeDensity, match="atom densities"):
+                JointFilterMeasure(m2.states, pts, _with(pts, bad, (0, 0)), [0.5, 0.5])
+
+
+class TestSubsetRule:
+    def test_id_array_is_read_as_ids(self):
+        x = DensityVector(StateSpace((1, 2, 3), [1.0, 1.0, 1.0]), [0.5, 0.2, 0.3])
+        assert x.mass_of(np.array([1])) == x.mass_of([1]) == 0.5
+        assert x.mass_of(np.array([True, False, True])) == x.mass_of([1, 3])
+
+    def test_condition_P_takes_ids_as_list_or_array(self):
+        model = load_model(DEMOS / "block_partition.json")
+        pi, _ = stationary(model)
+        listed = check_condition_P(model, pi, [1, 2], [1])
+        assert listed.ok
+        arrayed = check_condition_P(model, pi, np.array([1, 2]), np.array([1]))
+        assert arrayed.to_json() == listed.to_json()
+
+    def test_mask_of_wrong_length(self, m2):
+        with pytest.raises(ValueError, match="subset mask"):
+            e(m2, 1).mass_of(np.array([True, False, True]))
+
+    def test_unknown_observation_in_coupling(self, m2):
+        coupling = vasershtein_obs_coupling(m2, e(m2, 1), e(m2, 2))
+        with pytest.raises(UnknownObservation):
+            coupling.diagonal_mass_on([3])
+
+
+class TestProductFormBuilder:
+    @pytest.mark.parametrize("blocks", [[[1], []], [[1]], [[1, 1], [2]], [[1, 2], [2]]],
+                             ids=["empty", "missing", "twice-in-one", "twice-in-two"])
+    def test_partition_refusals(self, blocks):
+        with pytest.raises(BadPartition):
+            partition_model(P_SYM, blocks)
+
+    @staticmethod
+    def _same(model, by_hand):
+        assert model.states.cells == by_hand.states.cells
+        assert model.obs.cells == by_hand.obs.cells
+        for got, want in ((model.m, by_hand.m),
+                          (model.stepping_matrices, by_hand.stepping_matrices),
+                          (model.states.lambda_weights, by_hand.states.lambda_weights),
+                          (model.obs.tau_weights, by_hand.obs.tau_weights)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_factored_spec_is_bit_identical(self):
+        rng = np.random.default_rng(5)
+        lam, tau = rng.uniform(0.5, 2.0, 3), rng.uniform(0.5, 2.0, 2)
+        p = rng.gamma(2.0, size=(3, 3))
+        p /= (p @ lam)[:, None]
+        q = rng.gamma(2.0, size=(3, 2))
+        q /= (q @ tau)[:, None]
+        spec = {"states": {"ids": ["a", "b", "c"], "lambda": lam.tolist()},
+                "obs": {"ids": [7, 8], "tau": tau.tolist()},
+                "m": {"p": p.tolist(), "q": q.tolist()}}
+        by_hand = HmmModel(StateSpace(("a", "b", "c"), lam), ObsSpace((7, 8), tau),
+                           p[:, :, None] * q[None, :, :])
+        self._same(build_model(spec), by_hand)
+
+    def test_partition_is_bit_identical(self):
+        rng = np.random.default_rng(6)
+        lam = rng.uniform(0.5, 2.0, 4)
+        p = rng.gamma(2.0, size=(4, 4))
+        p /= (p @ lam)[:, None]
+        ids, blocks = (1, 2, 3, 4), [[2, 4], [1], [3]]
+        m = np.stack([p * np.isin(ids, b)[None, :] for b in blocks], axis=2)
+        by_hand = HmmModel(StateSpace(ids, lam), ObsSpace((1, 2, 3), [1.0] * 3), m)
+        self._same(partition_model(p, blocks, ids, lam), by_hand)
+
+
+def _measure_file(path, atoms):
+    path.write_text(json.dumps({
+        "space": {"ids": [1, 2], "lambda": [1.0, 1.0]},
+        "atoms": [{"point": p, "weight": w} for p, w in atoms],
+    }))
+    return str(path)
+
+
+class TestCliGates:
+    @pytest.fixture
+    def files(self, tmp_path):
+        noobs = tmp_path / "noobs.json"
+        noobs.write_text(json.dumps({"states": {"ids": [1, 2]},
+                                     "m": {"p": P_SYM, "q": Q_SYM}}))
+        return {
+            "model": str(DEMOS / "noisy_sensor.json"),
+            "missing": str(tmp_path / "missing.json"),
+            "noobs": str(noobs),
+            "dirac": _measure_file(tmp_path / "dirac.json", [([1.0, 0.0], 1.0)]),
+            "off": _measure_file(tmp_path / "off.json", [([2.0, 0.0], 0.5)]),
+        }
+
+    @pytest.mark.parametrize("argv", [
+        ["ergodics", "--model", "{model}", "--nmax", "0"],
+        ["simulate", "--model", "{model}", "--nmax", "0"],
+        ["check", "--model", "{model}", "--rho", "0"],
+        ["check", "--model", "{model}", "--budget", "0"],
+        ["check", "--model", "{model}", "--seed", "-1"],
+        ["simulate", "--model", "{model}", "--seed", "-1"],
+        ["check", "--model", "{missing}"],
+        ["transport", "--mu", "{missing}", "--nu", "{dirac}"],
+        ["couple", "--model", "{noobs}"],
+        ["transport", "--mu", "{off}", "--nu", "{dirac}"],
+    ], ids=["ergodics-nmax", "simulate-nmax", "rho", "budget", "check-seed",
+            "simulate-seed", "missing-model", "missing-mu", "no-obs", "off-simplex"])
+    def test_usage_errors_exit_64_on_one_line(self, argv, files, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main([a.format(**files) for a in argv] + ["--out", str(out)])
+        assert code == 64
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("usage error:")
+        assert not out.exists()
+
+    def test_nan_weight_exits_2_without_a_report(self, tmp_path):
+        mu = _measure_file(tmp_path / "mu.json", [([1.0, 0.0], float("nan")),
+                                                  ([0.0, 1.0], 0.5)])
+        nu = _measure_file(tmp_path / "nu.json", [([1.0, 0.0], 1.0)])
+        out = tmp_path / "out"
+        assert main(["transport", "--mu", mu, "--nu", nu, "--out", str(out)]) == 2
+        assert not (out / "transport.json").exists()
+
+    def test_nan_model_exits_2(self, tmp_path):
+        m = np.array(load_model(DEMOS / "noisy_sensor.json").m)
+        m[0, 1, 0] = np.nan
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"states": {"ids": [1, 2]}, "obs": {"ids": [1, 2]},
+                                    "m": {"dense": m.tolist()}}))
+        assert main(["simulate", "--model", str(path), "--out", str(tmp_path / "o")]) == 2
