@@ -6,7 +6,7 @@ The pipeline on the two-state partition model:
  2. a block-positivity certificate (density pinched between d0 and D0 on
     F0 x F1, landing sets inside F0),
  3. derived closeness constants: horizon N, likelihood floor eta, mass
-    bounds xi and beta, verified by sampling,
+    bounds xi and beta, decided on the vertices of the threshold polytope,
  4. coupled-chain evidence: the joint mass within rho after N steps beats
     the certified floor xi^2 * beta * eta.
 """
@@ -35,7 +35,8 @@ print("  beta (observation-block mass):", e1.beta)
 print("  eta (likelihood floor):", e1.eta)
 print("  certified coupled-mass floor alpha = xi^2*beta*eta:", e1.alpha)
 v = e1.verification
-print(f"  sampled verification: {v.n_pairs} pairs x {v.n_sequences} blocks, "
+how = "vertex decision" if v.decided else "sampled"
+print(f"  {how}: {v.n_pairs} pairs x {v.n_sequences} blocks, "
       f"violations g={v.g_violations} h={v.h_violations}, "
       f"max pair distance {v.max_tv}")
 

@@ -23,8 +23,8 @@ import numpy as np
 from . import contraction, coupling, lab, measures
 from .errors import BudgetExceeded, FilterlabError, SolverFailure
 from .filter import ENUMERATION_BUDGET, mass_functional, run_filter
-from .model import (DensityVector, StateSpace, _write_csv, load_model, simulate,
-                    stationary)
+from .model import (NORMALIZED_TOL, DensityVector, StateSpace, _write_csv, load_model,
+                    simulate, stationary)
 
 OK, VIOLATED, INCONCLUSIVE, USAGE = 0, 2, 3, 64
 
@@ -57,9 +57,13 @@ def _load_measure(path) -> measures.PointMassMeasure:
         doc = json.load(fh)
     sp = doc["space"]
     space = StateSpace._counted(len(sp["ids"]), sp["ids"], sp.get("lambda"))
-    pts = [DensityVector(space, a["point"]).values for a in doc["atoms"]]
+    pts = [DensityVector(space, a["point"], unnormalized=True) for a in doc["atoms"]]
+    for i, x in enumerate(pts):
+        if abs(x.mass - 1.0) > NORMALIZED_TOL:
+            raise ValueError(f"atoms[{i}] is not a normalized density: its "
+                             f"lambda-integral is {x.mass!r}, expected 1")
     ws = [a["weight"] for a in doc["atoms"]]
-    return measures.PointMassMeasure(space, np.asarray(pts, dtype=float), ws)
+    return measures.PointMassMeasure(space, np.asarray([x.values for x in pts]), ws)
 
 
 def _write_json(out: Path, name: str, payload) -> Path:

@@ -9,13 +9,13 @@ application, and a product of such kernels merges any two starts at the rate
 On top of that sit the model-level checkers: an eventually-subrectangular
 product witness, the rank-one-closure probe for normalized stepping products,
 the block-positivity certificate for the density tensor, and the derived
-uniform-likelihood/contraction constants with their sampled verification.
+uniform-likelihood/contraction constants, whose two inequalities are decided
+on the vertices of the threshold polytope.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -35,7 +35,8 @@ from .errors import (
 from .filter import ENUMERATION_BUDGET, _check_budget
 from .model import DensityVector, HmmModel
 
-# (sample pair, observation sequence) branches e1_constants checks at once
+# (density pair, observation sequence) branches, and stepping-product entries,
+# that one block of e1_constants holds
 _E1_BLOCK = 1 << 13
 
 
@@ -439,7 +440,14 @@ def check_condition_P(model: HmmModel, pi: DensityVector, F0, B0):
 
 @dataclass
 class E1Verification:
-    """Sampled check of the derived uniform-likelihood / closeness constants."""
+    """Check of the derived uniform-likelihood / closeness constants.
+
+    ``decided`` is true when the check is a proof: every sequence of B0^N was
+    enumerated and the inequalities were evaluated on the vertices of the
+    threshold polytope, each with a finite positive likelihood, so ``min_g``
+    and ``max_tv`` are the exact extremes.  ``n_pairs`` counts the density
+    pairs evaluated per sequence.
+    """
 
     n_pairs: int
     n_sequences: int
@@ -448,6 +456,7 @@ class E1Verification:
     h_violations: int
     min_g: float
     max_tv: float
+    decided: bool
 
     @property
     def ok(self) -> bool:
@@ -527,19 +536,39 @@ def _sample_threshold_densities(rng, model, f0_mask, threshold, count):
     return out
 
 
+def _threshold_vertices(f0_mask, threshold):
+    """Vertices of {x in the simplex : x(F0) >= threshold}, one mass per row.
+
+    They are the unit masses on F0 and, for each cell i in F0 and j outside
+    it, ``threshold * e_i + (1 - threshold) * e_j``.
+    """
+    eye = np.eye(len(f0_mask))
+    inside, outside = eye[f0_mask], eye[~f0_mask]
+    mixed = threshold * inside[:, None] + (1.0 - threshold) * outside[None, :]
+    return np.vstack([inside, mixed.reshape(-1, len(f0_mask))])
+
+
 def e1_constants(model: HmmModel, pi: DensityVector, cert: PCertificate,
-                 rho: float, sample_pairs: int = 1000,
+                 rho: float, sample_pairs: int | None = None,
                  sequence_budget: int = 10**4, seed: int = 0) -> E1Certificate:
     """Derive the closeness constants from a block-positivity certificate.
 
     ``N`` is the smallest horizon at which the contraction factor
     ``(kappa-1)/(kappa+1)`` beats ``rho``; the likelihood floor ``eta`` and
-    the mass bounds ``xi``, ``beta`` follow from the certificate.  A sampled
-    verifier then evaluates the claimed inequalities on random density pairs
-    holding the threshold mass on F0 and on observation blocks from B0.
+    the mass bounds ``xi``, ``beta`` follow from the certificate.  The claimed
+    inequalities are then evaluated on observation blocks from B0 (all of
+    them while ``|B0|**N <= sequence_budget``, else 1,000 drawn with
+    ``seed``) for densities holding the threshold mass on F0.  By default
+    those densities are the vertices of that polytope and every pair of
+    them: the likelihood is linear and the update linear-fractional, so the
+    vertices attain the smallest likelihood and the largest distance of
+    updated densities, and the check decides both inequalities.  An integer
+    ``sample_pairs`` evaluates that many random pairs instead.
     """
     if not 0.0 < rho <= 2.0:
         raise ValueError("rho must lie in (0, 2]")
+    if sample_pairs is not None and sample_pairs <= 0:
+        raise ValueError("sample_pairs must be positive, or None for the vertex decision")
     revalidated = check_condition_P(model, pi, cert.F0, cert.B0)
     if not revalidated.ok:
         raise CertificateInvalid(
@@ -558,7 +587,10 @@ def e1_constants(model: HmmModel, pi: DensityVector, cert: PCertificate,
     xi = cert.pi_F0 / 2.0
     tau_b0 = float(model.obs.tau_weights[model.obs.mask(cert.B0)].sum())
     beta = tau_b0**n
-    eta = xi * cert.d0**n * cert.beta0**n
+    # d0 * beta0 * tau(a) <= 1 for a in B0 (the block's part of a row
+    # integrates to at most one), while beta0 alone may exceed one and
+    # overflow at a long horizon
+    eta = xi * (cert.d0 * cert.beta0)**n
 
     rng = np.random.default_rng(seed)
     f0_mask = model.states.mask(cert.F0)
@@ -566,36 +598,45 @@ def e1_constants(model: HmmModel, pi: DensityVector, cert: PCertificate,
     n_seq_total = len(b0_idx) ** n
     exhaustive = n_seq_total <= sequence_budget
     if exhaustive:
-        sequences = np.array(list(itertools.product(b0_idx, repeat=n)))
+        # row r spells r in base |B0|: itertools.product's order
+        digits = np.arange(n_seq_total)[:, None] // len(b0_idx) ** np.arange(n - 1, -1, -1)
+        sequences = np.asarray(b0_idx)[digits % len(b0_idx)]
     else:
         sequences = rng.choice(b0_idx, size=(1000, n))
-    xs = _sample_threshold_densities(rng, model, f0_mask, xi, sample_pairs)
-    ys = _sample_threshold_densities(rng, model, f0_mask, xi, sample_pairs)
-    zs, k, ones = np.vstack([xs, ys]), model.n_states, np.ones(model.n_states)
+    if sample_pairs is None:
+        zs = _threshold_vertices(f0_mask, xi)
+        first, second = np.triu_indices(len(zs), 1)
+    else:
+        xs = _sample_threshold_densities(rng, model, f0_mask, xi, sample_pairs)
+        ys = _sample_threshold_densities(rng, model, f0_mask, xi, sample_pairs)
+        zs = np.vstack([xs, ys])
+        first, second = np.arange(sample_pairs), sample_pairs + np.arange(sample_pairs)
+    k, ones = model.n_states, np.ones(model.n_states)
     g_viol = h_viol = 0
-    min_g, max_tv = np.inf, 0.0
-    block = max(1, _E1_BLOCK // max(1, sample_pairs))
+    min_g, max_tv, all_usable = np.inf, 0.0, True
+    block = max(1, _E1_BLOCK // max(len(first), k * k))
     for s in range(0, len(sequences), block):
         seqs = sequences[s:s + block]
-        product = functools.reduce(np.matmul, model.stepping_matrices[seqs.T])
-        # rows (side, pair, sequence) by cells from one GEMM; sums as matrix-
+        product = functools.reduce(np.matmul, (model.stepping_matrices[a] for a in seqs.T))
+        # rows (density, sequence) by cells from one GEMM; sums as matrix-
         # vector products, which beat a reduction over a short axis
-        gz = (zs @ product.transpose(1, 0, 2).reshape(k, -1)).reshape(2, -1, k)
+        gz = (zs @ product.transpose(1, 0, 2).reshape(k, -1)).reshape(len(zs), -1, k)
         sz = gz.reshape(-1, k) @ ones
         min_g = min(min_g, float(sz.min()))
         g_viol += int((sz < eta - 1e-12).sum())
-        sz = sz.reshape(2, -1)
-        if not (sz > 0).all():
-            ok = (sz > 0).all(axis=0)
-            gz, sz = gz[:, ok], sz[:, ok]
-        hz = gz / sz[..., None]
-        tv = np.abs(hz[0] - hz[1]) @ ones
+        sz = sz.reshape(len(zs), -1)
+        usable = np.isfinite(sz) & (sz > 0)
+        all_usable &= bool(usable.all())
+        hz = gz / np.where(usable, sz, 1.0)[..., None]
+        tv = np.abs(hz[first] - hz[second]).reshape(-1, k) @ ones
+        tv = tv[(usable[first] & usable[second]).ravel()]
         max_tv = max(max_tv, float(tv.max(initial=0.0)))
         h_viol += int((tv >= rho).sum())
     verification = E1Verification(
-        n_pairs=sample_pairs, n_sequences=len(sequences),
+        n_pairs=len(first), n_sequences=len(sequences),
         exhaustive_sequences=exhaustive, g_violations=g_viol,
         h_violations=h_viol, min_g=float(min_g), max_tv=max_tv,
+        decided=exhaustive and sample_pairs is None and all_usable,
     )
     return E1Certificate(rho=rho, N=n, kappa=kappa, xi=xi, beta=beta, eta=eta,
                          F0=cert.F0, B0=cert.B0, threshold=xi,

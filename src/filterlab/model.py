@@ -239,10 +239,10 @@ class HmmModel:
         tau = obs.tau_weights
         row_integrals = np.einsum("sta,t,a->s", m, lam, tau)
         residual = float(np.max(np.abs(row_integrals - 1.0)))
-        if residual > STOCHASTIC_TOL:
+        if not residual <= STOCHASTIC_TOL:  # refuses a NaN residual too
             bad = int(np.argmax(np.abs(row_integrals - 1.0)))
             raise NonStochastic(
-                f"row {states.cells[bad]!r} integrates to {row_integrals[bad]!r}"
+                f"row {states.cells[bad]!r} integrates to {float(row_integrals[bad])!r}"
             )
         m = m / row_integrals[:, None, None]
         object.__setattr__(self, "states", states)
@@ -516,14 +516,19 @@ def product_model(p, q, tau_weights=None, state_ids=None, obs_ids=None,
     obs = ObsSpace._counted(n_obs, obs_ids, tau_weights)
     if p.shape != (states.n, states.n) or q.shape != (states.n, obs.n):
         raise ValueError("factored form needs p of shape (|S|,|S|), q of (|S|,|A|)")
+    # `not x <= tol` also refuses a NaN row sum; np.argmax names the first NaN
     rows = q @ obs.tau_weights
-    if np.max(np.abs(rows - 1.0)) > STOCHASTIC_TOL:
+    if not np.max(np.abs(rows - 1.0)) <= STOCHASTIC_TOL:
         bad = int(np.argmax(np.abs(rows - 1.0)))
         raise NonStochasticEmission(
-            f"emission row {states.cells[bad]!r} integrates to {rows[bad]!r}"
+            f"emission row {states.cells[bad]!r} integrates to {float(rows[bad])!r}"
         )
     prow = p @ states.lambda_weights
-    if np.max(np.abs(prow - 1.0)) > STOCHASTIC_TOL:
-        raise NonStochastic("p is not row-stochastic under lambda")
+    if not np.max(np.abs(prow - 1.0)) <= STOCHASTIC_TOL:
+        bad = int(np.argmax(np.abs(prow - 1.0)))
+        raise NonStochastic(
+            f"p is not row-stochastic under lambda: row {states.cells[bad]!r} "
+            f"integrates to {float(prow[bad])!r}"
+        )
     m = p[:, :, None] * q[None, :, :]
     return HmmModel(states, obs, m)

@@ -264,3 +264,43 @@ class TestUsageExitCode:
         with pytest.raises(SystemExit) as exc:
             main(["contract", "--help"])
         assert exc.value.code == 0
+
+
+class TestCheckLongHorizon:
+    def test_underflowing_e1_is_reported_undecided(self, tmp_path, capsys):
+        # kappa about 1724 and beta0 = 3 > 1: at N = 1388 the likelihood
+        # floor and every vertex likelihood underflow to 0, and the floor
+        # used to overflow into a traceback on the way
+        rng = np.random.default_rng(0)
+        k, n_obs = int(rng.integers(2, 6)), int(rng.integers(2, 4))
+        f = int(rng.integers(1, k + 1))
+        p = rng.gamma(1.0, size=(k, k))
+        q = rng.gamma(1.0, size=(k, n_obs))
+        q[f:, 0] = 0.0
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({
+            "states": {"ids": list(range(1, k + 1))},
+            "obs": {"ids": list(range(1, n_obs + 1))},
+            "m": {"p": (p / p.sum(axis=1, keepdims=True)).tolist(),
+                  "q": (q / q.sum(axis=1, keepdims=True)).tolist()}}))
+        out = tmp_path / "out"
+        assert main(["check", "--model", str(path), "--rho", "0.4", "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        e1 = json.loads((out / "check.json").read_text())["condition_E1"]
+        assert e1["N"] == 1388 and e1["eta"] == 0.0
+        assert e1["verification"]["decided"] is False
+
+
+class TestMeasureFileMessages:
+    def test_off_simplex_point_names_the_atom_and_its_integral(self, tmp_path, capsys):
+        mu_path, nu_path = tmp_path / "off.json", tmp_path / "nu.json"
+        mu_path.write_text(json.dumps(_measure_doc([([1.0, 0.0], 0.5), ([2.0, 0.0], 0.5)])))
+        nu_path.write_text(json.dumps(_measure_doc([([1.0, 0.0], 1.0)])))
+        out = tmp_path / "out"
+        assert main(["transport", "--mu", str(mu_path), "--nu", str(nu_path),
+                     "--out", str(out)]) == 64
+        err = capsys.readouterr().err
+        assert "atoms[1] is not a normalized density" in err
+        assert "lambda-integral is 2.0" in err
+        assert "unnormalized=True" not in err
+        assert not out.exists()

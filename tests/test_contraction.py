@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from filterlab.contraction import (
@@ -624,3 +624,136 @@ class TestThresholdDensities:
                 np.testing.assert_array_equal(got, want)
                 # and the stream continues where the loop left it
                 assert a.random() == b.random()
+
+
+def _sparse_product_model(seed):
+    """Random product model whose observation 1 never lands outside cells 1..f."""
+    rng = np.random.default_rng(seed)
+    k, n_obs = int(rng.integers(2, 6)), int(rng.integers(2, 4))
+    f = int(rng.integers(1, k + 1))
+    p = rng.gamma(1.0, size=(k, k))
+    q = rng.gamma(1.0, size=(k, n_obs))
+    q[f:, 0] = 0.0
+    model = product_model(p / p.sum(axis=1, keepdims=True),
+                          q / q.sum(axis=1, keepdims=True))
+    return model, list(range(1, f + 1))
+
+
+def _vertex_reference(model, e1c, vertices=None):
+    """Both E1 inequalities on every vertex and distinct vertex pair, one sequence at a time."""
+    if vertices is None:
+        f0 = model.states.mask(e1c.F0)
+        k, xi = model.n_states, e1c.threshold
+        inside = [np.eye(k)[i] for i in np.flatnonzero(f0)]
+        vertices = inside + [xi * x + (1.0 - xi) * np.eye(k)[j]
+                             for x in inside for j in np.flatnonzero(~f0)]
+    b0_idx = [model.obs.index(a) for a in e1c.B0]
+    g_viol = h_viol = 0
+    min_g, max_tv = np.inf, 0.0
+    for seq in itertools.product(b0_idx, repeat=e1c.N):
+        product = model.stepping_matrices[seq[0]]
+        for a in seq[1:]:
+            product = product @ model.stepping_matrices[a]
+        images = [v @ product for v in vertices]
+        for g in images:
+            min_g = min(min_g, g.sum())
+            g_viol += int(g.sum() < e1c.eta - 1e-12)
+        for gx, gy in itertools.combinations(images, 2):
+            if gx.sum() > 0 and gy.sum() > 0:
+                tv = np.abs(gx / gx.sum() - gy / gy.sum()).sum()
+                max_tv = max(max_tv, tv)
+                h_viol += int(tv >= e1c.rho)
+    return len(vertices) * (len(vertices) - 1) // 2, g_viol, h_viol, min_g, max_tv
+
+
+class TestE1Vertices:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rho=st.floats(0.02, 2.0))
+    def test_vertices_bound_every_sampled_pair(self, seed, rho):
+        model, f0 = _sparse_product_model(seed)
+        pi, _ = stationary(model)
+        cert = check_condition_P(model, pi, f0, [1])
+        assume(cert.ok)
+        vertex = e1_constants(model, pi, cert, rho=rho).verification
+        e1c = e1_constants(model, pi, cert, rho=rho, sample_pairs=400)
+        sampled = e1c.verification
+        assert sampled.n_pairs == 400 and not sampled.decided
+        # one sequence of the single observation in B0: always exhaustive
+        assert vertex.exhaustive_sequences and vertex.n_sequences == 1
+        assert vertex.decided == (vertex.min_g > 0)
+        assert sampled.min_g >= vertex.min_g * (1.0 - 1e-12)
+        assert sampled.max_tv <= vertex.max_tv + 1e-12
+        assert vertex.g_violations > 0 or sampled.g_violations == 0
+        assert vertex.h_violations > 0 or sampled.h_violations == 0
+        n_pairs, *counts, min_g, max_tv = _vertex_reference(model, e1c)
+        assert (vertex.n_pairs, vertex.g_violations, vertex.h_violations) == \
+            (n_pairs, *counts)
+        assert vertex.min_g == pytest.approx(min_g, rel=1e-12, abs=0)
+        # distances of rounding size (updates that agree) differ absolutely
+        assert vertex.max_tv == pytest.approx(max_tv, rel=1e-12, abs=1e-14)
+
+    def test_block_partition_decided_beyond_the_samples(self):
+        # 2^12 sequences, three unit-mass vertices; the sampled extremes lie
+        # inside the vertex ones
+        model = build_model(BLOCK_PARTITION)
+        pi, _ = stationary(model)
+        cert = check_condition_P(model, pi, [1, 2, 3], [1, 2])
+        vertex = e1_constants(model, pi, cert, rho=1e-4).verification
+        sampled = e1_constants(model, pi, cert, rho=1e-4, sample_pairs=300).verification
+        assert vertex.decided and vertex.ok and not sampled.decided
+        assert (vertex.n_pairs, vertex.n_sequences) == (3, 4096)
+        assert vertex.min_g <= sampled.min_g * (1.0 + 1e-12)
+        assert vertex.max_tv >= sampled.max_tv - 1e-12
+
+    def test_sampled_sequences_are_not_decided(self):
+        model = build_model(BLOCK_PARTITION)
+        pi, _ = stationary(model)
+        cert = check_condition_P(model, pi, [1, 2, 3], [1, 2])
+        v = e1_constants(model, pi, cert, rho=1e-4, sequence_budget=10).verification
+        assert not v.exhaustive_sequences and v.n_sequences == 1000
+        assert v.min_g > 0 and not v.decided
+
+    def test_underflowing_likelihoods_are_not_decided(self):
+        # kappa about 1724: N = 1388 steps, where eta and every vertex
+        # likelihood underflow to 0; the floor must not overflow on the way
+        model, f0 = _sparse_product_model(0)
+        assert (model.n_states, model.n_obs, f0) == (5, 3, [1, 2, 3])
+        pi, _ = stationary(model)
+        cert = check_condition_P(model, pi, f0, [1])
+        assert cert.beta0 > 1.0
+        e1c = e1_constants(model, pi, cert, rho=0.4)
+        v = e1c.verification
+        assert e1c.N == 1388 and e1c.eta == 0.0
+        assert v.min_g == 0.0 and v.ok and not v.decided
+        assert json.loads(e1c.to_json())["verification"]["decided"] is False
+
+    def test_zero_likelihood_vertices_counted_like_the_loop(self, monkeypatch):
+        # {1, 2} and {3} are closed classes and observation 1 is impossible
+        # from state 3; a vertex set with the unit mass on 3 added has a zero
+        # likelihood on every sequence, which is a violation and no decision
+        model = partition_model([[0.6, 0.4, 0.0], [0.3, 0.7, 0.0], [0.0, 0.0, 1.0]],
+                                [[1, 2], [3]])
+        pi, _ = stationary(model)
+        cert = check_condition_P(model, pi, [1, 2], [1])
+        units = np.eye(3)
+        monkeypatch.setattr(contraction, "_threshold_vertices", lambda f0, xi: units)
+        e1c = e1_constants(model, pi, cert, rho=0.1)
+        v = e1c.verification
+        want = _vertex_reference(model, e1c, list(units))
+        assert (v.n_pairs, v.g_violations, v.h_violations) == want[:3]
+        assert v.g_violations == v.n_sequences and v.min_g == 0.0
+        assert v.max_tv == pytest.approx(want[4], rel=1e-12, abs=1e-14)
+        assert v.exhaustive_sequences and not v.decided
+
+    @pytest.mark.parametrize("sample_pairs", [0, -3])
+    def test_non_positive_sample_pairs_refused_before_any_work(
+            self, sample_pairs, partition_fixture, monkeypatch):
+        pi, _ = stationary(partition_fixture)
+        cert = check_condition_P(partition_fixture, pi, [1], [1])
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("e1_constants revalidated before checking its input")
+
+        monkeypatch.setattr(contraction, "check_condition_P", no_work)
+        with pytest.raises(ValueError, match="sample_pairs must be positive, or None"):
+            e1_constants(partition_fixture, pi, cert, rho=0.1, sample_pairs=sample_pairs)

@@ -19,6 +19,7 @@ from filterlab.errors import (
     BadPartition,
     NegativeDensity,
     NonStochastic,
+    NonStochasticEmission,
     UnknownObservation,
 )
 from filterlab.measures import PointMassMeasure
@@ -31,6 +32,7 @@ from filterlab.model import (
     build_model,
     load_model,
     partition_model,
+    product_model,
     stationary,
 )
 
@@ -167,6 +169,20 @@ class TestProductFormBuilder:
         m = np.stack([p * np.isin(ids, b)[None, :] for b in blocks], axis=2)
         by_hand = HmmModel(StateSpace(ids, lam), ObsSpace((1, 2, 3), [1.0] * 3), m)
         self._same(partition_model(p, blocks, ids, lam), by_hand)
+
+    # a NaN row sum compares False with any tolerance; the row checks name it
+    @pytest.mark.parametrize("at", [(0, 0), (1, 1)])
+    def test_nan_emission_row_is_named(self, at):
+        with pytest.raises(NonStochasticEmission,
+                           match=f"emission row {at[0] + 1} integrates to nan"):
+            product_model(P_SYM, _with(Q_SYM, float("nan"), at))
+
+    @pytest.mark.parametrize("at", [(0, 1), (1, 0)])
+    def test_nan_transition_row_is_named(self, at):
+        with pytest.raises(NonStochastic, match=f"row {at[0] + 1} integrates to nan"):
+            product_model(_with(P_SYM, float("nan"), at), Q_SYM)
+        with pytest.raises(NonStochastic, match=f"row {at[0] + 1} integrates to nan"):
+            partition_model(_with(P_SYM, float("nan"), at), [[1], [2]])
 
 
 def _measure_file(path, atoms):
