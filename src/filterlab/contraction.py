@@ -605,16 +605,27 @@ def e1_constants(model: HmmModel, pi: DensityVector, cert: PCertificate,
         sequences = rng.choice(b0_idx, size=(1000, n))
     if sample_pairs is None:
         zs = _threshold_vertices(f0_mask, xi)
-        first, second = np.triu_indices(len(zs), 1)
+        # every distinct pair (i, j), i < j, in np.triu_indices order; pair t
+        # lies in row i with starts[i] <= t < starts[i + 1]
+        rows = np.arange(len(zs))
+        starts = rows * len(zs) - rows * (rows + 1) // 2
+        n_pairs = len(zs) * (len(zs) - 1) // 2
+
+        def pairs(t):
+            first = np.searchsorted(starts, t, side="right") - 1
+            return first, t - starts[first] + first + 1
     else:
         xs = _sample_threshold_densities(rng, model, f0_mask, xi, sample_pairs)
         ys = _sample_threshold_densities(rng, model, f0_mask, xi, sample_pairs)
         zs = np.vstack([xs, ys])
-        first, second = np.arange(sample_pairs), sample_pairs + np.arange(sample_pairs)
+        n_pairs = sample_pairs
+
+        def pairs(t):
+            return t, sample_pairs + t
     k, ones = model.n_states, np.ones(model.n_states)
     g_viol = h_viol = 0
     min_g, max_tv, all_usable = np.inf, 0.0, True
-    block = max(1, _E1_BLOCK // max(len(first), k * k))
+    block = max(1, _E1_BLOCK // max(n_pairs, k * k))
     for s in range(0, len(sequences), block):
         seqs = sequences[s:s + block]
         product = functools.reduce(np.matmul, (model.stepping_matrices[a] for a in seqs.T))
@@ -628,12 +639,16 @@ def e1_constants(model: HmmModel, pi: DensityVector, cert: PCertificate,
         usable = np.isfinite(sz) & (sz > 0)
         all_usable &= bool(usable.all())
         hz = gz / np.where(usable, sz, 1.0)[..., None]
-        tv = np.abs(hz[first] - hz[second]).reshape(-1, k) @ ones
-        tv = tv[(usable[first] & usable[second]).ravel()]
-        max_tv = max(max_tv, float(tv.max(initial=0.0)))
-        h_viol += int((tv >= rho).sum())
+        # the pairs in slices of at most _E1_BLOCK (pair, sequence) branches
+        width = max(1, _E1_BLOCK // len(seqs))
+        for t in range(0, n_pairs, width):
+            first, second = pairs(np.arange(t, min(t + width, n_pairs)))
+            tv = np.abs(hz[first] - hz[second]).reshape(-1, k) @ ones
+            tv = tv[(usable[first] & usable[second]).ravel()]
+            max_tv = max(max_tv, float(tv.max(initial=0.0)))
+            h_viol += int((tv >= rho).sum())
     verification = E1Verification(
-        n_pairs=len(first), n_sequences=len(sequences),
+        n_pairs=n_pairs, n_sequences=len(sequences),
         exhaustive_sequences=exhaustive, g_violations=g_viol,
         h_violations=h_viol, min_g=float(min_g), max_tv=max_tv,
         decided=exhaustive and sample_pairs is None and all_usable,

@@ -239,10 +239,10 @@ class HmmModel:
         tau = obs.tau_weights
         row_integrals = np.einsum("sta,t,a->s", m, lam, tau)
         residual = float(np.max(np.abs(row_integrals - 1.0)))
-        if not residual <= STOCHASTIC_TOL:  # refuses a NaN residual too
+        if residual > STOCHASTIC_TOL:
             bad = int(np.argmax(np.abs(row_integrals - 1.0)))
             raise NonStochastic(
-                f"row {states.cells[bad]!r} integrates to {float(row_integrals[bad])!r}"
+                f"row {states.cells[bad]!r} integrates to {row_integrals[bad]!r}"
             )
         m = m / row_integrals[:, None, None]
         object.__setattr__(self, "states", states)

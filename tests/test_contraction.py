@@ -705,6 +705,26 @@ class TestE1Vertices:
         assert vertex.min_g <= sampled.min_g * (1.0 + 1e-12)
         assert vertex.max_tv >= sampled.max_tv - 1e-12
 
+    @pytest.mark.parametrize("e1_block", [1, 4, 64])
+    def test_small_blocks_slice_the_pairs(self, e1_block, monkeypatch):
+        # F0 = {1, 2} of four cells: six vertices, 15 pairs, 2^6 sequences;
+        # blocks of one sequence cut the pairs into slices of e1_block
+        rng = np.random.default_rng(9)
+        p, q = rng.gamma(1.0, size=(4, 4)), rng.gamma(1.0, size=(4, 3))
+        q[2:, :2] = 0.0
+        model = product_model(p / p.sum(axis=1, keepdims=True),
+                              q / q.sum(axis=1, keepdims=True))
+        pi, _ = stationary(model)
+        cert = check_condition_P(model, pi, [1, 2], [1, 2])
+        monkeypatch.setattr(contraction, "_E1_BLOCK", e1_block)
+        e1c = e1_constants(model, pi, cert, rho=0.5)
+        v = e1c.verification
+        assert (v.n_pairs, v.n_sequences) == (15, 64) and v.decided
+        n_pairs, *counts, min_g, max_tv = _vertex_reference(model, e1c)
+        assert (v.n_pairs, v.g_violations, v.h_violations) == (n_pairs, *counts)
+        assert v.min_g == pytest.approx(min_g, rel=1e-12, abs=0)
+        assert v.max_tv == pytest.approx(max_tv, rel=1e-12, abs=1e-14)
+
     def test_sampled_sequences_are_not_decided(self):
         model = build_model(BLOCK_PARTITION)
         pi, _ = stationary(model)
