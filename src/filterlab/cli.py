@@ -112,6 +112,9 @@ def cmd_check(args) -> int:
         payload["condition_E1"] = json.loads(e1.to_json())
         if not e1.verification.ok:
             status = VIOLATED
+        elif not e1.verification.decided:
+            # a check on sampled points or on underflowed likelihoods proves nothing
+            status = max(status, INCONCLUSIVE)
     _write_json(Path(args.out), "check.json", payload)
     return status
 

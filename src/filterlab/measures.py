@@ -223,10 +223,18 @@ class _TvRows:
         self.shape = (len(a), len(b))
 
     def __getitem__(self, key):
+        # summed one cell at a time, left to right: a reduction over a short
+        # last axis is several times slower, and rows and arcs of one pair
+        # then agree bit for bit at any number of cells
         if isinstance(key, slice):
-            return np.abs(self.a[key, None, :] - self.b[None, :, :]).sum(axis=2)
-        i, j = key
-        return np.abs(self.a[i] - self.b[j]).sum(axis=1)
+            a, b = self.a[key, None, :], self.b[None, :, :]
+        else:
+            i, j = key
+            a, b = self.a[i], self.b[j]
+        total = np.abs(a[..., 0] - b[..., 0])
+        for c in range(1, a.shape[-1]):
+            total += np.abs(a[..., c] - b[..., c])
+        return total
 
 
 def _cost_matrix(mu: PointMassMeasure, nu: PointMassMeasure) -> np.ndarray:
@@ -388,35 +396,59 @@ def _lp_plan(w1, w2, C) -> _LpPlan:
     LP on the arcs and adds the most violated arc of each row and of each
     column; the round whose scan adds none ends the loop, and that scan is
     the global slackness check.  The set only grows, so the loop ends.
+
+    One HiGHS model holds the m + n marginal rows; each round appends its
+    new arcs as columns and solves again from the last basis.
     """
     # imported here: scipy is most of the import time of filterlab, and only
-    # transport on three or more cells needs it
-    from scipy import sparse
-    from scipy.optimize import linprog
+    # transport on three or more cells needs it.  HiGHS is driven directly:
+    # linprog rebuilds the model and checks every input and option per call
+    from scipy.optimize._highspy import _core as highs
+
+    def ok(status, call):
+        if status != highs.HighsStatus.kOk:
+            raise SolverFailure(f"transport LP: HiGHS {call} returned {status.name}")
 
     m, n = C.shape
     src, tgt, _ = _monotone_plan(w1, w2, np.arange(m), np.arange(n))
     arcs = np.unique(np.concatenate([_start_arcs(C), src * n + tgt]))
+    lp = highs._Highs()
+    # HiGHS's default feasibility tolerances (1e-7) let plans miss
+    # _certify; its presolve slows these small LPs by about a third.
+    # Strategy 0 lets HiGHS choose: dual simplex for the first solve, primal
+    # from the last optimal basis once new columns make it dual infeasible
+    for option, value in (("output_flag", False), ("solver", "simplex"),
+                          ("simplex_strategy", 0), ("presolve", "off"),
+                          ("primal_feasibility_tolerance", MARGINAL_TOL),
+                          ("dual_feasibility_tolerance", MARGINAL_TOL)):
+        ok(lp.setOptionValue(option, value), f"option {option}")
     b_eq = np.concatenate([w1, w2])
+    ok(lp.addRows(m + n, b_eq, b_eq, 0, np.zeros(m + n, dtype=np.int32),
+                  np.zeros(0, dtype=np.int32), np.zeros(0)), "addRows")
+    columns, new = [], arcs
     while True:
-        i, j = np.divmod(arcs, n)
-        A = sparse.csc_matrix((np.ones(2 * len(arcs)), np.column_stack([i, m + j]).ravel(),
-                               np.arange(0, 2 * len(arcs) + 1, 2)), shape=(m + n, len(arcs)))
-        # HiGHS's default feasibility tolerances (1e-7) let plans miss
-        # _certify; its presolve slows these small LPs by about a third
-        res = linprog(C[i, j], A_eq=A, b_eq=b_eq, bounds=(0, None), method="highs",
-                      options={"primal_feasibility_tolerance": MARGINAL_TOL,
-                               "dual_feasibility_tolerance": MARGINAL_TOL,
-                               "presolve": False})
-        if not res.success:
-            raise SolverFailure(f"transport LP failed: {res.message}")
-        u, v = res.eqlin.marginals[:m], res.eqlin.marginals[m:]
+        i, j = np.divmod(new, n)
+        k = len(new)
+        ok(lp.addCols(k, C[i, j], np.zeros(k), np.full(k, np.inf), 2 * k,
+                      np.arange(0, 2 * k, 2, dtype=np.int32),
+                      np.column_stack([i, m + j]).ravel().astype(np.int32),
+                      np.ones(2 * k)), "addCols")
+        columns.append(new)
+        ok(lp.run(), "run")
+        status = lp.getModelStatus()
+        if status != highs.HighsModelStatus.kOptimal:
+            raise SolverFailure(f"transport LP failed: {lp.modelStatusToString(status)}")
+        solution = lp.getSolution()
+        dual = np.asarray(solution.row_dual)
+        u, v = dual[:m], dual[m:]
         worst, new = _price(C, u, v, arcs)
         if not len(new):
             break
         arcs = np.union1d(arcs, new)
-    on = res.x > 0
-    return _LpPlan(i[on], j[on], res.x[on], u, v, worst)
+    x = np.asarray(solution.col_value)
+    on = x > 0
+    i, j = np.divmod(np.concatenate(columns)[on], n)
+    return _LpPlan(i, j, x[on], u, v, worst)
 
 
 def _certify(src, tgt, mass, cost, w1, w2, u, v, min_reduced):

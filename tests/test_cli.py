@@ -284,11 +284,27 @@ class TestCheckLongHorizon:
             "m": {"p": (p / p.sum(axis=1, keepdims=True)).tolist(),
                   "q": (q / q.sum(axis=1, keepdims=True)).tolist()}}))
         out = tmp_path / "out"
-        assert main(["check", "--model", str(path), "--rho", "0.4", "--out", str(out)]) == 0
+        # an undecided E1 check proves nothing: inconclusive, not "all passed"
+        assert main(["check", "--model", str(path), "--rho", "0.4", "--out", str(out)]) == 3
         assert "Traceback" not in capsys.readouterr().err
         e1 = json.loads((out / "check.json").read_text())["condition_E1"]
         assert e1["N"] == 1388 and e1["eta"] == 0.0
         assert e1["verification"]["decided"] is False
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_decided_e1_exits_zero(self, seed, tmp_path):
+        # i.i.d. Gamma(2) densities on 3 cells and 2 observations, rows
+        # normalized: every sequence enumerated, every vertex likelihood positive
+        m = np.random.default_rng([seed, 1]).gamma(2.0, size=(3, 3, 2))
+        path = tmp_path / "random.json"
+        path.write_text(json.dumps({
+            "states": {"ids": [1, 2, 3]}, "obs": {"ids": [1, 2]},
+            "m": {"dense": (m / m.sum(axis=(1, 2), keepdims=True)).tolist()}}))
+        out = tmp_path / "out"
+        assert main(["check", "--model", str(path), "--rho", "0.1", "--nmax", "6",
+                     "--seed", str(seed), "--out", str(out)]) == 0
+        e1 = json.loads((out / "check.json").read_text())["condition_E1"]
+        assert e1["verification"]["decided"] is True
 
 
 class TestMeasureFileMessages:

@@ -14,6 +14,7 @@ from filterlab.errors import (
     BarycenterMismatch,
     MassMismatch,
     NegativeTarget,
+    SolverFailure,
     SpaceMismatch,
 )
 from filterlab import measures
@@ -675,6 +676,48 @@ class TestTransportPaths:
         assert plan.slackness_residual <= SLACKNESS_TOL
         assert d == pytest.approx(_dense_transport_lp(mu, nu), rel=1e-12, abs=1e-15)
 
+    def test_lp_path_needs_no_linprog(self, monkeypatch):
+        import scipy.optimize
+
+        rng = np.random.default_rng(14)
+        space = _space(3, rng, weighted=True)
+        mu = _random_measure(rng, space, 40)
+        nu = _random_measure(rng, space, 30)
+        nu = nu.scaled(mu.total_mass / nu.total_mass)
+        dense = _dense_transport_lp(mu, nu)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the LP path called linprog")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+        d, plan = kantorovich(mu, nu)
+        assert plan.method == "lp"
+        assert plan.marginal_residual <= MARGINAL_TOL
+        assert plan.slackness_residual <= SLACKNESS_TOL
+        assert d == pytest.approx(dense, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("method, enum, value, named", [
+        ("run", "HighsStatus", "kError", "kError"),
+        ("getModelStatus", "HighsModelStatus", "kIterationLimit", "Iteration limit"),
+    ], ids=["run", "getModelStatus"])
+    def test_highs_status_other_than_optimal_is_a_solver_failure(
+            self, method, enum, value, named, monkeypatch):
+        from scipy.optimize._highspy import _core
+
+        base, status = _core._Highs, getattr(getattr(_core, enum), value)
+
+        def faulty(highs):
+            getattr(base, method)(highs)
+            return status
+
+        monkeypatch.setattr(_core, "_Highs", type("Faulty", (base,), {method: faulty}))
+        rng = np.random.default_rng(12)
+        space = _space(3)
+        mu = _random_measure(rng, space, 6, np.full(6, 1 / 6))
+        nu = _random_measure(rng, space, 5, np.full(5, 1 / 5))
+        with pytest.raises(SolverFailure, match=named):
+            kantorovich(mu, nu)
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 40),
            st.sampled_from([0.0, 1e-13, 1e-12]), st.booleans())
@@ -852,3 +895,29 @@ class TestTransportMemory:
             tracemalloc.stop()
         assert plan.method == "monotone"
         assert peak < 100e6
+
+
+class TestTvRows:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 10), st.integers(1, 40),
+           st.integers(1, 40))
+    def test_cell_by_cell_sums(self, seed, k, m, n):
+        rng = np.random.default_rng(seed)
+        a = rng.dirichlet(np.ones(k), m) * rng.uniform(0.5, 2.0, k)
+        b = rng.dirichlet(np.ones(k), n) * rng.uniform(0.5, 2.0, k)
+        b[: min(m, n) // 2] = a[: min(m, n) // 2]  # zero-cost pairs too
+        C = measures._TvRows(a, b)
+        dense = np.abs(a[:, None] - b[None]).sum(axis=2)
+        lo = int(rng.integers(0, m))
+        rows = np.vstack([C[:lo], C[lo:]])
+        i, j = rng.integers(0, m, 200), rng.integers(0, n, 200)
+        arcs = C[i, j]
+        if k <= 7:
+            # numpy sums a last axis shorter than 8 left to right, as _TvRows does
+            assert np.array_equal(rows, dense)
+            assert np.array_equal(arcs, dense[i, j])
+        else:
+            # summation orders differ by at most 2 (k - 1) units in the last place
+            np.testing.assert_array_max_ulp(rows, dense, maxulp=2 * (k - 1))
+        # the pricing scan and the certificate read the same costs
+        assert np.array_equal(arcs, rows[i, j])
