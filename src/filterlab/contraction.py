@@ -16,6 +16,7 @@ on the vertices of the threshold polytope.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -35,8 +36,9 @@ from .errors import (
 from .filter import ENUMERATION_BUDGET, _check_budget
 from .model import DensityVector, HmmModel
 
-# (density pair, observation sequence) branches, and stepping-product entries,
-# that one block of e1_constants holds
+# (density row, observation sequence) branches, and stepping-product entries,
+# that one block of e1_constants holds; its pairs are compared a row offset
+# at a time
 _E1_BLOCK = 1 << 13
 
 
@@ -563,7 +565,9 @@ def e1_constants(model: HmmModel, pi: DensityVector, cert: PCertificate,
     them: the likelihood is linear and the update linear-fractional, so the
     vertices attain the smallest likelihood and the largest distance of
     updated densities, and the check decides both inequalities.  An integer
-    ``sample_pairs`` evaluates that many random pairs instead.
+    ``sample_pairs`` evaluates that many random pairs instead.  Raises
+    :class:`BudgetExceeded` when ``N`` would pass 10**6 steps or ``beta`` or
+    ``eta`` would overflow a float.
     """
     if not 0.0 < rho <= 2.0:
         raise ValueError("rho must lie in (0, 2]")
@@ -583,49 +587,46 @@ def e1_constants(model: HmmModel, pi: DensityVector, cert: PCertificate,
     while 2.0 * factor**n >= rho:
         n += 1
         if n > 10**6:
-            raise FilterlabError("contraction horizon exceeds 1e6 steps")
+            raise BudgetExceeded("contraction horizon exceeds 1e6 steps")
     xi = cert.pi_F0 / 2.0
     tau_b0 = float(model.obs.tau_weights[model.obs.mask(cert.B0)].sum())
-    beta = tau_b0**n
+    # a power past the float range ends the check; one that underflows to 0
+    # leaves it undecided
+    try:
+        beta = tau_b0**n
+    except OverflowError:
+        raise BudgetExceeded(f"beta = tau(B0)**N overflows at N = {n}") from None
     # d0 * beta0 * tau(a) <= 1 for a in B0 (the block's part of a row
-    # integrates to at most one), while beta0 alone may exceed one and
-    # overflow at a long horizon
-    eta = xi * (cert.d0 * cert.beta0)**n
+    # integrates to at most one), so the floor's base exceeds one only
+    # where some tau(a) < 1
+    try:
+        eta = xi * (cert.d0 * cert.beta0)**n
+    except OverflowError:
+        raise BudgetExceeded(f"eta = xi (d0 beta0)**N overflows at N = {n}") from None
 
     rng = np.random.default_rng(seed)
     f0_mask = model.states.mask(cert.F0)
     b0_idx = [model.obs.index(a) for a in cert.B0]
-    n_seq_total = len(b0_idx) ** n
-    exhaustive = n_seq_total <= sequence_budget
+    exhaustive = len(b0_idx) ** n <= sequence_budget
     if exhaustive:
-        # row r spells r in base |B0|: itertools.product's order
-        digits = np.arange(n_seq_total)[:, None] // len(b0_idx) ** np.arange(n - 1, -1, -1)
-        sequences = np.asarray(b0_idx)[digits % len(b0_idx)]
+        sequences = np.fromiter(itertools.chain.from_iterable(
+            itertools.product(b0_idx, repeat=n)), dtype=int).reshape(-1, n)
     else:
         sequences = rng.choice(b0_idx, size=(1000, n))
     if sample_pairs is None:
         zs = _threshold_vertices(f0_mask, xi)
-        # every distinct pair (i, j), i < j, in np.triu_indices order; pair t
-        # lies in row i with starts[i] <= t < starts[i + 1]
-        rows = np.arange(len(zs))
-        starts = rows * len(zs) - rows * (rows + 1) // 2
-        n_pairs = len(zs) * (len(zs) - 1) // 2
-
-        def pairs(t):
-            first = np.searchsorted(starts, t, side="right") - 1
-            return first, t - starts[first] + first + 1
+        # each distinct pair of rows is (i, i + d) for exactly one offset d
+        offsets = range(1, len(zs))
     else:
         xs = _sample_threshold_densities(rng, model, f0_mask, xi, sample_pairs)
         ys = _sample_threshold_densities(rng, model, f0_mask, xi, sample_pairs)
-        zs = np.vstack([xs, ys])
-        n_pairs = sample_pairs
-
-        def pairs(t):
-            return t, sample_pairs + t
+        zs = np.vstack([xs, ys])  # the pairs (x_i, y_i) lie sample_pairs rows apart
+        offsets = [sample_pairs]
+    n_pairs = sum(len(zs) - d for d in offsets)
     k, ones = model.n_states, np.ones(model.n_states)
     g_viol = h_viol = 0
     min_g, max_tv, all_usable = np.inf, 0.0, True
-    block = max(1, _E1_BLOCK // max(n_pairs, k * k))
+    block = max(1, _E1_BLOCK // max(len(zs), k * k))
     for s in range(0, len(sequences), block):
         seqs = sequences[s:s + block]
         product = functools.reduce(np.matmul, (model.stepping_matrices[a] for a in seqs.T))
@@ -639,12 +640,9 @@ def e1_constants(model: HmmModel, pi: DensityVector, cert: PCertificate,
         usable = np.isfinite(sz) & (sz > 0)
         all_usable &= bool(usable.all())
         hz = gz / np.where(usable, sz, 1.0)[..., None]
-        # the pairs in slices of at most _E1_BLOCK (pair, sequence) branches
-        width = max(1, _E1_BLOCK // len(seqs))
-        for t in range(0, n_pairs, width):
-            first, second = pairs(np.arange(t, min(t + width, n_pairs)))
-            tv = np.abs(hz[first] - hz[second]).reshape(-1, k) @ ones
-            tv = tv[(usable[first] & usable[second]).ravel()]
+        for d in offsets:
+            tv = np.abs(hz[:-d] - hz[d:]).reshape(-1, k) @ ones
+            tv = tv[(usable[:-d] & usable[d:]).ravel()]
             max_tv = max(max_tv, float(tv.max(initial=0.0)))
             h_viol += int((tv >= rho).sum())
     verification = E1Verification(

@@ -266,23 +266,28 @@ class TestUsageExitCode:
         assert exc.value.code == 0
 
 
+def _kappa_1724_doc(tau=1.0):
+    """``_sparse_product_model(0)`` of test_contraction as a model file, its
+    emissions divided by a common tau weight."""
+    rng = np.random.default_rng(0)
+    k, n_obs = int(rng.integers(2, 6)), int(rng.integers(2, 4))
+    f = int(rng.integers(1, k + 1))
+    p = rng.gamma(1.0, size=(k, k))
+    q = rng.gamma(1.0, size=(k, n_obs))
+    q[f:, 0] = 0.0
+    return {"states": {"ids": list(range(1, k + 1))},
+            "obs": {"ids": list(range(1, n_obs + 1)), "tau": [tau] * n_obs},
+            "m": {"p": (p / p.sum(axis=1, keepdims=True)).tolist(),
+                  "q": (q / q.sum(axis=1, keepdims=True) / tau).tolist()}}
+
+
 class TestCheckLongHorizon:
     def test_underflowing_e1_is_reported_undecided(self, tmp_path, capsys):
         # kappa about 1724 and beta0 = 3 > 1: at N = 1388 the likelihood
         # floor and every vertex likelihood underflow to 0, and the floor
         # used to overflow into a traceback on the way
-        rng = np.random.default_rng(0)
-        k, n_obs = int(rng.integers(2, 6)), int(rng.integers(2, 4))
-        f = int(rng.integers(1, k + 1))
-        p = rng.gamma(1.0, size=(k, k))
-        q = rng.gamma(1.0, size=(k, n_obs))
-        q[f:, 0] = 0.0
         path = tmp_path / "long.json"
-        path.write_text(json.dumps({
-            "states": {"ids": list(range(1, k + 1))},
-            "obs": {"ids": list(range(1, n_obs + 1))},
-            "m": {"p": (p / p.sum(axis=1, keepdims=True)).tolist(),
-                  "q": (q / q.sum(axis=1, keepdims=True)).tolist()}}))
+        path.write_text(json.dumps(_kappa_1724_doc()))
         out = tmp_path / "out"
         # an undecided E1 check proves nothing: inconclusive, not "all passed"
         assert main(["check", "--model", str(path), "--rho", "0.4", "--out", str(out)]) == 3
@@ -290,6 +295,29 @@ class TestCheckLongHorizon:
         e1 = json.loads((out / "check.json").read_text())["condition_E1"]
         assert e1["N"] == 1388 and e1["eta"] == 0.0
         assert e1["verification"]["decided"] is False
+
+    def _check_exhausts_the_budget(self, doc, tmp_path, capsys, *flags):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", "--model", str(path), *flags,
+                     "--out", str(tmp_path / "out")]) == 3
+        return capsys.readouterr().err
+
+    def test_overflowing_beta_exhausts_the_budget(self, tmp_path, capsys):
+        # tau weights 2 and halved emissions: tau(B0)**N = 2**1388 leaves
+        # the float range
+        err = self._check_exhausts_the_budget(_kappa_1724_doc(tau=2.0), tmp_path, capsys,
+                                              "--rho", "0.4")
+        assert err == "budget exhausted: beta = tau(B0)**N overflows at N = 1388\n"
+
+    def test_horizon_cap_exhausts_the_budget(self, tmp_path, capsys):
+        # kappa 4.5e8: at the default rho the horizon passes 10^6 steps;
+        # nothing was violated, so not exit 2
+        err = self._check_exhausts_the_budget({
+            "states": {"ids": [1, 2]}, "obs": {"ids": [1, 2]},
+            "m": {"p": [[1 - 1e-8, 1e-8], [0.5, 0.5]], "q": [[0.9, 0.1], [0.2, 0.8]]}},
+            tmp_path, capsys)
+        assert err == "budget exhausted: contraction horizon exceeds 1e6 steps\n"
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_decided_e1_exits_zero(self, seed, tmp_path):

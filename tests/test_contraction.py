@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -492,6 +493,30 @@ class TestE1Constants:
         with pytest.raises(CertificateInvalid):
             e1_constants(partition_fixture, pi, stale, rho=0.1)
 
+    @pytest.mark.parametrize("constant, n", [("beta", 1388), ("eta", 804)])
+    def test_constant_past_the_float_range_exhausts_the_budget(self, constant, n):
+        if constant == "beta":
+            # the kappa-1724 model with tau(B0) = 2 (densities halved)
+            model, f0 = _sparse_product_model(0)
+            model = HmmModel(model.states, ObsSpace((1, 2, 3), [2.0] * 3), model.m / 2)
+        else:
+            # kappa 999 and tau(1) = 1e-4, so the floor's base d0 beta0 is 10
+            model = product_model([[1 - 1e-3, 1e-3], [0.5, 0.5]], [[5e3, 0.5]] * 2,
+                                  tau_weights=[1e-4, 1.0])
+            f0 = [1, 2]
+        pi, _ = stationary(model)
+        cert = check_condition_P(model, pi, f0, [1])
+        with pytest.raises(BudgetExceeded, match=rf"^{constant} = .* overflows at N = {n}$"):
+            e1_constants(model, pi, cert, rho=0.4)
+
+    def test_horizon_past_a_million_steps_exhausts_the_budget(self):
+        model = product_model([[1 - 1e-8, 1e-8], [0.5, 0.5]], [[0.9, 0.1], [0.2, 0.8]])
+        pi, _ = stationary(model)
+        cert = check_condition_P(model, pi, [1, 2], [1])
+        assert cert.kappa == pytest.approx(4.5e8)
+        with pytest.raises(BudgetExceeded, match="horizon exceeds 1e6 steps"):
+            e1_constants(model, pi, cert, rho=0.1)
+
     def test_certificate_json_round_trip(self, partition_fixture):
         pi, _ = stationary(partition_fixture)
         cert = check_condition_P(partition_fixture, pi, [1], [1])
@@ -548,7 +573,7 @@ class TestE1Batched:
         model = build_model(BLOCK_PARTITION)
         pi, _ = stationary(model)
         cert = check_condition_P(model, pi, [1, 2, 3], [1, 2])
-        # 300 pairs: blocks of 27 sequences, the last one partial
+        # 600 rows: blocks of 13 sequences, the last one partial
         e1c = e1_constants(model, pi, cert, rho=rho, sample_pairs=300,
                            sequence_budget=sequence_budget, seed=5)
         assert e1c.verification.exhaustive_sequences is exhaustive
@@ -708,7 +733,7 @@ class TestE1Vertices:
     @pytest.mark.parametrize("e1_block", [1, 4, 64])
     def test_small_blocks_slice_the_pairs(self, e1_block, monkeypatch):
         # F0 = {1, 2} of four cells: six vertices, 15 pairs, 2^6 sequences;
-        # blocks of one sequence cut the pairs into slices of e1_block
+        # blocks of one sequence (four at e1_block 64), pairs by row offset
         rng = np.random.default_rng(9)
         p, q = rng.gamma(1.0, size=(4, 4)), rng.gamma(1.0, size=(4, 3))
         q[2:, :2] = 0.0
@@ -764,6 +789,40 @@ class TestE1Vertices:
         assert v.g_violations == v.n_sequences and v.min_g == 0.0
         assert v.max_tv == pytest.approx(want[4], rel=1e-12, abs=1e-14)
         assert v.exhaustive_sequences and not v.decided
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(1, 6))
+    def test_block_size_changes_no_field(self, seed, horizon):
+        model, f0 = _sparse_product_model(seed)
+        pi, _ = stationary(model)
+        cert = check_condition_P(model, pi, f0, [1])
+        assume(cert.ok and cert.kappa > 1.0)
+        # 2 factor**N falls below rho first at N = horizon
+        rho = 2.0 * ((cert.kappa - 1.0) / (cert.kappa + 1.0)) ** (horizon - 0.5)
+        for kwargs in ({}, {"sample_pairs": 40},
+                       {"sample_pairs": 40, "sequence_budget": 0}):
+            runs = []
+            for e1_block in (1, 7, 1 << 13):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(contraction, "_E1_BLOCK", e1_block)
+                    runs.append(e1_constants(model, pi, cert, rho=rho, **kwargs))
+            e1c = runs[0]
+            v = e1c.verification
+            assert e1c.N == horizon
+            assert all(asdict(r.verification) == asdict(v) for r in runs[1:])
+            if kwargs:
+                budget = kwargs.get("sequence_budget", 10**4)
+                n_pairs = 40
+                n_sequences, *counts, min_g, max_tv = _reference_verification(
+                    model, cert, e1c, n_pairs, budget, seed=0)
+            else:
+                n_sequences = 1
+                n_pairs, *counts, min_g, max_tv = _vertex_reference(model, e1c)
+            assert (v.n_pairs, v.n_sequences, v.g_violations, v.h_violations) == \
+                (n_pairs, n_sequences, *counts)
+            assert v.min_g == pytest.approx(min_g, rel=1e-12, abs=0)
+            # distances of rounding size (updates that agree) differ absolutely
+            assert v.max_tv == pytest.approx(max_tv, rel=1e-12, abs=1e-14)
 
     @pytest.mark.parametrize("sample_pairs", [0, -3])
     def test_non_positive_sample_pairs_refused_before_any_work(
