@@ -634,6 +634,9 @@ def e1_constants(model: HmmModel, pi: DensityVector, cert: PCertificate,
         # vector products, which beat a reduction over a short axis
         gz = (zs @ product.transpose(1, 0, 2).reshape(k, -1)).reshape(len(zs), -1, k)
         sz = gz.reshape(-1, k) @ ones
+        # a likelihood below the smallest normal float has too few digits to
+        # normalise a density or to bound a mix of the vertices: it counts as 0
+        sz[sz < np.finfo(float).tiny] = 0.0
         min_g = min(min_g, float(sz.min()))
         g_viol += int((sz < eta - 1e-12).sum())
         sz = sz.reshape(len(zs), -1)

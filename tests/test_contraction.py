@@ -532,6 +532,11 @@ BLOCK_PARTITION = {"states": {"ids": [1, 2, 3]}, "obs": {"ids": [1, 2]},
                                    [[0.25, 0.0], [0.25, 0.0], [0.0, 0.5]]]}}
 
 
+def _flushed(s):
+    """Likelihoods below the smallest normal float count as 0, as in the verifier."""
+    return np.where(s < np.finfo(float).tiny, 0.0, s)
+
+
 def _reference_verification(model, cert, e1c, sample_pairs, sequence_budget, seed):
     """The E1 verifier one observation sequence at a time, same random stream."""
     rng = np.random.default_rng(seed)
@@ -551,7 +556,7 @@ def _reference_verification(model, cert, e1c, sample_pairs, sequence_budget, see
         for a in seq[1:]:
             product = product @ model.stepping_matrices[a]
         gx, gy = xs @ product, ys @ product
-        sx, sy = gx.sum(axis=1), gy.sum(axis=1)
+        sx, sy = _flushed(gx.sum(axis=1)), _flushed(gy.sum(axis=1))
         min_g = min(min_g, sx.min(), sy.min())
         g_viol += int((sx < e1c.eta - 1e-12).sum() + (sy < e1c.eta - 1e-12).sum())
         ok = (sx > 0) & (sy > 0)
@@ -680,12 +685,13 @@ def _vertex_reference(model, e1c, vertices=None):
         for a in seq[1:]:
             product = product @ model.stepping_matrices[a]
         images = [v @ product for v in vertices]
-        for g in images:
-            min_g = min(min_g, g.sum())
-            g_viol += int(g.sum() < e1c.eta - 1e-12)
-        for gx, gy in itertools.combinations(images, 2):
-            if gx.sum() > 0 and gy.sum() > 0:
-                tv = np.abs(gx / gx.sum() - gy / gy.sum()).sum()
+        sums = [float(_flushed(g.sum())) for g in images]
+        for s in sums:
+            min_g = min(min_g, s)
+            g_viol += int(s < e1c.eta - 1e-12)
+        for (gx, sx), (gy, sy) in itertools.combinations(zip(images, sums), 2):
+            if sx > 0 and sy > 0:
+                tv = np.abs(gx / sx - gy / sy).sum()
                 max_tv = max(max_tv, tv)
                 h_viol += int(tv >= e1c.rho)
     return len(vertices) * (len(vertices) - 1) // 2, g_viol, h_viol, min_g, max_tv
@@ -771,6 +777,20 @@ class TestE1Vertices:
         assert e1c.N == 1388 and e1c.eta == 0.0
         assert v.min_g == 0.0 and v.ok and not v.decided
         assert json.loads(e1c.to_json())["verification"]["decided"] is False
+
+    def test_subnormal_likelihoods_are_not_decided(self):
+        # kappa about 4732: N = 3281 steps, where each vertex likelihood
+        # falls to 0 or to the smallest subnormal; a mix of the vertices
+        # rounds to 0 there, so none of them decides the check
+        model, f0 = _sparse_product_model(24677)
+        pi, _ = stationary(model)
+        cert = check_condition_P(model, pi, f0, [1])
+        e1c = e1_constants(model, pi, cert, rho=0.5)
+        v = e1c.verification
+        assert e1c.N == 3281 and e1c.eta == 0.0
+        assert v.min_g == 0.0 and v.ok and not v.decided
+        sampled = e1_constants(model, pi, cert, rho=0.5, sample_pairs=400).verification
+        assert sampled.min_g == 0.0 and not sampled.decided
 
     def test_zero_likelihood_vertices_counted_like_the_loop(self, monkeypatch):
         # {1, 2} and {3} are closed classes and observation 1 is impossible
