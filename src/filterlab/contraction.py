@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -538,6 +539,32 @@ def _sample_threshold_densities(rng, model, f0_mask, threshold, count):
     return out
 
 
+def _contraction_horizon(kappa: float, rho: float) -> int:
+    """The smallest N >= 1 with ``2 factor**N < rho``, factor = (kappa-1)/(kappa+1).
+
+    The closed form ceil(log(rho / 2) / log(factor)) is corrected against
+    that inequality in floats, so N is the one a step-by-step search finds.
+    Raises :class:`BudgetExceeded` past 10**6 steps, also for a factor that
+    is not below one: an infinite kappa, or one so large the factor rounds
+    to one.
+    """
+    factor = (kappa - 1.0) / (kappa + 1.0)
+    if not factor < 1.0:
+        raise BudgetExceeded("contraction horizon exceeds 1e6 steps")
+    if factor <= 0.0:
+        return 1
+    # log(rho) - log(2), not log(rho / 2): half the smallest subnormal is 0
+    n = min(max(1, math.ceil((math.log(rho) - math.log(2.0)) / math.log(factor))),
+            10**6 + 1)
+    while n > 1 and 2.0 * factor**(n - 1) < rho:
+        n -= 1
+    while n <= 10**6 and 2.0 * factor**n >= rho:
+        n += 1
+    if n > 10**6:
+        raise BudgetExceeded("contraction horizon exceeds 1e6 steps")
+    return n
+
+
 def _threshold_vertices(f0_mask, threshold):
     """Vertices of {x in the simplex : x(F0) >= threshold}, one mass per row.
 
@@ -566,8 +593,8 @@ def e1_constants(model: HmmModel, pi: DensityVector, cert: PCertificate,
     vertices attain the smallest likelihood and the largest distance of
     updated densities, and the check decides both inequalities.  An integer
     ``sample_pairs`` evaluates that many random pairs instead.  Raises
-    :class:`BudgetExceeded` when ``N`` would pass 10**6 steps or ``beta`` or
-    ``eta`` would overflow a float.
+    :class:`BudgetExceeded` when ``N`` would pass 10**6 steps (as it does
+    for an infinite kappa) or ``beta`` or ``eta`` would overflow a float.
     """
     if not 0.0 < rho <= 2.0:
         raise ValueError("rho must lie in (0, 2]")
@@ -581,13 +608,7 @@ def e1_constants(model: HmmModel, pi: DensityVector, cert: PCertificate,
     for name in ("d0", "D0", "beta0"):
         if abs(getattr(revalidated, name) - getattr(cert, name)) > 1e-12:
             raise CertificateInvalid(f"certificate constant {name} is stale")
-    kappa = cert.kappa
-    factor = (kappa - 1.0) / (kappa + 1.0)
-    n = 1
-    while 2.0 * factor**n >= rho:
-        n += 1
-        if n > 10**6:
-            raise BudgetExceeded("contraction horizon exceeds 1e6 steps")
+    n = _contraction_horizon(cert.kappa, rho)
     xi = cert.pi_F0 / 2.0
     tau_b0 = float(model.obs.tau_weights[model.obs.mask(cert.B0)].sum())
     # a power past the float range ends the check; one that underflows to 0
@@ -654,6 +675,6 @@ def e1_constants(model: HmmModel, pi: DensityVector, cert: PCertificate,
         h_violations=h_viol, min_g=float(min_g), max_tv=max_tv,
         decided=exhaustive and sample_pairs is None and all_usable,
     )
-    return E1Certificate(rho=rho, N=n, kappa=kappa, xi=xi, beta=beta, eta=eta,
+    return E1Certificate(rho=rho, N=n, kappa=cert.kappa, xi=xi, beta=beta, eta=eta,
                          F0=cert.F0, B0=cert.B0, threshold=xi,
                          verification=verification)

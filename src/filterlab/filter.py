@@ -42,19 +42,37 @@ def _masses(model: HmmModel, x: DensityVector) -> np.ndarray:
     return _values(model, x) * model.states.lambda_weights
 
 
+def _cell_sum(v: np.ndarray) -> np.ndarray:
+    """Sum over the last (cell) axis, bit for bit as ``v.sum(axis=-1)``.
+
+    Below 8 cells numpy's sum adds the cells left to right, so adding one
+    cell at a time gives the same bits without a strided reduction; from 8
+    cells on numpy sums pairwise, and this calls it.
+    """
+    k = v.shape[-1]
+    if k >= 8:
+        return v.sum(axis=-1)
+    total = v[..., 0].copy()
+    for j in range(1, k):
+        total += v[..., j]
+    return total
+
+
 def _bayes_step(model: HmmModel, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every row of cell masses stepped by every observation.
 
     Returns the likelihoods ``g[r, a]`` and the normalized updates
-    ``post[r, a]`` as cell masses.  An update of zero likelihood keeps its
-    row: this is the zero-likelihood convention of the whole package.
+    ``post[r, a]`` as cell masses, views of observation-major arrays.  An
+    update of zero likelihood keeps its row: this is the zero-likelihood
+    convention of the whole package.
     """
-    stepped = (masses @ model.stepping_matrices).transpose(1, 0, 2)
-    g = stepped.sum(axis=2)
+    stepped = masses @ model.stepping_matrices
+    g = _cell_sum(stepped)
     pos = g > 0.0
-    post = np.where(pos[:, :, None], stepped / np.where(pos, g, 1.0)[:, :, None],
-                    masses[:, None, :])
-    return g, post
+    stepped /= np.where(pos, g, 1.0)[:, :, None]
+    obs, row = np.nonzero(~pos)
+    stepped[obs, row] = masses[row]
+    return g.T, stepped.transpose(1, 0, 2)
 
 
 def _branch(model: HmmModel, masses: np.ndarray, weights: np.ndarray):
@@ -66,7 +84,9 @@ def _branch(model: HmmModel, masses: np.ndarray, weights: np.ndarray):
     g, post = _bayes_step(model, masses)
     w = weights[:, None] * model.obs.tau_weights * g
     parent, obs = np.nonzero(w > 0.0)
-    return post[parent, obs], w[parent, obs], parent, obs
+    # post views observation-major rows: gather from them by flat index
+    rows = post.transpose(1, 0, 2).reshape(-1, post.shape[2])
+    return np.take(rows, obs * len(masses) + parent, axis=0), w[parent, obs], parent, obs
 
 
 def likelihood(model: HmmModel, x: DensityVector, a) -> float:
@@ -307,7 +327,7 @@ def _filter_values(model: HmmModel, x: DensityVector, obs_seq: Sequence
     zero_steps = []
     for k, i in enumerate(obs_idx, 1):
         v = (y * lam) @ mats[i]
-        g = v.sum()
+        g = _cell_sum(v)
         if g > 0.0:
             y = v / g / lam
         else:

@@ -58,13 +58,14 @@ def merge_atoms(points, weights, lam, tol: float, blocks: int = 1):
     if len(weights) == 0:
         return points, weights
     order = np.argsort(points[:, 0])
-    points, weights = points[order], weights[order]
+    points, weights = np.take(points, order, axis=0), weights[order]
     if (np.diff(points[:, 0]) == 0).any():
         # ties: order them by later cells and collapse exact duplicates
         order = np.lexsort(points.T[::-1])
-        points = points[order]
+        points = np.take(points, order, axis=0)
         starts = np.flatnonzero(np.r_[True, (points[1:] != points[:-1]).any(axis=1)])
-        points, weights = points[starts], np.add.reduceat(weights[order], starts)
+        weights = np.add.reduceat(weights[order], starts)
+        points = np.take(points, starts, axis=0)
     lam = np.tile(lam, blocks)
     # a projection of all mass coordinates with weights |cos j| / blocks moves
     # by at most the row distance, so sorted on it only neighbours within tol
@@ -78,10 +79,13 @@ def merge_atoms(points, weights, lam, tol: float, blocks: int = 1):
         if len(near) == 0:
             break
         a, b = by_key[near], by_key[near + d]
-        tv = np.abs(points[a] - points[b]) * lam
+        tv = np.abs(np.take(points, a, axis=0) - np.take(points, b, axis=0)) * lam
         hit = tv.reshape(len(a), blocks, -1).sum(axis=2).max(axis=1) <= tol
         edges.append(np.stack([a[hit], b[hit]]))
     rows, cols = np.concatenate(edges, axis=1)
+    if len(rows) == 0:
+        # no edge: every atom is its own component, already in order
+        return points, weights
     # label every atom by the smallest index in its component: min-label
     # propagation along the edges with pointer jumping
     label = np.arange(len(points))

@@ -517,6 +517,17 @@ class TestE1Constants:
         with pytest.raises(BudgetExceeded, match="horizon exceeds 1e6 steps"):
             e1_constants(model, pi, cert, rho=0.1)
 
+    def test_infinite_kappa_exhausts_the_budget(self):
+        # d0 = 2e-311 is subnormal, kappa overflows and the factor
+        # (kappa - 1) / (kappa + 1) is NaN: no horizon is ever reached
+        model = product_model([[1 - 1e-310, 1e-310], [0.5, 0.5]],
+                              [[0.9, 0.1], [0.2, 0.8]])
+        pi, _ = stationary(model)
+        cert = check_condition_P(model, pi, [1, 2], [1])
+        assert cert.kappa == np.inf
+        with pytest.raises(BudgetExceeded, match="horizon exceeds 1e6 steps"):
+            e1_constants(model, pi, cert, rho=0.1)
+
     def test_certificate_json_round_trip(self, partition_fixture):
         pi, _ = stationary(partition_fixture)
         cert = check_condition_P(partition_fixture, pi, [1], [1])
@@ -524,6 +535,49 @@ class TestE1Constants:
         doc = json.loads(e1c.to_json())
         assert doc["N"] == 1 and doc["alpha"] == pytest.approx(0.0109375)
         assert doc["verification"]["g_violations"] == 0
+
+
+def _horizon_by_loop(kappa, rho):
+    """The horizon search one step at a time, as e1_constants first made it."""
+    factor = (kappa - 1.0) / (kappa + 1.0)
+    n = 1
+    while 2.0 * factor**n >= rho:
+        n += 1
+        if n > 10**6:
+            raise BudgetExceeded("contraction horizon exceeds 1e6 steps")
+    return n
+
+
+class TestContractionHorizon:
+    @settings(max_examples=300, deadline=None)
+    @given(kappa=st.floats(1.0, 1e4), rho=st.floats(1e-12, 2.0))
+    def test_closed_form_is_the_loop(self, kappa, rho):
+        assert contraction._contraction_horizon(kappa, rho) == _horizon_by_loop(kappa, rho)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kappa=st.floats(1.0, 1e4), horizon=st.integers(1, 60),
+           nudge=st.integers(-3, 3))
+    def test_closed_form_is_the_loop_at_the_crossing(self, kappa, horizon, nudge):
+        # rho within a few ulps of 2 factor**horizon, where rounding decides N
+        rho = 2.0 * ((kappa - 1.0) / (kappa + 1.0)) ** horizon
+        for _ in range(abs(nudge)):
+            rho = np.nextafter(rho, np.inf if nudge > 0 else 0.0)
+        assume(0.0 < rho <= 2.0)
+        assert contraction._contraction_horizon(kappa, rho) == _horizon_by_loop(kappa, rho)
+
+    @pytest.mark.parametrize("kappa", [4.5e8, 1e17, np.inf, np.nan])
+    def test_no_horizon_within_a_million_steps(self, kappa):
+        with pytest.raises(BudgetExceeded, match="horizon exceeds 1e6 steps"):
+            contraction._contraction_horizon(kappa, 0.1)
+
+    def test_kappa_one_takes_one_step(self):
+        assert contraction._contraction_horizon(1.0, 1e-300) == 1
+
+    @pytest.mark.parametrize("kappa", [1.0000000000000002, 2.0])
+    def test_smallest_subnormal_rho(self, kappa):
+        # rho / 2 rounds to 0 there, so the closed form must not take its log
+        rho = 5e-324
+        assert contraction._contraction_horizon(kappa, rho) == _horizon_by_loop(kappa, rho)
 
 
 BLOCK_PARTITION = {"states": {"ids": [1, 2, 3]}, "obs": {"ids": [1, 2]},

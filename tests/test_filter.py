@@ -159,6 +159,46 @@ class TestBayesStep:
             assert node.weight == pytest.approx(w, rel=1e-13)
 
 
+def _bayes_step_per_row(model, masses):
+    """The likelihoods and updates of _bayes_step one row and observation at a time.
+
+    The stepped masses are rows of the one batched product: numpy rounds
+    ``masses[r] @ M_a`` differently from ``(masses @ M)[a, r]``.
+    """
+    products = masses @ model.stepping_matrices
+    g = np.empty((len(masses), model.n_obs))
+    post = np.empty((len(masses), model.n_obs, model.n_states))
+    for r in range(len(masses)):
+        for a in range(model.n_obs):
+            stepped = products[a, r]
+            g[r, a] = stepped.sum()
+            post[r, a] = stepped / g[r, a] if g[r, a] > 0.0 else masses[r]
+    return g, post
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.integers(1, 4),
+       st.floats(0.0, 0.8), st.integers(1, 8))
+def test_branch_is_the_per_row_arithmetic(seed, n_states, n_obs, sparsity, n_rows):
+    # bit-identical on both sides of 8 cells, where the likelihood sum turns
+    # pairwise, with zero-likelihood rows (all-zero ones too) and zero weights
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, n_states, n_obs, weighted=True, sparsity=sparsity)
+    masses = rng.dirichlet(np.ones(n_states), size=n_rows)
+    masses *= rng.random((n_rows, n_states)) < 0.7
+    weights = rng.uniform(0.1, 1.0, n_rows) * (rng.random(n_rows) < 0.8)
+    want_g, want_post = _bayes_step_per_row(model, masses)
+    g, post = _bayes_step(model, masses)
+    assert g.tobytes() == want_g.tobytes() and post.tobytes() == want_post.tobytes()
+    # children in (row, observation) order, those of zero weight dropped
+    want_w = weights[:, None] * model.obs.tau_weights * want_g
+    pairs = [(r, a) for r in range(n_rows) for a in range(n_obs) if want_w[r, a] > 0.0]
+    children, w, parent, obs = _branch(model, masses, weights)
+    assert list(zip(parent, obs)) == pairs
+    assert children.tobytes() == want_post[parent, obs].tobytes()
+    assert w.tobytes() == want_w[parent, obs].tobytes()
+
+
 class TestPushforward:
     def test_m2_atoms(self, m2):
         law = pushforward(m2, DensityVector(m2.states, [0.5, 0.5]))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from filterlab.errors import (
@@ -550,6 +550,32 @@ class TestMergeAtomsProperties:
             members = pts[chain == c]
             first = members[np.lexsort(members.T[::-1])[0]]
             assert (p == first).all(axis=1).sum() == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([1, 2]))
+def test_merge_without_edges_sorts_and_sums_duplicates(seed, blocks):
+    # atoms at least 1e-6 apart in TV, some repeated exactly (at most twice,
+    # so each summed weight is one exact addition) and some sharing their
+    # first block, so the first column ties
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 5))
+    lam = rng.uniform(0.5, 2.0, k)
+    rows = list(rng.dirichlet(np.ones(k), size=(int(rng.integers(1, 30)), blocks)))
+    if blocks == 2:
+        rows += [np.stack([rows[0][0], rng.dirichlet(np.ones(k))]) for _ in range(3)]
+    rows += [rows[i] for i in rng.choice(len(rows), size=len(rows) // 3, replace=False)]
+    points = np.array([(r / lam).ravel() for r in rows])
+    weights = rng.uniform(0.1, 1.0, len(points))
+    perm = rng.permutation(len(points))
+    points, weights = points[perm], weights[perm]
+    distinct, inverse = np.unique(points, axis=0, return_inverse=True)
+    tv = np.abs(distinct[:, None] - distinct[None]) * np.tile(lam, blocks)
+    tv = tv.reshape(len(distinct), len(distinct), blocks, k).sum(axis=3).max(axis=2)
+    assume((tv + np.eye(len(distinct)) > 1e-6).all())
+    p, w = merge_atoms(points, weights, lam, MERGE_TOL, blocks)
+    assert p.tobytes() == distinct.tobytes()
+    np.testing.assert_array_equal(w, np.bincount(inverse.ravel(), weights=weights))
 
 
 class TestLazyScipy:
