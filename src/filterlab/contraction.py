@@ -625,10 +625,13 @@ def e1_constants(model: HmmModel, pi: DensityVector, cert: PCertificate,
     except OverflowError:
         raise BudgetExceeded(f"eta = xi (d0 beta0)**N overflows at N = {n}") from None
 
-    rng = np.random.default_rng(seed)
     f0_mask = model.states.mask(cert.F0)
     b0_idx = [model.obs.index(a) for a in cert.B0]
     exhaustive = len(b0_idx) ** n <= sequence_budget
+    # built only to sample (importing numpy.random costs a process about 6 MB),
+    # and drawn in the same order: sequences first, then the pairs
+    if not exhaustive or sample_pairs is not None:
+        rng = np.random.default_rng(seed)
     if exhaustive:
         sequences = np.fromiter(itertools.chain.from_iterable(
             itertools.product(b0_idx, repeat=n)), dtype=int).reshape(-1, n)

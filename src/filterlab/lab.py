@@ -139,9 +139,10 @@ class WeakContractionReport:
         return bool(np.all(self.distances >= self.lower_bounds - 1e-9))
 
     def to_csv(self, path) -> None:
+        rows = zip(self.distances.tolist(), self.lower_bounds.tolist())
         _write_csv(path, "pair,n,distance,lower_bound",
-                   ((i, n, self.distances[i, n - 1], self.lower_bounds[i, n - 1])
-                    for i in range(len(self.pairs)) for n in range(1, self.n_max + 1)))
+                   ((i, n, d, floor) for i, (ds, floors) in enumerate(rows)
+                    for n, (d, floor) in enumerate(zip(ds, floors), start=1)))
 
 
 def weak_contraction_report(model: HmmModel, pairs, n_max: int,
@@ -189,7 +190,7 @@ class OscDecayReport:
 
     def to_csv(self, path) -> None:
         _write_csv(path, "function,n,oscillation",
-                   ((name, n, osc) for name, row in zip(self.names, self.oscillations)
+                   ((name, n, osc) for name, row in zip(self.names, self.oscillations.tolist())
                     for n, osc in enumerate(row)))
 
 
@@ -244,7 +245,7 @@ class TightnessReport:
 
     def to_csv(self, path) -> None:
         _write_csv(path, "start,n,ball_mass",
-                   ((i, n, m) for i, row in enumerate(self.masses)
+                   ((i, n, m) for i, row in enumerate(self.masses.tolist())
                     for n, m in enumerate(row)))
 
 

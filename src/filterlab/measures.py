@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -211,7 +213,8 @@ class TransportPlan:
 
     def to_csv(self, path) -> None:
         _write_csv(path, "i,j,mass,cost",
-                   zip(self.source, self.target, self.mass, self.cost))
+                   zip(self.source.tolist(), self.target.tolist(),
+                       self.mass.tolist(), self.cost.tolist()))
 
 
 class _TvRows:
@@ -246,6 +249,22 @@ def _cost_matrix(mu: PointMassMeasure, nu: PointMassMeasure) -> np.ndarray:
     return _TvRows(mu.mass_matrix(), nu.mass_matrix())[:]
 
 
+def _sorted_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The distinct values of ``a`` and ``b`` in ascending order, as ``np.union1d``.
+
+    The sort path of ``np.unique`` written out: one sort of both, and the
+    first of each run of equal values (so of -0.0 and 0.0 whichever the sort
+    puts first).  ``np.unique`` imports ``numpy.ma`` on its first call.  The
+    inputs hold no NaN, which ``np.union1d`` would collapse into one.
+    """
+    c = np.concatenate((a, b))
+    c.sort()
+    first = np.empty(len(c), dtype=bool)
+    first[:1] = True
+    np.not_equal(c[1:], c[:-1], out=first[1:])
+    return c[first]
+
+
 def _line_sums(w1, w2, key1, key2):
     """Each side's key order and cumulative weight sums along it.
 
@@ -274,7 +293,7 @@ def _monotone_plan(w1, w2, key1, key2):
     mass is its weight within a few units in the last place of the total.
     """
     o1, c1, o2, c2 = _line_sums(w1, w2, key1, key2)
-    cuts = np.union1d(c1, c2)
+    cuts = _sorted_union(c1, c2)
     cuts = cuts[cuts <= min(c1[-1], c2[-1])]
     # segment k, from cut k-1 to cut k, lies in the interval of the atom
     # that follows every breakpoint at or below cut k-1
@@ -294,7 +313,7 @@ def _line_potentials(key1, key2, w1, w2):
     the sums of :func:`_line_sums`, which the plan cuts.
     """
     o1, c1, o2, c2 = _line_sums(w1, w2, key1, key2)
-    uniq = np.union1d(key1, key2)
+    uniq = _sorted_union(key1, key2)
     gap = (np.r_[0.0, c1][np.searchsorted(key1[o1], uniq, "right")]
            - np.r_[0.0, c2][np.searchsorted(key2[o2], uniq, "right")])
     slope = -np.sign(gap[:-1])
@@ -387,7 +406,47 @@ def _price(C, u, v, arcs):
         low = reduced[i, j] < col_low
         col_low[low], col_arg[low] = reduced[i[low], j[low]], lo + i[low]
     hit = np.flatnonzero(col_low < -_PRICE_TOL)
-    return worst, np.unique(np.concatenate(new + [col_arg[hit] * n + hit]))
+    return worst, _sorted_union(np.concatenate(new), col_arg[hit] * n + hit)
+
+
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+
+
+def _highs_core():
+    """scipy's bundled HiGHS bindings, loaded on first use without ``scipy.optimize``.
+
+    ``from scipy.optimize._highspy import _core`` runs all of
+    ``scipy.optimize/__init__`` (hundreds of modules, tens of MB) to reach
+    one extension that loads alone in milliseconds.  The extension is found
+    in scipy's package directory and registered under its own name before it
+    is executed, so a later ``import scipy.optimize`` reuses it (pybind11
+    registers its types once per process); one already imported is returned
+    as it is.  Where scipy keeps no such file, the plain import names the fault.
+    """
+    core = sys.modules.get(_HIGHS_CORE)
+    if core is not None:
+        return core
+    import importlib.util
+    from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+
+    scipy = importlib.util.find_spec("scipy")
+    for root in scipy.submodule_search_locations if scipy else ():
+        finder = FileFinder(os.path.join(root, "optimize", "_highspy"),
+                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(_HIGHS_CORE)
+        if spec is not None:
+            break
+    else:
+        from scipy.optimize._highspy import _core
+        return _core
+    core = importlib.util.module_from_spec(spec)
+    sys.modules[_HIGHS_CORE] = core
+    try:
+        spec.loader.exec_module(core)
+    except BaseException:
+        del sys.modules[_HIGHS_CORE]
+        raise
+    return core
 
 
 def _lp_plan(w1, w2, C) -> _LpPlan:
@@ -404,10 +463,9 @@ def _lp_plan(w1, w2, C) -> _LpPlan:
     One HiGHS model holds the m + n marginal rows; each round appends its
     new arcs as columns and solves again from the last basis.
     """
-    # imported here: scipy is most of the import time of filterlab, and only
-    # transport on three or more cells needs it.  HiGHS is driven directly:
-    # linprog rebuilds the model and checks every input and option per call
-    from scipy.optimize._highspy import _core as highs
+    # HiGHS is driven directly: linprog rebuilds the model and checks every
+    # input and option per call
+    highs = _highs_core()
 
     def ok(status, call):
         if status != highs.HighsStatus.kOk:
@@ -415,7 +473,7 @@ def _lp_plan(w1, w2, C) -> _LpPlan:
 
     m, n = C.shape
     src, tgt, _ = _monotone_plan(w1, w2, np.arange(m), np.arange(n))
-    arcs = np.unique(np.concatenate([_start_arcs(C), src * n + tgt]))
+    arcs = _sorted_union(_start_arcs(C), src * n + tgt)
     lp = highs._Highs()
     # HiGHS's default feasibility tolerances (1e-7) let plans miss
     # _certify; its presolve slows these small LPs by about a third.
@@ -448,7 +506,7 @@ def _lp_plan(w1, w2, C) -> _LpPlan:
         worst, new = _price(C, u, v, arcs)
         if not len(new):
             break
-        arcs = np.union1d(arcs, new)
+        arcs = _sorted_union(arcs, new)
     x = np.asarray(solution.col_value)
     on = x > 0
     i, j = np.divmod(np.concatenate(columns)[on], n)

@@ -12,6 +12,7 @@ built on top of the objects defined here.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 from dataclasses import dataclass
@@ -301,13 +302,16 @@ def load_model(path) -> HmmModel:
 
 
 def _write_csv(path, header: str, rows) -> None:
-    """The one CSV writer: floats as ``repr(float(v))``, which round-trips
-    (a numpy 2 scalar's own ``repr`` reads ``np.float64(...)``), the rest by ``str``."""
+    """The one CSV writer: every cell by ``str``.
+
+    Callers pass Python scalars (``.tolist()``), whose floats ``str`` writes
+    as ``repr`` does, which round-trips; a numpy 2 scalar's ``repr`` would
+    read ``np.float64(...)``.
+    """
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join([repr(float(v)) if isinstance(v, (float, np.floating))
-                               else str(v) for v in row]) + "\n")
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def stepping_kernel(model: HmmModel, a) -> SteppingKernel:
@@ -466,15 +470,15 @@ def simulate(model: HmmModel, x0: DensityVector, n: int, seed: int) -> Simulatio
     joint = model.m * lam[None, :, None] * tau[None, None, :]
     joint = joint.reshape(model.n_states, -1)
     joint = joint / joint.sum(axis=1, keepdims=True)
-    # one uniform per step through the row CDF, as ``rng.choice(p=joint[s])`` draws
+    # one uniform per step through the row CDF, as ``rng.choice(p=joint[s])`` draws;
+    # bisect_right on Python floats picks the cell searchsorted(side="right") does
     cdf = joint.cumsum(axis=1)
     cdf /= cdf[:, -1:]
-    u = rng.random(n)
+    cdf = cdf.tolist()
     states = [model.states.cells[s]]
     observations = []
-    for k in range(n):
-        flat = int(cdf[s].searchsorted(u[k], side="right"))
-        t, a = divmod(flat, model.n_obs)
+    for u in rng.random(n).tolist():
+        t, a = divmod(bisect.bisect_right(cdf[s], u), model.n_obs)
         states.append(model.states.cells[t])
         observations.append(model.obs.cells[a])
         s = t

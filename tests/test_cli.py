@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +85,16 @@ class TestCheck:
         assert stopped["decided"] is False and "max_len 1" in stopped["error"]
         stopped = condition_a("c", "--model", m2_file, "--budget", "1")
         assert stopped["decided"] is False and "budget 1" in stopped["error"]
+
+    def test_exhaustive_check_never_imports_numpy_random(self, m2_file, tmp_path):
+        # every E1 sequence enumerated and the pairs on vertices: nothing is drawn
+        code = ("import sys; from filterlab.cli import main; "
+                "print(main(sys.argv[1:]), 'numpy.random' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code, "check", "--model", m2_file,
+                              "--nmax", "14", "--out", str(tmp_path / "out")],
+                             capture_output=True, text=True, check=True,
+                             env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert out.stdout.split() == ["0", "False"]
 
 
 class TestContract:

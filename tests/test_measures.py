@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -578,14 +579,103 @@ def test_merge_without_edges_sorts_and_sums_duplicates(seed, blocks):
     np.testing.assert_array_equal(w, np.bincount(inverse.ravel(), weights=weights))
 
 
+class TestSortedUnion:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.sampled_from(["float", "int64"]))
+    def test_is_union1d_byte_for_byte(self, data, dtype):
+        if dtype == "float":  # few values, so ties and both zeros recur
+            values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25, 5e-324]) | st.floats(
+                allow_nan=False)
+        else:
+            values = st.integers(-3, 3) | st.integers(-2**63, 2**63 - 1)
+        a, b = (np.array(data.draw(st.lists(values, max_size=40)), dtype=dtype)
+                for _ in range(2))
+        got, want = measures._sorted_union(a, b), np.union1d(a, b)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def _fresh_python(code, *args):
+    """Run ``code`` in a new interpreter on this one's import path; its stdout."""
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    return out.stdout.strip()
+
+
+# a three-cell pair on the LP path, in a fresh interpreter
+_LP_PAIR = """
+import sys
+import numpy as np
+from filterlab import measures
+from filterlab.measures import PointMassMeasure, kantorovich
+from filterlab.model import StateSpace
+rng = np.random.default_rng(12)
+space = StateSpace((1, 2, 3), np.ones(3))
+mu = PointMassMeasure(space, rng.dirichlet(np.ones(3), 6), np.full(6, 1 / 6))
+nu = PointMassMeasure(space, rng.dirichlet(np.ones(3), 5), np.full(5, 1 / 5))
+CORE = "scipy.optimize._highspy._core"
+"""
+
+
 class TestLazyScipy:
     def test_import_does_not_load_scipy(self):
+        # nor numpy.ma or numpy.random, which numpy loads on first use
         code = ("import sys, filterlab, filterlab.cli; "
-                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True,
-                             env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
-        assert out.stdout.strip() == "[]"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')"
+                " or m in ('numpy.ma', 'numpy.random')))")
+        assert _fresh_python(code) == "[]"
+
+    def test_lp_loads_highs_alone(self):
+        code = _LP_PAIR + """
+assert kantorovich(mu, nu)[1].method == "lp"
+print(sorted(m for m in ("scipy.optimize", "numpy.ma", CORE) if m in sys.modules))
+"""
+        assert _fresh_python(code) == repr(["scipy.optimize._highspy._core"])
+
+    def test_later_scipy_optimize_reuses_the_loaded_highs(self):
+        code = _LP_PAIR + """
+kantorovich(mu, nu)
+core = sys.modules[CORE]
+import scipy.optimize
+from scipy.optimize._highspy import _core
+res = scipy.optimize.linprog([1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0])
+print(_core is core, res.status, res.x.tolist())
+"""
+        assert _fresh_python(code) == "True 0 [1.0, 0.0]"
+
+    def test_lp_reuses_a_highs_scipy_optimize_loaded(self):
+        code = _LP_PAIR + """
+import scipy.optimize
+from scipy.optimize._highspy import _core
+built = []
+
+class Counted(_core._Highs):
+    def __init__(self):
+        super().__init__()
+        built.append(self)
+
+_core._Highs = Counted
+assert kantorovich(mu, nu)[1].method == "lp"
+print(measures._highs_core() is _core, sys.modules[CORE] is _core, len(built))
+"""
+        assert _fresh_python(code) == "True True 1"
+
+    def test_cli_transport_on_three_cells(self, tmp_path):
+        rng = np.random.default_rng(4)
+        for name, k in (("mu", 40), ("nu", 30)):
+            doc = {"space": {"ids": [1, 2, 3], "lambda": [1.0, 1.0, 1.0]},
+                   "atoms": [{"point": p.tolist(), "weight": 1.0 / k}
+                             for p in rng.dirichlet(np.ones(3), k)]}
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        out = subprocess.run(
+            [sys.executable, "-m", "filterlab.cli", "transport", "--mu",
+             str(tmp_path / "mu.json"), "--nu", str(tmp_path / "nu.json"),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert out.returncode == 0, out.stderr
+        assert json.loads((tmp_path / "out" / "transport.json").read_text())["method"] == "lp"
 
     def test_three_cell_transport_still_certified(self):
         rng = np.random.default_rng(12)
