@@ -108,9 +108,11 @@ def cross_ratio_kappa(kernel, rows=None, cols=None, max_dense: int = 2_000_000
                       ) -> float:
     """Square root of the worst entry cross-ratio on the support rectangle.
 
-    Exhaustive over all index quadruples when the intermediate array stays
-    small, otherwise via the equivalent column-pair ratio reduction; both
-    compute the exact maximum.
+    The worst ``k(a,c) k(b,d) / (k(b,c) k(a,d))`` over all index quadruples
+    is, over column pairs (c, d), the largest row ratio ``k(s,c) / k(s,d)``
+    divided by the smallest: the exact maximum in O(rows * cols**2) work.
+    The ratios are formed for a chunk of columns d at a time, whose array
+    holds at most ``max_dense`` entries (one column at least).
     """
     kernel = np.asarray(kernel, dtype=float)
     rows, cols = _rows_cols(kernel, rows, cols)
@@ -121,15 +123,10 @@ def cross_ratio_kappa(kernel, rows=None, cols=None, max_dense: int = 2_000_000
             f"kernel entry at support position ({i},{j}) is not positive"
         )
     nf, ng = block.shape
-    if (nf * ng) ** 2 <= max_dense:
-        cr = np.einsum("ac,bd->abcd", block, block) / np.einsum(
-            "bc,ad->abcd", block, block
-        )
-        return float(np.sqrt(cr.max()))
-    # max over (t1,t2) of (max_s k(s,t1)/k(s,t2)) / (min_s k(s,t1)/k(s,t2))
+    chunk = max(1, max_dense // (nf * ng))
     worst = 1.0
-    for t2 in range(ng):
-        ratios = block / block[:, t2][:, None]
+    for lo in range(0, ng, chunk):
+        ratios = block[:, :, None] / block[:, None, lo:lo + chunk]
         worst = max(worst, float((ratios.max(axis=0) / ratios.min(axis=0)).max()))
     return float(np.sqrt(worst))
 

@@ -21,7 +21,7 @@ from .errors import BarycenterMismatch, SpaceMismatch
 from .filter import ENUMERATION_BUDGET, _bayes_step, _check_budget, observation_law
 from .measures import (MARGINAL_TOL, MERGE_TOL, PointMassMeasure, barycenter,
                        merge_atoms, tv_distance)
-from .model import DensityVector, HmmModel, ObsSpace
+from .model import DensityVector, HmmModel, ObsSpace, _freeze
 
 
 @dataclass(eq=False)
@@ -104,19 +104,33 @@ class JointFilterMeasure:
     """Finitely supported coupling of two filter laws.
 
     Atom ``k`` puts weight ``weights[k]`` on the pair of densities
-    ``(x_points[k], y_points[k])``.
+    ``(x_points[k], y_points[k])``.  The pairs are held as cell masses, both
+    halves side by side in one ``(n_atoms, 2 * n_cells)`` array; the two
+    density arrays are derived from it when read and cannot be written.
     """
 
-    __slots__ = ("space", "x_points", "y_points", "weights", "pruned_mass")
+    __slots__ = ("space", "_masses", "weights", "pruned_mass")
 
-    def __init__(self, space, x_points, y_points, weights, pruned_mass=0.0):
-        self.space = space
-        self.x_points = np.atleast_2d(np.asarray(x_points, dtype=float))
-        self.y_points = np.atleast_2d(np.asarray(y_points, dtype=float))
-        self.weights = np.asarray(weights, dtype=float)
-        self.pruned_mass = float(pruned_mass)
-        for points in (self.x_points, self.y_points):  # each half is a point-mass measure
-            PointMassMeasure(space, points, self.weights)
+    def __new__(cls, space, x_points, y_points, weights, pruned_mass=0.0):
+        # densities enter here, once: the coupling is built on their cell masses
+        halves = [np.atleast_2d(np.asarray(p, dtype=float)) for p in (x_points, y_points)]
+        if any(h.shape != (np.size(weights), space.n) for h in halves):
+            raise ValueError("points must have shape (n_atoms, n_cells)")
+        masses = np.hstack(halves) * np.tile(space.lambda_weights, 2)
+        return cls.from_masses(space, masses, weights, pruned_mass)
+
+    # the one gate of both measure classes: the same fields, sign check and no copy
+    from_masses = classmethod(PointMassMeasure.from_masses.__func__)
+
+    @property
+    def x_points(self) -> np.ndarray:
+        """The first halves' densities, derived from the held masses when read."""
+        return _freeze(self._masses[:, :self.space.n] / self.space.lambda_weights)
+
+    @property
+    def y_points(self) -> np.ndarray:
+        """The second halves' densities, derived from the held masses when read."""
+        return _freeze(self._masses[:, self.space.n:] / self.space.lambda_weights)
 
     @property
     def n_atoms(self) -> int:
@@ -127,16 +141,16 @@ class JointFilterMeasure:
         return float(self.weights.sum())
 
     def marginal_x(self) -> PointMassMeasure:
-        return PointMassMeasure(self.space, self.x_points, self.weights,
-                                pruned_mass=self.pruned_mass).merged()
+        return PointMassMeasure.from_masses(self.space, self._masses[:, :self.space.n],
+                                            self.weights, self.pruned_mass).merged()
 
     def marginal_y(self) -> PointMassMeasure:
-        return PointMassMeasure(self.space, self.y_points, self.weights,
-                                pruned_mass=self.pruned_mass).merged()
+        return PointMassMeasure.from_masses(self.space, self._masses[:, self.space.n:],
+                                            self.weights, self.pruned_mass).merged()
 
     def pair_tv(self) -> np.ndarray:
-        lam = self.space.lambda_weights[None, :]
-        return np.abs(self.x_points * lam - self.y_points * lam).sum(axis=1)
+        k = self.space.n
+        return np.abs(self._masses[:, :k] - self._masses[:, k:]).sum(axis=1)
 
     def mass_within(self, rho: float) -> float:
         """Joint mass on pairs closer than ``rho`` in total variation."""
@@ -144,25 +158,21 @@ class JointFilterMeasure:
 
     def merged(self) -> "JointFilterMeasure":
         """Merge pairs whose two halves each lie within ``MERGE_TOL`` in TV."""
-        stacked = np.hstack([self.x_points, self.y_points])
-        points, weights = merge_atoms(stacked, self.weights, self.space.lambda_weights,
-                                      MERGE_TOL, blocks=2)
-        k = self.space.n
-        return JointFilterMeasure(self.space, points[:, :k], points[:, k:],
-                                  weights, pruned_mass=self.pruned_mass)
+        merged = merge_atoms(self._masses, self.weights, MERGE_TOL, blocks=2)
+        return JointFilterMeasure.from_masses(self.space, *merged, pruned_mass=self.pruned_mass)
 
 
 def _coupled_step(model: HmmModel, joint: JointFilterMeasure) -> JointFilterMeasure:
     """One unmerged coupled step of every pair; pairs of zero mass are dropped."""
     live = joint.weights > 0.0
-    lam, w0 = model.states.lambda_weights, joint.weights[live]
-    gx, hx = _bayes_step(model, joint.x_points[live] * lam)
-    gy, hy = _bayes_step(model, joint.y_points[live] * lam)
+    k, w0, masses = model.n_states, joint.weights[live], joint._masses[live]
+    gx, hx = _bayes_step(model, masses[:, :k])
+    gy, hy = _bayes_step(model, masses[:, k:])
     diag, w = _obs_couplings(model, gx, gy)
     w += diag[:, :, None] * np.eye(model.n_obs)  # the excess products vanish there
     pair, a, b = np.nonzero(w > 0.0)
-    return JointFilterMeasure(model.states, hx[pair, a] / lam, hy[pair, b] / lam,
-                              w[pair, a, b] * w0[pair])
+    return JointFilterMeasure.from_masses(model.states, np.hstack([hx[pair, a], hy[pair, b]]),
+                                          w[pair, a, b] * w0[pair])
 
 
 def coupled_filter_step(model: HmmModel, x: DensityVector, y: DensityVector
@@ -181,10 +191,10 @@ def product_coupling(mu: PointMassMeasure, nu: PointMassMeasure
     """Independent coupling of two point-mass measures on K."""
     if not mu.space.same_as(nu.space):
         raise SpaceMismatch("measures live on different state spaces")
-    xs = np.repeat(mu.points, nu.n_atoms, axis=0)
-    ys = np.tile(nu.points, (mu.n_atoms, 1))
+    xs = np.repeat(mu.mass_matrix(), nu.n_atoms, axis=0)
+    ys = np.tile(nu.mass_matrix(), (mu.n_atoms, 1))
     ws = np.outer(mu.weights, nu.weights).ravel()
-    return JointFilterMeasure(mu.space, xs, ys, ws)
+    return JointFilterMeasure.from_masses(mu.space, np.hstack([xs, ys]), ws)
 
 
 def coupled_laws(model: HmmModel, mu: PointMassMeasure, nu: PointMassMeasure,

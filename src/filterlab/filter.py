@@ -170,15 +170,15 @@ def filter_laws(model: HmmModel, x: DensityVector, n_max: int, prune_eps: float 
         if n:
             _check_budget(len(weights) * model.n_obs, budget, f"filter-law step {n}")
             masses, weights, _, _ = _branch(model, masses, weights)
-        law = PointMassMeasure(model.states, masses / model.states.lambda_weights,
-                               weights, pruned_mass=pruned).merged()
+        law = PointMassMeasure.from_masses(model.states, masses, weights,
+                                           pruned_mass=pruned).merged()
         if n and prune_eps > 0.0:
             keep = law.weights >= prune_eps
             if not keep.any():
                 raise BudgetExceeded("pruning removed all mass; lower prune_eps")
             pruned += float(law.weights[~keep].sum())
-            law = PointMassMeasure(model.states, law.points[keep],
-                                   law.weights[keep], pruned_mass=pruned)
+            law = PointMassMeasure.from_masses(model.states, law.mass_matrix()[keep],
+                                               law.weights[keep], pruned_mass=pruned)
         yield law
         masses, weights = law.mass_matrix(), law.weights
 
@@ -247,25 +247,27 @@ def grid_averages(model: HmmModel, u_list, masses_grid: np.ndarray,
     Returns ``out[n, i, j]``, the n-fold average of ``u_list[i]`` at grid
     point ``j``.  Steps blocks of grid points level by level, one batched
     product per level over every (grid point, observation sequence) branch,
-    and evaluates every function on each level's branches, so each branch is
-    stepped once.  A block holds about ``_GRID_BLOCK`` branches at the last
-    level, so no array over the whole grid times all ``|A|**n_max``
-    sequences is built; zero-likelihood branches contribute nothing.  The
-    budget bounds a block's branches at the last level, ``|A|**n_max`` per
-    grid point, and is checked before the block is stepped.
+    and evaluates every function on each level's branches (the grid itself
+    at level 0), so each branch is stepped once; no function gives an
+    ``(n_max + 1, 0, len(grid))`` array.  A block holds about
+    ``_GRID_BLOCK`` branches at the last level, so no array over the whole
+    grid times all ``|A|**n_max`` sequences is built; zero-likelihood
+    branches contribute nothing.  The budget bounds a block's branches at
+    the last level, ``|A|**n_max`` per grid point, and is checked before the
+    block is stepped.
     """
     grid = np.atleast_2d(np.asarray(masses_grid, dtype=float))
     out = np.zeros((n_max + 1, len(u_list), len(grid)))
-    out[0] = [u.on_masses(grid) for u in u_list]
     size = max(1, _GRID_BLOCK // model.n_obs**n_max)
     for s in range(0, len(grid), size):
         block = grid[s:s + size]
         _check_budget(len(block) * model.n_obs**n_max, ENUMERATION_BUDGET,
                       f"{len(block)} grid points times |A|^n = {model.n_obs}**{n_max}")
         masses, weights, root = block, np.ones(len(block)), np.arange(len(block))
-        for n in range(1, n_max + 1):
-            masses, weights, parent, _ = _branch(model, masses, weights)
-            root = root[parent]
+        for n in range(n_max + 1):
+            if n:
+                masses, weights, parent, _ = _branch(model, masses, weights)
+                root = root[parent]
             for i, u in enumerate(u_list):
                 out[n, i, s:s + size] = np.bincount(root, weights * u.on_masses(masses),
                                                     minlength=len(block))

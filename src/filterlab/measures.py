@@ -1,12 +1,14 @@
 """Total-variation geometry of the simplex and exact transport on point masses.
 
-Measures on the filter's state space K are represented by finite weighted
-lists of density vectors.  The transport distance between two such measures
-uses total variation as ground cost and is solved exactly: a monotone
-(sorted) coupling on two-cell state grids, an LP by column generation
-everywhere else.  Both paths return dual potentials, and every plan is
-certified by marginal residuals and complementary slackness over all atom
-pairs before it is accepted; neither builds an m-by-n cost array.
+Measures on the filter's state space K are finite weighted lists of atoms,
+held as their cell masses (density times lambda), the one format every
+operation here reads; densities are derived only when asked for.  The
+transport distance between two such measures uses total variation as
+ground cost and is solved exactly: a monotone (sorted) coupling on two-cell
+state grids, an LP by column generation everywhere else.  Both paths return
+dual potentials, and every plan is certified by marginal residuals and
+complementary slackness over all atom pairs before it is accepted; neither
+builds an m-by-n cost array.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import (
     SolverFailure,
     SpaceMismatch,
 )
-from .model import DensityVector, StateSpace, _check_nonnegative, _write_csv
+from .model import DensityVector, StateSpace, _check_nonnegative, _freeze, _write_csv
 
 MERGE_TOL = 1e-12
 MARGINAL_TOL = 1e-10
@@ -48,31 +50,30 @@ def tv_distance(x: DensityVector, y: DensityVector) -> float:
     return float(np.abs(x.masses - y.masses).sum())
 
 
-def merge_atoms(points, weights, lam, tol: float, blocks: int = 1):
+def merge_atoms(masses, weights, tol: float, blocks: int = 1):
     """Group atoms into the connected components of "TV <= tol".
 
-    Each row of ``points`` is ``blocks`` densities against the cell weights
-    ``lam``, and two rows are as far apart as their farthest pair of blocks.
+    Each row of ``masses`` is ``blocks`` vectors of cell masses side by
+    side, and two rows are as far apart as their farthest pair of blocks.
     Components do not depend on input order or on bystander atoms.  Returns
-    each component's lexicographically first point and its summed weight,
-    in lexicographic order of the points.
+    each component's lexicographically first row and its summed weight, in
+    lexicographic order of the rows.
     """
     if len(weights) == 0:
-        return points, weights
-    order = np.argsort(points[:, 0])
-    points, weights = np.take(points, order, axis=0), weights[order]
-    if (np.diff(points[:, 0]) == 0).any():
+        return masses, weights
+    order = np.argsort(masses[:, 0])
+    masses, weights = np.take(masses, order, axis=0), weights[order]
+    if (np.diff(masses[:, 0]) == 0).any():
         # ties: order them by later cells and collapse exact duplicates
-        order = np.lexsort(points.T[::-1])
-        points = np.take(points, order, axis=0)
-        starts = np.flatnonzero(np.r_[True, (points[1:] != points[:-1]).any(axis=1)])
+        order = np.lexsort(masses.T[::-1])
+        masses = np.take(masses, order, axis=0)
+        starts = np.flatnonzero(np.r_[True, (masses[1:] != masses[:-1]).any(axis=1)])
         weights = np.add.reduceat(weights[order], starts)
-        points = np.take(points, starts, axis=0)
-    lam = np.tile(lam, blocks)
+        masses = np.take(masses, starts, axis=0)
     # a projection of all mass coordinates with weights |cos j| / blocks moves
     # by at most the row distance, so sorted on it only neighbours within tol
     # can be joined; unlike one column, pairs repeating one half do not tie on it
-    key = points @ (lam * np.cos(np.arange(1, len(lam) + 1)) / blocks)
+    key = masses @ (np.cos(np.arange(1, masses.shape[1] + 1)) / blocks)
     by_key = np.argsort(key)
     key = key[by_key]
     edges = [np.zeros((2, 0), dtype=np.int64)]
@@ -81,16 +82,16 @@ def merge_atoms(points, weights, lam, tol: float, blocks: int = 1):
         if len(near) == 0:
             break
         a, b = by_key[near], by_key[near + d]
-        tv = np.abs(np.take(points, a, axis=0) - np.take(points, b, axis=0)) * lam
+        tv = np.abs(np.take(masses, a, axis=0) - np.take(masses, b, axis=0))
         hit = tv.reshape(len(a), blocks, -1).sum(axis=2).max(axis=1) <= tol
         edges.append(np.stack([a[hit], b[hit]]))
     rows, cols = np.concatenate(edges, axis=1)
     if len(rows) == 0:
         # no edge: every atom is its own component, already in order
-        return points, weights
+        return masses, weights
     # label every atom by the smallest index in its component: min-label
     # propagation along the edges with pointer jumping
-    label = np.arange(len(points))
+    label = np.arange(len(masses))
     while True:
         new = label.copy()
         low = np.minimum(label[rows], label[cols])
@@ -100,31 +101,44 @@ def merge_atoms(points, weights, lam, tol: float, blocks: int = 1):
         if np.array_equal(new, label):
             break
         label = new
-    roots = label == np.arange(len(points))
-    return points[roots], np.bincount((np.cumsum(roots) - 1)[label], weights=weights)
+    roots = label == np.arange(len(masses))
+    return masses[roots], np.bincount((np.cumsum(roots) - 1)[label], weights=weights)
 
 
 class PointMassMeasure:
-    """Finitely supported measure on K: weighted list of density vectors.
+    """Finitely supported measure on K: a weighted list of atoms.
 
-    ``points`` is an ``(n_atoms, n_cells)`` array of densities, ``weights``
-    the nonnegative atom weights.  ``pruned_mass`` records mass dropped by an
-    enumeration cut-off so error budgets stay auditable.
+    The atoms are held as cell masses, the ``(n_atoms, n_cells)`` array
+    :meth:`mass_matrix` returns; ``points``, their densities, is derived
+    when read and cannot be written.  ``weights`` are the nonnegative atom
+    weights.  ``pruned_mass`` records mass dropped by an enumeration cut-off
+    so error budgets stay auditable.
     """
 
-    __slots__ = ("space", "points", "weights", "pruned_mass")
+    __slots__ = ("space", "_masses", "weights", "pruned_mass")
 
-    def __init__(self, space: StateSpace, points, weights, pruned_mass: float = 0.0):
+    def __new__(cls, space: StateSpace, points, weights, pruned_mass: float = 0.0):
+        # densities enter here, once: the measure is built on their cell masses
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        weights = np.asarray(weights, dtype=float)
-        if points.shape != (weights.size, space.n):
+        if points.shape != (np.size(weights), space.n):
             raise ValueError("points must have shape (n_atoms, n_cells)")
-        _check_nonnegative(weights, NegativeDensity, "atom weights")
-        _check_nonnegative(points, NegativeDensity, "atom densities")
-        self.space = space
-        self.points = points
-        self.weights = weights
-        self.pruned_mass = float(pruned_mass)
+        return cls.from_masses(space, points * space.lambda_weights, weights, pruned_mass)
+
+    @classmethod
+    def from_masses(cls, space: StateSpace, masses, weights, pruned_mass: float = 0.0):
+        """The measure whose atoms have the cell masses ``masses``, kept without a copy.
+
+        ``masses`` holds one row of ``space.n`` cells per weight (for a
+        :class:`~filterlab.coupling.JointFilterMeasure`, which shares this
+        gate, ``2 * space.n``: both halves side by side); weights and masses
+        must be nonnegative and finite (:class:`NegativeDensity`).
+        """
+        mu = object.__new__(cls)
+        mu.space, mu._masses = space, np.asarray(masses, dtype=float)
+        mu.weights, mu.pruned_mass = np.asarray(weights, dtype=float), float(pruned_mass)
+        _check_nonnegative(mu.weights, NegativeDensity, "atom weights")
+        _check_nonnegative(mu._masses, NegativeDensity, "atom densities")
+        return mu
 
     @classmethod
     def dirac(cls, x: DensityVector) -> "PointMassMeasure":
@@ -133,9 +147,12 @@ class PointMassMeasure:
     @classmethod
     def atomized(cls, pi: DensityVector) -> "PointMassMeasure":
         """The extremal measure spreading pi over point masses at the cells."""
-        space = pi.space
-        pts = np.diag(1.0 / space.lambda_weights)
-        return cls(space, pts, pi.masses)
+        return cls.from_masses(pi.space, np.eye(pi.space.n), pi.masses)
+
+    @property
+    def points(self) -> np.ndarray:
+        """The atoms' densities, derived from their cell masses when read."""
+        return _freeze(self._masses / self.space.lambda_weights)
 
     @property
     def n_atoms(self) -> int:
@@ -148,31 +165,31 @@ class PointMassMeasure:
     @property
     def point_masses(self) -> np.ndarray:
         """Lambda-mass of each atom's density (one for atoms in K)."""
-        return self.points @ self.space.lambda_weights
+        return self._masses.sum(axis=1)
 
     def atom(self, i: int) -> DensityVector:
-        return DensityVector(self.space, self.points[i], unnormalized=True)
+        return DensityVector.from_masses(self.space, self._masses[i], unnormalized=True)
 
     def mass_matrix(self) -> np.ndarray:
-        return self.points * self.space.lambda_weights[None, :]
+        """The atoms' cell masses: the array the measure holds, not a copy."""
+        return self._masses
 
     def barycenter_masses(self) -> np.ndarray:
-        return self.weights @ self.mass_matrix()
+        return self.weights @ self._masses
 
     def mass_in_ball(self, center: DensityVector, eps: float) -> float:
         """Weight carried by atoms with TV-distance strictly below eps."""
-        d = np.abs(self.mass_matrix() - center.masses[None, :]).sum(axis=1)
+        d = np.abs(self._masses - center.masses[None, :]).sum(axis=1)
         return float(self.weights[d < eps].sum())
 
     def merged(self) -> "PointMassMeasure":
         """Merge atoms into the connected components of "TV <= MERGE_TOL"."""
-        merged = merge_atoms(self.points, self.weights, self.space.lambda_weights,
-                             MERGE_TOL)
-        return PointMassMeasure(self.space, *merged, pruned_mass=self.pruned_mass)
+        merged = merge_atoms(self._masses, self.weights, MERGE_TOL)
+        return PointMassMeasure.from_masses(self.space, *merged, pruned_mass=self.pruned_mass)
 
     def scaled(self, factor: float) -> "PointMassMeasure":
-        return PointMassMeasure(self.space, self.points, self.weights * factor,
-                                pruned_mass=self.pruned_mass)
+        return PointMassMeasure.from_masses(self.space, self._masses, self.weights * factor,
+                                            pruned_mass=self.pruned_mass)
 
     def __repr__(self):
         return (f"PointMassMeasure(n_atoms={self.n_atoms}, "
@@ -181,8 +198,7 @@ class PointMassMeasure:
 
 def barycenter(mu: PointMassMeasure) -> DensityVector:
     """Weighted mean density; its total mass equals the measure's mass."""
-    values = mu.weights @ mu.points
-    return DensityVector(mu.space, values, unnormalized=True)
+    return DensityVector.from_masses(mu.space, mu.barycenter_masses(), unnormalized=True)
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +710,7 @@ def barycenter_match(phi: PointMassMeasure, b: DensityVector) -> PointMassMeasur
     need = np.maximum(-d, 0.0)
     if need.sum() > 0:
         zetas += np.outer(given.sum(axis=1), need / need.sum())
-    return PointMassMeasure(phi.space, zetas / phi.space.lambda_weights, phi.weights)
+    return PointMassMeasure.from_masses(phi.space, zetas, phi.weights)
 
 
 def nearest_barycenter_distance(mu: PointMassMeasure, y: DensityVector

@@ -84,6 +84,12 @@ class TestCoupledStep:
         joint = coupled_filter_step(m2, x, x)
         assert np.all(joint.pair_tv() <= 1e-15)
 
+    def test_halves_cannot_be_written(self, m2):
+        joint = coupled_filter_step(m2, e(m2, 1), e(m2, 2))
+        for half in (joint.x_points, joint.y_points):
+            with pytest.raises(ValueError, match="read-only"):
+                half[0] = [0.5, 0.5]
+
     def test_m2_vertex_pair_atoms(self, m2):
         joint = coupled_filter_step(m2, e(m2, 1), e(m2, 2))
         assert joint.n_atoms == 3

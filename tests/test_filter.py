@@ -13,6 +13,7 @@ from filterlab.filter import (
     apply_T,
     apply_T_grid,
     filter_laws,
+    grid_averages,
     likelihood,
     lipschitz_probe,
     mass_functional,
@@ -481,3 +482,8 @@ def test_grid_averages_check_the_budget_before_stepping(m2, monkeypatch):
     u = mass_functional(m2, [1])
     with pytest.raises(BudgetExceeded):
         apply_T_grid(m2, u, np.array([[0.5, 0.5]]), 20)
+
+
+def test_grid_averages_of_no_functions(m2):
+    grid = np.array([[0.5, 0.5], [1.0, 0.0], [0.2, 0.8]])
+    assert grid_averages(m2, [], grid, 3).shape == (4, 0, 3)

@@ -160,6 +160,12 @@ class TestOscDecay:
         rate, _ = report.rates[0]
         assert rate == pytest.approx(0.4, abs=1e-9)
 
+    def test_no_functions_give_an_empty_report(self, m2):
+        report = osc_decay_report(m2, [], n_max=3)
+        assert report.oscillations.shape == (0, 4)
+        assert report.names == report.rates == report.decay_detected == []
+        assert report.grid_points == len(simplex_grid(m2.states))
+
     def test_periodic_fixture_plateau(self, periodic_fixture):
         u = mass_functional(periodic_fixture, [1])
         report = osc_decay_report(periodic_fixture, [u], n_max=6)
@@ -226,6 +232,11 @@ class TestTightness:
         report = tightness_probe(model, x0, 0.5, [x0], n_max=4)
         np.testing.assert_array_equal(report.masses, 1.0)
         assert report.liminf_estimate == 1.0
+
+    def test_no_starts_raises(self, m2):
+        pi, _ = stationary(m2)
+        with pytest.raises(ValueError, match="starts"):
+            tightness_probe(m2, pi, 0.5, [], n_max=3)
 
     def test_diameter_epsilon_full_mass(self, m2):
         pi, _ = stationary(m2)

@@ -467,17 +467,36 @@ class TestMerging:
         np.testing.assert_array_equal(merged.points[0], pts[0])
 
 
+class TestHeldMasses:
+    def test_points_cannot_be_written(self, m2):
+        mu = PointMassMeasure(m2.states, [[0.3, 0.7], [1.0, 0.0]], [0.5, 0.5])
+        with pytest.raises(ValueError, match="read-only"):
+            mu.points[0] = [0.7, 0.3]
+        np.testing.assert_array_equal(mu.points, [[0.3, 0.7], [1.0, 0.0]])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 20))
+    def test_masses_are_held_as_given(self, seed, k, n):
+        rng = np.random.default_rng(seed)
+        space = _space(k, rng, weighted=True)
+        points = rng.dirichlet(np.ones(k), n) / space.lambda_weights
+        w = rng.uniform(0.1, 1.0, n)
+        held = PointMassMeasure(space, points, w).mass_matrix()
+        assert held.tobytes() == (points * space.lambda_weights).tobytes()
+        masses = rng.dirichlet(np.ones(k), n)
+        assert PointMassMeasure.from_masses(space, masses, w).mass_matrix() is masses
+
+
 def _clustered_atoms(seed, blocks, tol=MERGE_TOL):
     """Atoms in chains of links 0.4 tol long, and atoms far from all of them.
 
-    Returns cell weights, points (rows of ``blocks`` densities), weights, the
+    Returns mass rows (``blocks`` vectors of cell masses each), weights, the
     chain of each atom and three extra atoms more than 100 tol from every
-    point and from each other; some of these sit next to a chain atom in
+    row and from each other; some of these sit next to a chain atom in
     lexicographic order.
     """
     rng = np.random.default_rng(seed)
     k = int(rng.integers(2, 5))
-    lam = rng.uniform(0.5, 2.0, k)
     rows, chain = [], []
     for c in range(int(rng.integers(1, 6))):
         masses = rng.dirichlet(np.ones(k), size=blocks)
@@ -491,7 +510,7 @@ def _clustered_atoms(seed, blocks, tol=MERGE_TOL):
             b, i, j = rng.integers(blocks), *rng.choice(k, 2, replace=False)
             masses[b, i] += 0.2 * tol
             masses[b, j] -= 0.2 * tol
-    points = np.array([(r / lam).ravel() for r in rows])
+    points = np.array([r.ravel() for r in rows])
     weights = rng.uniform(0.1, 1.0, len(points))
     far = []
     while len(far) < 3:
@@ -506,33 +525,33 @@ def _clustered_atoms(seed, blocks, tol=MERGE_TOL):
                 shift = 0.5 * min(cand[0, 1], cand[0, 2])
                 cand[0, 1] -= shift
                 cand[0, 2] += shift
-        dist = np.abs(points.reshape(-1, blocks, k) * lam - cand).sum(axis=2).max(axis=1)
+        dist = np.abs(points.reshape(-1, blocks, k) - cand).sum(axis=2).max(axis=1)
         if dist.min() > 100 * tol and all(
                 np.abs(f - cand).sum(axis=1).max() > 100 * tol for f in far):
             far.append(cand)
-    far_points = np.array([(f / lam).ravel() for f in far])
-    return lam, points, weights, np.array(chain), far_points
+    far_points = np.array([f.ravel() for f in far])
+    return points, weights, np.array(chain), far_points
 
 
 class TestMergeAtomsProperties:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10**6), st.sampled_from([1, 2]))
     def test_permutation_invariant(self, seed, blocks):
-        lam, pts, w, _, _ = _clustered_atoms(seed, blocks)
+        pts, w, _, _ = _clustered_atoms(seed, blocks)
         perm = np.random.default_rng(seed + 1).permutation(len(w))
-        p1, w1 = merge_atoms(pts, w, lam, MERGE_TOL, blocks)
-        p2, w2 = merge_atoms(pts[perm], w[perm], lam, MERGE_TOL, blocks)
+        p1, w1 = merge_atoms(pts, w, MERGE_TOL, blocks)
+        p2, w2 = merge_atoms(pts[perm], w[perm], MERGE_TOL, blocks)
         np.testing.assert_array_equal(p1, p2)
         np.testing.assert_allclose(w1, w2, rtol=1e-14, atol=0)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10**6), st.sampled_from([1, 2]))
     def test_far_atoms_change_nothing(self, seed, blocks):
-        lam, pts, w, _, far = _clustered_atoms(seed, blocks)
+        pts, w, _, far = _clustered_atoms(seed, blocks)
         far_w = np.full(len(far), 0.7)
-        p1, w1 = merge_atoms(pts, w, lam, MERGE_TOL, blocks)
+        p1, w1 = merge_atoms(pts, w, MERGE_TOL, blocks)
         p2, w2 = merge_atoms(np.vstack([pts, far]), np.concatenate([w, far_w]),
-                             lam, MERGE_TOL, blocks)
+                             MERGE_TOL, blocks)
         is_far = (p2[:, None, :] == far[None, :, :]).all(axis=2).any(axis=1)
         assert is_far.sum() == len(far)
         np.testing.assert_array_equal(w2[is_far], far_w)
@@ -542,8 +561,8 @@ class TestMergeAtomsProperties:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10**6), st.sampled_from([1, 2]))
     def test_each_chain_is_one_component(self, seed, blocks):
-        lam, pts, w, chain, _ = _clustered_atoms(seed, blocks)
-        p, merged_w = merge_atoms(pts, w, lam, MERGE_TOL, blocks)
+        pts, w, chain, _ = _clustered_atoms(seed, blocks)
+        p, merged_w = merge_atoms(pts, w, MERGE_TOL, blocks)
         chain_w = np.bincount(chain, weights=w)
         np.testing.assert_allclose(np.sort(merged_w), np.sort(chain_w), rtol=1e-14)
         # each component keeps its lexicographically first point
@@ -561,20 +580,19 @@ def test_merge_without_edges_sorts_and_sums_duplicates(seed, blocks):
     # first block, so the first column ties
     rng = np.random.default_rng(seed)
     k = int(rng.integers(2, 5))
-    lam = rng.uniform(0.5, 2.0, k)
     rows = list(rng.dirichlet(np.ones(k), size=(int(rng.integers(1, 30)), blocks)))
     if blocks == 2:
         rows += [np.stack([rows[0][0], rng.dirichlet(np.ones(k))]) for _ in range(3)]
     rows += [rows[i] for i in rng.choice(len(rows), size=len(rows) // 3, replace=False)]
-    points = np.array([(r / lam).ravel() for r in rows])
+    points = np.array([r.ravel() for r in rows])
     weights = rng.uniform(0.1, 1.0, len(points))
     perm = rng.permutation(len(points))
     points, weights = points[perm], weights[perm]
     distinct, inverse = np.unique(points, axis=0, return_inverse=True)
-    tv = np.abs(distinct[:, None] - distinct[None]) * np.tile(lam, blocks)
+    tv = np.abs(distinct[:, None] - distinct[None])
     tv = tv.reshape(len(distinct), len(distinct), blocks, k).sum(axis=3).max(axis=2)
     assume((tv + np.eye(len(distinct)) > 1e-6).all())
-    p, w = merge_atoms(points, weights, lam, MERGE_TOL, blocks)
+    p, w = merge_atoms(points, weights, MERGE_TOL, blocks)
     assert p.tobytes() == distinct.tobytes()
     np.testing.assert_array_equal(w, np.bincount(inverse.ravel(), weights=weights))
 
@@ -707,9 +725,12 @@ class TestTransportLpTolerance:
         assert distance >= barycenter_lower_bound(mu, nu) - 1e-12
 
 
-def _brute_force_components(points, lam, tol, blocks):
-    """Connected components of "TV <= tol" by all-pairs distances and union-find."""
-    n, k = len(points), len(lam)
+def _brute_force_components(points, tol, blocks):
+    """Connected components of "TV <= tol" by all-pairs distances and union-find.
+
+    Each row of ``points`` is ``blocks`` vectors of cell masses.
+    """
+    n, k = len(points), points.shape[1] // blocks
     parent = list(range(n))
 
     def find(i):
@@ -718,9 +739,8 @@ def _brute_force_components(points, lam, tol, blocks):
             i = parent[i]
         return i
 
-    lam = np.tile(lam, blocks)
     for i in range(n):
-        tv = (np.abs(points[i + 1:] - points[i]) * lam).reshape(-1, blocks, k)
+        tv = np.abs(points[i + 1:] - points[i]).reshape(-1, blocks, k)
         for j in np.flatnonzero(tv.sum(axis=2).max(axis=1) <= tol) + i + 1:
             parent[find(j)] = find(i)
     roots = np.array([find(i) for i in range(n)])
@@ -734,18 +754,17 @@ class TestMergeTies:
         # links, so every pair ties exactly with 1,999 others in the first half
         rng = np.random.default_rng(41)
         tol = MERGE_TOL
-        lam = rng.uniform(0.5, 2.0, 3)
         rows = []
         for y in rng.dirichlet(np.full(3, 50.0), size=400):
             for s in range(5):
                 yy = y + np.array([0.4, -0.4, 0.0]) * tol * s
                 rows += [np.r_[x, yy] for x in ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])]
-        points = np.array(rows) / np.tile(lam, 2)
+        points = np.array(rows)
         weights = rng.uniform(0.1, 1.0, len(points))
         start = time.perf_counter()
-        merged, merged_w = merge_atoms(points, weights, lam, tol, blocks=2)
+        merged, merged_w = merge_atoms(points, weights, tol, blocks=2)
         elapsed = time.perf_counter() - start
-        comps = _brute_force_components(points, lam, tol, blocks=2)
+        comps = _brute_force_components(points, tol, blocks=2)
         assert len(comps) == len(merged) == 800
         for comp in comps:
             first = points[comp][np.lexsort(points[comp].T[::-1])[0]]
@@ -780,12 +799,15 @@ class TestTransportPaths:
     def test_lp_matches_dense_linprog(self, seed, k, m, n, shared):
         rng = np.random.default_rng(seed)
         space = _space(k, rng, weighted=True)
-        mu = _random_measure(rng, space, m)
-        nu = _random_measure(rng, space, n)
+        draws = [(rng.dirichlet(np.ones(k), size) / space.lambda_weights,
+                  rng.uniform(0.1, 1.0, size)) for size in (m, n)]
         # a share of nu's atoms sit exactly on atoms of mu
         s = int(shared * min(m, n))
-        nu.points[:s] = mu.points[rng.permutation(m)[:s]]
+        draws[1][0][:s] = draws[0][0][rng.permutation(m)[:s]]
+        mu, nu = (PointMassMeasure(space, pts, w) for pts, w in draws)
         nu = nu.scaled(mu.total_mass / nu.total_mass)
+        on_mu = (nu.mass_matrix()[:, None] == mu.mass_matrix()[None]).all(axis=2).any(axis=1)
+        assert on_mu[:s].all()
         d, plan = kantorovich(mu, nu)
         assert plan.method == "lp"
         assert plan.marginal_residual <= MARGINAL_TOL
