@@ -16,7 +16,6 @@ on the vertices of the threshold polytope.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -574,6 +573,36 @@ def _threshold_vertices(f0_mask, threshold):
     return np.vstack([inside, mixed.reshape(-1, len(f0_mask))])
 
 
+def _sequence_products(mats, n, depth):
+    """Stepping products of all ``len(mats)**n`` sequences, in lexicographic order.
+
+    Yields one ``(len(mats)**depth, k, k)`` block per prefix of length
+    ``n - depth``.  A prefix's product is formed once and extended a level
+    at a time by one stacked product with ``mats``, so each product is the
+    left fold ``((M1 M2) M3) ...`` that ``functools.reduce`` forms, bit for
+    bit, from one matrix product per node of the prefix tree.
+    """
+    k = mats.shape[1]
+
+    def extend(products, levels):
+        for _ in range(levels):
+            products = np.matmul(products[:, None], mats).reshape(-1, k, k)
+        return products
+
+    def walk(product, length):
+        if length == n - depth:
+            yield extend(product, depth)
+        else:
+            for child in extend(product, 1):
+                yield from walk(child[None], length + 1)
+
+    if depth == n:
+        yield extend(mats, n - 1)
+    else:
+        for m in mats:
+            yield from walk(m[None], 1)
+
+
 def e1_constants(model: HmmModel, pi: DensityVector, cert: PCertificate,
                  rho: float, sample_pairs: int | None = None,
                  sequence_budget: int = 10**4, seed: int = 0) -> E1Certificate:
@@ -629,10 +658,7 @@ def e1_constants(model: HmmModel, pi: DensityVector, cert: PCertificate,
     # and drawn in the same order: sequences first, then the pairs
     if not exhaustive or sample_pairs is not None:
         rng = np.random.default_rng(seed)
-    if exhaustive:
-        sequences = np.fromiter(itertools.chain.from_iterable(
-            itertools.product(b0_idx, repeat=n)), dtype=int).reshape(-1, n)
-    else:
+    if not exhaustive:
         sequences = rng.choice(b0_idx, size=(1000, n))
     if sample_pairs is None:
         zs = _threshold_vertices(f0_mask, xi)
@@ -648,9 +674,19 @@ def e1_constants(model: HmmModel, pi: DensityVector, cert: PCertificate,
     g_viol = h_viol = 0
     min_g, max_tv, all_usable = np.inf, 0.0, True
     block = max(1, _E1_BLOCK // max(len(zs), k * k))
-    for s in range(0, len(sequences), block):
-        seqs = sequences[s:s + block]
-        product = functools.reduce(np.matmul, (model.stepping_matrices[a] for a in seqs.T))
+    if exhaustive:
+        n_sequences = len(b0_idx) ** n
+        # each block: the |B0|**depth sequences under one prefix, the most that fit
+        depth = 0
+        while depth < n and len(b0_idx) ** (depth + 1) <= block:
+            depth += 1
+        products = _sequence_products(model.stepping_matrices[b0_idx], n, depth)
+    else:
+        n_sequences = len(sequences)
+        products = (functools.reduce(np.matmul, (model.stepping_matrices[a]
+                                                 for a in sequences[s:s + block].T))
+                    for s in range(0, n_sequences, block))
+    for product in products:
         # rows (density, sequence) by cells from one GEMM; sums as matrix-
         # vector products, which beat a reduction over a short axis
         gz = (zs @ product.transpose(1, 0, 2).reshape(k, -1)).reshape(len(zs), -1, k)
@@ -670,7 +706,7 @@ def e1_constants(model: HmmModel, pi: DensityVector, cert: PCertificate,
             max_tv = max(max_tv, float(tv.max(initial=0.0)))
             h_viol += int((tv >= rho).sum())
     verification = E1Verification(
-        n_pairs=n_pairs, n_sequences=len(sequences),
+        n_pairs=n_pairs, n_sequences=n_sequences,
         exhaustive_sequences=exhaustive, g_violations=g_viol,
         h_violations=h_viol, min_g=float(min_g), max_tv=max_tv,
         decided=exhaustive and sample_pairs is None and all_usable,

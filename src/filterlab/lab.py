@@ -200,10 +200,13 @@ def osc_decay_report(model: HmmModel, u_list, n_max: int,
 
     A plateau (final oscillation above ``OscDecayReport.decay_ratio``, a
     half, times the initial one) is flagged as no-decay; periodic fixtures
-    must trip that flag.
+    must trip that flag.  An empty ``grid`` raises ``ValueError``: the
+    oscillation over no points is undefined.
     """
     if grid is None:
         grid = simplex_grid(model.states)
+    if not len(grid):
+        raise ValueError("osc_decay_report needs at least one grid point in grid")
     vals = grid_averages(model, u_list, grid, n_max)
     osc = (vals.max(axis=2) - vals.min(axis=2)).T
     monotone_ok = bool(np.all(osc[:, 1:] <= osc[:, :-1] + 1e-12))
@@ -220,8 +223,11 @@ def barycenter_identity_check(model: HmmModel, starts, n_max: int,
     """Worst residual of "filter-law mean equals chain marginal" over starts.
 
     The mean of the exact n-step filter law must reproduce the n-step state
-    marginal; both sides are computed independently.
+    marginal; both sides are computed independently.  An empty ``starts``
+    raises ``ValueError`` rather than pass with a residual of zero.
     """
+    if not len(starts):
+        raise ValueError("barycenter_identity_check needs at least one start in starts")
     P = model.markov_matrix
     worst = 0.0
     for x in starts:

@@ -56,35 +56,44 @@ def merge_atoms(masses, weights, tol: float, blocks: int = 1):
     Each row of ``masses`` is ``blocks`` vectors of cell masses side by
     side, and two rows are as far apart as their farthest pair of blocks.
     Components do not depend on input order or on bystander atoms.  Returns
-    each component's lexicographically first row and its summed weight, in
-    lexicographic order of the rows.
+    each component's lexicographically first row and its summed weight.
+    Components come in key order, the key being the projection
+    ``masses @ cos(1..K) / blocks``: each is placed by its first atom in
+    that order, atoms of equal key taken in lexicographic order.
     """
     if len(weights) == 0:
         return masses, weights
-    order = np.argsort(masses[:, 0])
-    masses, weights = np.take(masses, order, axis=0), weights[order]
-    if (np.diff(masses[:, 0]) == 0).any():
-        # ties: order them by later cells and collapse exact duplicates
-        order = np.lexsort(masses.T[::-1])
-        masses = np.take(masses, order, axis=0)
-        starts = np.flatnonzero(np.r_[True, (masses[1:] != masses[:-1]).any(axis=1)])
-        weights = np.add.reduceat(weights[order], starts)
-        masses = np.take(masses, starts, axis=0)
     # a projection of all mass coordinates with weights |cos j| / blocks moves
     # by at most the row distance, so sorted on it only neighbours within tol
     # can be joined; unlike one column, pairs repeating one half do not tie on it
     key = masses @ (np.cos(np.arange(1, masses.shape[1] + 1)) / blocks)
-    by_key = np.argsort(key)
-    key = key[by_key]
+    order = np.argsort(key)
+    key = key[order]
+    masses, weights = np.take(masses, order, axis=0), weights[order]
+    tied = key[1:] == key[:-1]
+    if tied.any():
+        # ties, exact duplicates among them: order the rows of equal key
+        # lexicographically and collapse the duplicates
+        run = np.zeros(len(key), dtype=bool)
+        run[1:] = tied
+        run[:-1] |= tied
+        run = np.flatnonzero(run)
+        order = np.arange(len(key))
+        order[run] = run[np.lexsort((*masses[run].T[::-1], key[run]))]
+        masses, weights = np.take(masses, order, axis=0), weights[order]
+        dup = tied & (masses[1:] == masses[:-1]).all(axis=1)
+        if dup.any():
+            starts = np.flatnonzero(np.concatenate(([True], ~dup)))
+            weights = np.add.reduceat(weights, starts)
+            masses, key = np.take(masses, starts, axis=0), key[starts]
     edges = [np.zeros((2, 0), dtype=np.int64)]
     for d in range(1, len(key)):
-        near = np.flatnonzero(key[d:] - key[:-d] <= tol)
-        if len(near) == 0:
+        a = np.flatnonzero(key[d:] - key[:-d] <= tol)
+        if len(a) == 0:
             break
-        a, b = by_key[near], by_key[near + d]
-        tv = np.abs(np.take(masses, a, axis=0) - np.take(masses, b, axis=0))
-        hit = tv.reshape(len(a), blocks, -1).sum(axis=2).max(axis=1) <= tol
-        edges.append(np.stack([a[hit], b[hit]]))
+        tv = np.abs(np.take(masses, a, axis=0) - np.take(masses, a + d, axis=0))
+        hit = a[tv.reshape(len(a), blocks, -1).sum(axis=2).max(axis=1) <= tol]
+        edges.append(np.stack([hit, hit + d]))
     rows, cols = np.concatenate(edges, axis=1)
     if len(rows) == 0:
         # no edge: every atom is its own component, already in order
@@ -102,7 +111,14 @@ def merge_atoms(masses, weights, tol: float, blocks: int = 1):
             break
         label = new
     roots = label == np.arange(len(masses))
-    return masses[roots], np.bincount((np.cumsum(roots) - 1)[label], weights=weights)
+    comp = (np.cumsum(roots) - 1)[label]
+    # each component of several atoms keeps its lexicographically first row
+    shared = np.flatnonzero(np.bincount(comp)[comp] > 1)
+    shared = shared[np.lexsort((*masses[shared].T[::-1], comp[shared]))]
+    first = shared[np.concatenate(([True], comp[shared[1:]] != comp[shared[:-1]]))]
+    merged = masses[roots]
+    merged[comp[first]] = masses[first]
+    return merged, np.bincount(comp, weights=weights)
 
 
 class PointMassMeasure:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 from dataclasses import asdict
@@ -749,6 +750,47 @@ def _vertex_reference(model, e1c, vertices=None):
                 max_tv = max(max_tv, tv)
                 h_viol += int(tv >= e1c.rho)
     return len(vertices) * (len(vertices) - 1) // 2, g_viol, h_viol, min_g, max_tv
+
+
+def _reduced_products(mats, n, depth):
+    """The blocks of ``contraction._sequence_products``, each product from scratch.
+
+    The stacked left fold of ``functools.reduce`` over each block of the
+    sequence array, ``len(mats)**depth`` consecutive sequences a block, as
+    e1_constants formed its products before they were shared by prefix.
+    """
+    sequences = np.array(list(itertools.product(range(len(mats)), repeat=n)))
+    for s in range(0, len(sequences), len(mats) ** depth):
+        block = sequences[s:s + len(mats) ** depth]
+        yield functools.reduce(np.matmul, (mats[a] for a in block.T))
+
+
+class TestE1PrefixProducts:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_b0=st.integers(1, 3),
+           horizon=st.integers(1, 8))
+    def test_match_products_formed_from_scratch(self, seed, n_b0, horizon):
+        model, f0 = _sparse_product_model(seed)
+        assume(n_b0 <= model.n_obs)
+        pi, _ = stationary(model)
+        b0 = list(range(1, n_b0 + 1))
+        cert = check_condition_P(model, pi, f0, b0)
+        if not cert.ok:  # only observation 1 stays in f0: take every cell
+            cert = check_condition_P(model, pi, list(range(1, model.n_states + 1)), b0)
+        assume(cert.ok and cert.kappa > 1.0)
+        rho = 2.0 * ((cert.kappa - 1.0) / (cert.kappa + 1.0)) ** (horizon - 0.5)
+        # from blocks of one sequence to blocks of all of them, which cut the
+        # prefix tree at every depth; the reference reads the same blocks
+        # (the row sums' rounding depends on how many rows a block holds)
+        for e1_block in (1, 7, 64, 1 << 13):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(contraction, "_E1_BLOCK", e1_block)
+                got = e1_constants(model, pi, cert, rho=rho)
+                mp.setattr(contraction, "_sequence_products", _reduced_products)
+                want = e1_constants(model, pi, cert, rho=rho)
+            assert got.N == horizon
+            assert got.verification.n_sequences == n_b0 ** horizon
+            assert asdict(got.verification) == asdict(want.verification)
 
 
 class TestE1Vertices:

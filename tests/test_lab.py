@@ -166,6 +166,12 @@ class TestOscDecay:
         assert report.names == report.rates == report.decay_detected == []
         assert report.grid_points == len(simplex_grid(m2.states))
 
+    def test_empty_grid_raises(self, m2):
+        # the oscillation over no grid points is undefined
+        u = mass_functional(m2, [1])
+        with pytest.raises(ValueError, match="grid"):
+            osc_decay_report(m2, [u], n_max=3, grid=np.zeros((0, m2.n_states)))
+
     def test_periodic_fixture_plateau(self, periodic_fixture):
         u = mass_functional(periodic_fixture, [1])
         report = osc_decay_report(periodic_fixture, [u], n_max=6)
@@ -207,6 +213,11 @@ class TestOscDecay:
 class TestBarycenterIdentity:
     def test_zero_horizon(self, m2):
         assert barycenter_identity_check(m2, [e(m2, 1)], n_max=0) == 0.0
+
+    def test_no_starts_raises(self, m2):
+        # a worst residual over no starts would pass vacuously
+        with pytest.raises(ValueError, match="starts"):
+            barycenter_identity_check(m2, [], n_max=3)
 
     def test_m2(self, m2):
         residual = barycenter_identity_check(m2, [e(m2, 1), e(m2, 2)], n_max=6)

@@ -533,6 +533,24 @@ def _clustered_atoms(seed, blocks, tol=MERGE_TOL):
     return points, weights, np.array(chain), far_points
 
 
+def _key_rival(row, proj, rng):
+    """A row about 1e-6 from ``row`` in TV whose key ``row @ proj`` is the same float.
+
+    Steps along a direction orthogonal to ``proj``, then one ulp at a time in
+    the cell of largest weight until the keys agree; ``None`` if they never do.
+    """
+    v = rng.standard_normal(len(row))
+    v -= (v @ proj) / (proj @ proj) * proj
+    rival = row + 1e-6 * v / np.abs(v).sum()
+    j = int(np.argmax(np.abs(proj)))
+    for _ in range(200):
+        want, got = np.vstack([row, rival]) @ proj
+        if got == want:
+            return rival if (rival >= 0).all() else None
+        rival[j] = np.nextafter(rival[j], np.inf if (got < want) == (proj[j] > 0) else -np.inf)
+    return None
+
+
 class TestMergeAtomsProperties:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10**6), st.sampled_from([1, 2]))
@@ -571,13 +589,46 @@ class TestMergeAtomsProperties:
             first = members[np.lexsort(members.T[::-1])[0]]
             assert (p == first).all(axis=1).sum() == 1
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from([1, 2]))
+    def test_components_come_in_key_order(self, seed, blocks):
+        # chains, exact duplicates and far atoms; twins one ulp from an atom
+        # in its smallest cell, which tie with it on the key and join it; and
+        # rivals about 1e-6 from an atom with exactly its key, which do not
+        pts, w, _, far = _clustered_atoms(seed, blocks)
+        rng = np.random.default_rng(seed + 2)
+        proj = np.cos(np.arange(1, pts.shape[1] + 1)) / blocks
+        twins = pts[rng.choice(len(pts), size=3)].copy()
+        for t in twins:
+            j = int(np.argmin(t))
+            t[j] = np.nextafter(t[j], rng.choice([-1.0, 2.0]))
+        rivals = [_key_rival(row, proj, rng) for row in pts[rng.choice(len(pts), size=3)]]
+        rivals = np.array([r for r in rivals if r is not None]).reshape(-1, pts.shape[1])
+        pts = np.vstack([pts, far, twins, rivals])
+        w = np.concatenate([w, rng.uniform(0.1, 1.0, len(pts) - len(w))])
+        perm = rng.permutation(len(w))
+        pts, w = pts[perm], w[perm]
+        key = pts @ proj
+        firsts, reps, sums = [], [], []
+        for comp in _brute_force_components(pts, MERGE_TOL, blocks):
+            # the component's first atom in key order, lexicographic on ties,
+            # places it; its lexicographically first row represents it
+            firsts.append(comp[np.lexsort((*pts[comp].T[::-1], key[comp]))[0]])
+            reps.append(pts[comp][np.lexsort(pts[comp].T[::-1])[0]])
+            sums.append(w[comp].sum())
+        firsts = np.array(firsts)
+        order = np.lexsort((*pts[firsts].T[::-1], key[firsts]))
+        merged, merged_w = merge_atoms(pts, w, MERGE_TOL, blocks)
+        assert merged.tobytes() == np.array(reps)[order].tobytes()
+        np.testing.assert_allclose(merged_w, np.array(sums)[order], rtol=1e-14, atol=0)
+
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10**6), st.sampled_from([1, 2]))
 def test_merge_without_edges_sorts_and_sums_duplicates(seed, blocks):
     # atoms at least 1e-6 apart in TV, some repeated exactly (at most twice,
     # so each summed weight is one exact addition) and some sharing their
-    # first block, so the first column ties
+    # first block, so the first column ties; they come in projection-key order
     rng = np.random.default_rng(seed)
     k = int(rng.integers(2, 5))
     rows = list(rng.dirichlet(np.ones(k), size=(int(rng.integers(1, 30)), blocks)))
@@ -592,9 +643,11 @@ def test_merge_without_edges_sorts_and_sums_duplicates(seed, blocks):
     tv = np.abs(distinct[:, None] - distinct[None])
     tv = tv.reshape(len(distinct), len(distinct), blocks, k).sum(axis=3).max(axis=2)
     assume((tv + np.eye(len(distinct)) > 1e-6).all())
+    key = distinct @ (np.cos(np.arange(1, distinct.shape[1] + 1)) / blocks)
+    by_key = np.argsort(key, kind="stable")
     p, w = merge_atoms(points, weights, MERGE_TOL, blocks)
-    assert p.tobytes() == distinct.tobytes()
-    np.testing.assert_array_equal(w, np.bincount(inverse.ravel(), weights=weights))
+    assert p.tobytes() == distinct[by_key].tobytes()
+    np.testing.assert_array_equal(w, np.bincount(inverse.ravel(), weights=weights)[by_key])
 
 
 class TestSortedUnion:
