@@ -323,13 +323,25 @@ def _filter_values(model: HmmModel, x: DensityVector, obs_seq: Sequence
     lam = model.states.lambda_weights
     mats = model.stepping_matrices
     y = _values(model, x)
-    obs_idx = [model.obs.index(a) for a in obs_seq]
+    where = {a: i for i, a in enumerate(model.obs.cells)}
+    try:
+        obs_idx = [where[a] for a in obs_seq]
+    except (KeyError, TypeError):  # an unknown observation, named as index() names it
+        obs_idx = [model.obs.index(a) for a in obs_seq]
     values = np.empty((len(obs_idx) + 1, model.n_states))
     values[0] = y
     zero_steps = []
+    # below 8 cells _cell_sum adds the cells left to right: Python floats
+    # give the same bits without numpy's cost per call
+    few_cells = model.n_states < 8
     for k, i in enumerate(obs_idx, 1):
         v = (y * lam) @ mats[i]
-        g = _cell_sum(v)
+        if few_cells:
+            g, *rest = v.tolist()
+            for term in rest:
+                g += term
+        else:
+            g = _cell_sum(v)
         if g > 0.0:
             y = v / g / lam
         else:

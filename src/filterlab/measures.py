@@ -7,8 +7,9 @@ transport distance between two such measures uses total variation as
 ground cost and is solved exactly: a monotone (sorted) coupling on two-cell
 state grids, an LP by column generation everywhere else.  Both paths return
 dual potentials, and every plan is certified by marginal residuals and
-complementary slackness over all atom pairs before it is accepted; neither
-builds an m-by-n cost array.
+complementary slackness over all atom pairs before it is accepted.  The
+monotone path builds no m-by-n array; the LP keeps at most a fixed budget
+of cost rows (``_KEEP_BYTES``) and reads the rest in blocks.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -253,27 +255,66 @@ class _TvRows:
     """TV ground costs between the rows of two mass matrices, computed on demand.
 
     ``C[lo:hi]`` is a block of rows and ``C[i, j]`` the costs of the arcs
-    ``(i, j)``; a dense cost array reads the same way, so it can stand in
-    for this one.
+    ``(i, j)``.  :meth:`blocks` reads every row in blocks of ``_ROW_BLOCK``:
+    the leading blocks that fit in ``_KEEP_BYTES`` are kept once computed
+    and read from memory after that, the others are computed again on each
+    read, so memory stays within the budget plus a few blocks.  Rows and
+    arcs, kept or not, agree bit for bit.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray):
         self.a, self.b = a, b
         self.shape = (len(a), len(b))
+        self._done = 0  # rows of _kept computed so far
 
-    def __getitem__(self, key):
+    @staticmethod
+    def _tv(a, b, out=None):
         # summed one cell at a time, left to right: a reduction over a short
         # last axis is several times slower, and rows and arcs of one pair
         # then agree bit for bit at any number of cells
-        if isinstance(key, slice):
-            a, b = self.a[key, None, :], self.b[None, :, :]
-        else:
-            i, j = key
-            a, b = self.a[i], self.b[j]
-        total = np.abs(a[..., 0] - b[..., 0])
+        total = np.abs(np.subtract(a[..., 0], b[..., 0], out=out), out=out)
+        term = np.empty_like(total)
         for c in range(1, a.shape[-1]):
-            total += np.abs(a[..., c] - b[..., c])
+            total += np.abs(np.subtract(a[..., c], b[..., c], out=term), out=term)
         return total
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return self._tv(self.a[key, None, :], self.b[None, :, :])
+        i, j = key
+        if not self._done:
+            return self._tv(self.a[i], self.b[j])
+        kept = i < self._done
+        if kept.all():
+            return self._kept[i, j]
+        out = self._tv(self.a[i], self.b[j])
+        out[kept] = self._kept[i[kept], j[kept]]
+        return out
+
+    @cached_property
+    def _kept(self) -> np.ndarray:
+        """The leading whole row blocks within ``_KEEP_BYTES``, filled by :meth:`blocks`."""
+        m, n = self.shape
+        rows = _KEEP_BYTES // (8 * max(n, 1)) // _ROW_BLOCK * _ROW_BLOCK
+        return np.empty((min(m, rows), n))
+
+    @cached_property
+    def work(self) -> np.ndarray:
+        """A scratch block of rows for the scans that read these costs."""
+        return np.empty((min(self.shape[0], _ROW_BLOCK), self.shape[1]))
+
+    def blocks(self):
+        """``(lo, C[lo:lo + _ROW_BLOCK])`` for every block of rows, in order."""
+        m = self.shape[0]
+        for lo in range(0, m, _ROW_BLOCK):
+            hi = min(lo + _ROW_BLOCK, m)
+            if hi > len(self._kept):
+                yield lo, self[lo:hi]
+                continue
+            if hi > self._done:
+                self._tv(self.a[lo:hi, None, :], self.b[None], out=self._kept[lo:hi])
+                self._done = hi
+            yield lo, self._kept[lo:hi]
 
 
 def _cost_matrix(mu: PointMassMeasure, nu: PointMassMeasure) -> np.ndarray:
@@ -309,7 +350,7 @@ def _line_sums(w1, w2, key1, key2):
         order = np.argsort(key, kind="stable")
         w = w[order]
         c = np.cumsum(w)
-        prev = np.r_[0.0, c[:-1]]
+        prev = np.concatenate(([0.0], c[:-1]))
         z = c - prev
         err = (prev - (c - z)) + (w - z)
         sides += [order, np.maximum.accumulate(c + np.cumsum(err))]  # nondecreasing
@@ -332,7 +373,7 @@ def _monotone_plan(w1, w2, key1, key2):
     seg = np.arange(len(cuts))
     src = np.searchsorted(np.searchsorted(cuts, c1), seg)
     tgt = np.searchsorted(np.searchsorted(cuts, c2), seg)
-    return o1[src], o2[tgt], np.diff(cuts, prepend=0.0)
+    return o1[src], o2[tgt], cuts - np.concatenate(([0.0], cuts[:-1]))
 
 
 def _line_potentials(key1, key2, w1, w2):
@@ -377,6 +418,7 @@ def _line_min_reduced(key1, key2, u, v) -> float:
 
 _ROW_BLOCK = 256  # rows of the cost matrix read at a time
 _NEAREST = 4      # start arcs per atom, to its nearest atoms of the other side
+_KEEP_BYTES = 32 << 20  # bytes of cost rows _TvRows.blocks keeps once computed
 # violations of u + v <= C smaller than this are rounding: costs are at most
 # 2, and C - u - v computed at that scale errs by a few units of 2.2e-16
 _PRICE_TOL = 1e-14
@@ -395,29 +437,61 @@ class _LpPlan(tuple):
         return plan
 
 
-def _start_arcs(C) -> np.ndarray:
-    """Each atom's nearest atoms of the other side, as keys ``i * n + j``."""
+def _nearest_arcs(C) -> np.ndarray:
+    """Each atom's ``_NEAREST`` nearest atoms of the other side, as keys ``i * n + j``.
+
+    Each row block is copied into ``C.work``, as it is and then transposed,
+    and the nearest atoms are taken one at a time along its rows: the first
+    minimum left once the earlier ones are set to infinity, so ties go to
+    the lower index.
+    """
     m, n = C.shape
-    kr, kc = min(_NEAREST, n), min(_NEAREST, m)
-    rows = []
-    best = np.full((kc, n), np.inf)
-    best_i = np.zeros((kc, n), dtype=np.int64)
-    for lo in range(0, m, _ROW_BLOCK):
-        block = C[lo:lo + _ROW_BLOCK]
-        near = np.argpartition(block, kr - 1, axis=1)[:, :kr]
-        rows.append((lo + np.arange(len(block)))[:, None] * n + near)
-        # the running kc smallest costs of every column
-        vals = np.vstack([best, block])
-        idx = np.vstack([best_i, np.broadcast_to(lo + np.arange(len(block))[:, None],
-                                                 block.shape)])
-        keep = np.argpartition(vals, kc - 1, axis=0)[:kc]
-        best = np.take_along_axis(vals, keep, axis=0)
-        best_i = np.take_along_axis(idx, keep, axis=0)
-    return np.concatenate([r.ravel() for r in rows] + [(best_i * n + np.arange(n)).ravel()])
+    keys, lows, tops = [], [], []
+    cols = np.arange(n)
+    for lo, block in C.blocks():
+        rows = np.arange(len(block))
+        w = C.work[:len(block)]
+        w[...] = block
+        for _ in range(min(_NEAREST, n)):
+            j = w.argmin(axis=1)
+            keys.append((lo + rows) * n + j)
+            w[rows, j] = np.inf
+        # argmin along a row is several times faster than down a column
+        w = C.work.ravel()[:block.size].reshape(n, len(block))
+        w[...] = block.T
+        for _ in range(min(_NEAREST, len(block))):
+            i = w.argmin(axis=1)
+            lows.append(w[cols, i])
+            tops.append(lo + i)
+            w[cols, i] = np.inf
+    tops = np.array(tops)
+    if len(tops) > _NEAREST:  # several blocks: each column's nearest of them all
+        keep = np.argpartition(np.array(lows), _NEAREST - 1, axis=0)[:_NEAREST]
+        tops = np.take_along_axis(tops, keep, axis=0)
+    keys.append((tops * n + cols).ravel())
+    return np.concatenate(keys)
+
+
+def _start_arcs(C, w1, w2) -> np.ndarray:
+    """The first arcs of the transport LP, as sorted keys ``i * n + j``.
+
+    Each atom's nearest atoms of the other side; the monotone plan in input
+    order, a coupling of ``w1`` and ``w2`` that makes the restricted LP
+    feasible; and the monotone plan along each cell's masses, which holds
+    many of the optimal arcs that rank far down their row and column.
+    """
+    m, n = C.shape
+    keys = [(np.arange(m), np.arange(n))]
+    keys += [(C.a[:, c], C.b[:, c]) for c in range(C.a.shape[1])]
+    plans = []
+    for key1, key2 in keys:
+        src, tgt, _ = _monotone_plan(w1, w2, key1, key2)
+        plans.append(src * n + tgt)
+    return _sorted_union(_nearest_arcs(C), np.concatenate(plans))
 
 
 def _price(C, u, v, arcs):
-    """One scan of the reduced costs ``C - u - v`` in row blocks.
+    """One scan of the reduced costs ``C - u - v`` in row blocks, through ``C.work``.
 
     Returns their minimum over every arc (i, j), and the most violated arc
     outside the sorted key set ``arcs`` of each row and of each column,
@@ -426,17 +500,21 @@ def _price(C, u, v, arcs):
     m, n = C.shape
     worst, new = np.inf, []
     col_low, col_arg = np.full(n, np.inf), np.zeros(n, dtype=np.int64)
-    for lo in range(0, m, _ROW_BLOCK):
-        reduced = C[lo:lo + _ROW_BLOCK] - u[lo:lo + _ROW_BLOCK, None] - v[None, :]
+    for lo, block in C.blocks():
+        reduced = np.subtract(block, u[lo:lo + len(block), None], out=C.work[:len(block)])
+        reduced -= v
         worst = min(worst, float(reduced.min()))
         a, b = np.searchsorted(arcs, [lo * n, (lo + len(reduced)) * n])
-        reduced[np.divmod(arcs[a:b] - lo * n, n)] = np.inf
+        reduced.ravel()[arcs[a:b] - lo * n] = np.inf
         i, j = np.arange(len(reduced)), reduced.argmin(axis=1)
         hit = reduced[i, j] < -_PRICE_TOL
         new.append((lo + i[hit]) * n + j[hit])
-        i, j = reduced.argmin(axis=0), np.arange(n)
-        low = reduced[i, j] < col_low
-        col_low[low], col_arg[low] = reduced[i[low], j[low]], lo + i[low]
+        # a column's argmin only where it is violated and beats earlier blocks:
+        # argmin down whole columns would copy the block transposed
+        block_low = reduced.min(axis=0)
+        j = np.flatnonzero((block_low < col_low) & (block_low < -_PRICE_TOL))
+        col_arg[j] = lo + reduced[:, j].argmin(axis=0)
+        np.minimum(col_low, block_low, out=col_low)
     hit = np.flatnonzero(col_low < -_PRICE_TOL)
     return worst, _sorted_union(np.concatenate(new), col_arg[hit] * n + hit)
 
@@ -481,16 +559,19 @@ def _highs_core():
     return core
 
 
-def _lp_plan(w1, w2, C) -> _LpPlan:
-    """Optimal plan by column generation on a growing set of arcs.
+def _lp_plan(w1, w2, a, b) -> _LpPlan:
+    """Optimal plan between atoms with cell masses ``a`` and ``b``, by column generation.
 
-    ``C`` is read in row blocks (``C[lo:hi]``) and on arcs (``C[i, j]``),
-    as a dense array or :class:`_TvRows` allows.  The arcs start as each
-    atom's nearest atoms of the other side plus the monotone plan in input
-    order, which makes the restricted LP feasible.  Each round solves the
-    LP on the arcs and adds the most violated arc of each row and of each
-    column; the round whose scan adds none ends the loop, and that scan is
-    the global slackness check.  The set only grows, so the loop ends.
+    The TV costs are read through :class:`_TvRows`, which keeps the leading
+    row blocks within ``_KEEP_BYTES`` once computed (32 MiB: every row of a
+    pair up to 2,048 atoms a side), so each of those costs is computed once
+    per solve; rows past the budget are computed again on each scan.  The
+    arcs start as :func:`_start_arcs`: nearest atoms, the monotone plan in
+    input order (which makes the restricted LP feasible) and the monotone
+    plan along each cell.  Each round solves the LP on the arcs and adds
+    the most violated arc of each row and of each column; the round whose
+    scan adds none ends the loop, and that scan is the global slackness
+    check.  The set only grows, so the loop ends.
 
     One HiGHS model holds the m + n marginal rows; each round appends its
     new arcs as columns and solves again from the last basis.
@@ -503,9 +584,9 @@ def _lp_plan(w1, w2, C) -> _LpPlan:
         if status != highs.HighsStatus.kOk:
             raise SolverFailure(f"transport LP: HiGHS {call} returned {status.name}")
 
-    m, n = C.shape
-    src, tgt, _ = _monotone_plan(w1, w2, np.arange(m), np.arange(n))
-    arcs = _sorted_union(_start_arcs(C), src * n + tgt)
+    m, n = len(a), len(b)
+    C = _TvRows(a, b)
+    arcs = _start_arcs(C, w1, w2)
     lp = highs._Highs()
     # HiGHS's default feasibility tolerances (1e-7) let plans miss
     # _certify; its presolve slows these small LPs by about a third.
@@ -569,7 +650,11 @@ def kantorovich(mu: PointMassMeasure, nu: PointMassMeasure
     normalized measures, which is what the plan objective delivers directly.
     One path per input, certified once: the monotone plan on two cells whose
     point masses spread by at most 1e-12, else the LP; a plan that misses
-    its certificate raises :class:`SolverFailure`.  No m-by-n array is built.
+    its certificate raises :class:`SolverFailure`.  The monotone path builds
+    no m-by-n array.  The LP starts from each atom's nearest atoms and the
+    monotone plans along the projection key and along each cell, and keeps
+    its TV cost rows, up to ``_KEEP_BYTES`` (32 MiB), once computed: about
+    0.08 s for 729 atoms a side and 0.7 s for 2,187 on a 2-vCPU host.
     """
     if not mu.space.same_as(nu.space):
         raise SpaceMismatch("measures live on different state spaces")
@@ -603,7 +688,7 @@ def kantorovich(mu: PointMassMeasure, nu: PointMassMeasure
         proj = np.cos(np.arange(1, mu.space.n + 1))
         o1 = np.argsort(a @ proj, kind="stable")
         o2 = np.argsort(b @ proj, kind="stable")
-        lp = _lp_plan(w1[o1], w2[o2], _TvRows(a[o1], b[o2]))
+        lp = _lp_plan(w1[o1], w2[o2], a[o1], b[o2])
         src, tgt, mass, pu, pv = lp
         src, tgt = o1[src], o2[tgt]
         u, v = np.empty(len(o1)), np.empty(len(o2))

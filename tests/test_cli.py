@@ -361,3 +361,18 @@ class TestMeasureFileMessages:
         assert "lambda-integral is 2.0" in err
         assert "unnormalized=True" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("point, code, named", [
+        ([1.5, -0.5], 2, "assertion violated: density values must be nonnegative"),
+        ([0.5, 0.25, 0.25], 64, "usage error: cannot read"),
+        ([1.0], 64, "usage error: cannot read"),
+    ], ids=["negative", "long", "short"])
+    def test_faulty_second_point_is_refused(self, point, code, named, tmp_path, capsys):
+        mu_path, nu_path = tmp_path / "mu.json", tmp_path / "nu.json"
+        mu_path.write_text(json.dumps(_measure_doc([([1.0, 0.0], 0.5), (point, 0.5)])))
+        nu_path.write_text(json.dumps(_measure_doc([([1.0, 0.0], 1.0)])))
+        out = tmp_path / "out"
+        assert main(["transport", "--mu", str(mu_path), "--nu", str(nu_path),
+                     "--out", str(out)]) == code
+        assert capsys.readouterr().err.startswith(named)
+        assert not out.exists()

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import filterlab.filter as filter_module
-from filterlab.errors import BudgetExceeded
+from filterlab.errors import BudgetExceeded, UnknownObservation
 from filterlab.filter import (
     LipschitzFunction,
     _bayes_step,
@@ -424,6 +424,15 @@ def test_run_filter_is_the_bayes_chain(seed, n_states, n_obs, sparsity, n, point
         assert traj.values[k].tobytes() == traj.values[k - 1].tobytes()
         before = traj.states[k - 1]
         assert update(model, before, obs_seq[k - 1]) is before
+
+
+@pytest.mark.parametrize("bad", [99, [1]], ids=["unknown", "unhashable"])
+def test_run_filter_names_an_unknown_observation(m2, bad):
+    with pytest.raises(UnknownObservation, match=r"unknown observation"):
+        run_filter(m2, e(m2, 1), [1, 2, bad, 1])
+    # numpy integers name the same cells as Python ints
+    traj = run_filter(m2, e(m2, 1), [np.int64(1), 2.0])
+    assert traj.values.tobytes() == run_filter(m2, e(m2, 1), [1, 2]).values.tobytes()
 
 
 class TestGammaEstimate:

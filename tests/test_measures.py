@@ -177,7 +177,8 @@ class TestKantorovich:
             assert plan.method == "monotone"
             from filterlab.measures import _cost_matrix, _lp_plan
             C = _cost_matrix(mu, nu)
-            src, tgt, mass, u, v = _lp_plan(mu.weights, nu.weights, C)
+            src, tgt, mass, u, v = _lp_plan(mu.weights, nu.weights,
+                                            mu.mass_matrix(), nu.mass_matrix())
             assert d == pytest.approx(float(mass @ C[src, tgt]), abs=1e-10)
 
     def test_plan_certificate_and_scaling(self):
@@ -1086,6 +1087,80 @@ class TestTransportMemory:
             tracemalloc.stop()
         assert plan.method == "monotone"
         assert peak < 100e6
+
+    def test_lp_cost_budget_changes_no_bit(self, monkeypatch):
+        # 1,200 x 260 atoms: the default budget keeps all five row blocks,
+        # a budget of one block recomputes four of them on every scan
+        rng = np.random.default_rng(21)
+        space = _space(3)
+        mu = _random_measure(rng, space, 1200)
+        nu = _random_measure(rng, space, 260)
+        nu = nu.scaled(mu.total_mass / nu.total_mass)
+        block = measures._ROW_BLOCK * nu.n_atoms * 8
+        solves = {}
+        for budget in (measures._KEEP_BYTES, block):
+            monkeypatch.setattr(measures, "_KEEP_BYTES", budget)
+            tracemalloc.start()
+            try:
+                d, plan = kantorovich(mu, nu)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert plan.method == "lp"
+            solves[budget] = d, plan, peak
+        (d, plan, full_peak), (d1, plan1, peak1) = solves.values()
+        assert np.float64(d1).tobytes() == np.float64(d).tobytes()
+        for field in ("source", "target", "mass", "cost", "potential_source",
+                      "potential_target"):
+            assert getattr(plan1, field).tobytes() == getattr(plan, field).tobytes()
+        # the budget, a few scratch blocks and the arcs' arrays (about one
+        # block here): six blocks in all
+        assert peak1 < block + 7 * block
+        assert peak1 < full_peak
+
+
+class TestLpStartArcs:
+    # seven and six hand-placed atoms on three cells, rows summing to one
+    A = np.array([[0.6, 0.3, 0.1], [0.1, 0.6, 0.3], [0.3, 0.1, 0.6], [0.5, 0.25, 0.25],
+                  [0.25, 0.5, 0.25], [0.25, 0.25, 0.5], [0.4, 0.4, 0.2]])
+    B = np.array([[0.7, 0.2, 0.1], [0.2, 0.7, 0.1], [0.1, 0.2, 0.7], [0.45, 0.1, 0.45],
+                  [0.1, 0.45, 0.45], [0.2, 0.5, 0.3]])
+    W1 = np.array([0.1, 0.2, 0.1, 0.15, 0.15, 0.2, 0.1])
+    W2 = np.array([0.2, 0.1, 0.2, 0.15, 0.15, 0.2])
+
+    def _plans(self):
+        """Keys of the monotone plan in input order and along each cell."""
+        m, n = len(self.A), len(self.B)
+        keys = [(np.arange(m), np.arange(n))]
+        keys += [(self.A[:, c], self.B[:, c]) for c in range(3)]
+        plans = []
+        for key1, key2 in keys:
+            src, tgt, _ = measures._monotone_plan(self.W1, self.W2, key1, key2)
+            plans.append(src * n + tgt)
+        return plans
+
+    @pytest.mark.parametrize("nearest", [1, 2, 4])
+    def test_start_arcs_hold_every_plan_and_nearest_atom(self, nearest, monkeypatch):
+        monkeypatch.setattr(measures, "_NEAREST", nearest)
+        C = measures._TvRows(self.A, self.B)
+        arcs = measures._start_arcs(C, self.W1, self.W2)
+        assert np.array_equal(arcs, np.unique(arcs))
+        plans = self._plans()
+        near = measures._nearest_arcs(C)
+        assert np.array_equal(arcs, np.union1d(near, np.concatenate(plans)))
+        for plan in plans:
+            assert np.isin(plan, arcs).all()
+        # with one nearest atom each, every cell's plan adds arcs of its own
+        if nearest == 1:
+            for plan in plans[1:]:
+                assert not np.isin(plan, near).all()
+        # each row's and each column's nearest atoms, ties to the lower index
+        dense = np.abs(self.A[:, None] - self.B[None]).sum(axis=2)
+        rows = np.argsort(dense, axis=1, kind="stable")[:, :nearest]
+        cols = np.argsort(dense, axis=0, kind="stable")[:nearest]
+        expect = np.union1d((np.arange(len(self.A))[:, None] * len(self.B) + rows).ravel(),
+                            (cols * len(self.B) + np.arange(len(self.B))).ravel())
+        assert np.array_equal(np.unique(near), expect)
 
 
 class TestTvRows:
