@@ -21,10 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import contraction, coupling, lab, measures
-from .errors import BudgetExceeded, FilterlabError, NegativeDensity, SolverFailure
+from .errors import BudgetExceeded, FilterlabError, SolverFailure
 from .filter import ENUMERATION_BUDGET, mass_functional, run_filter
-from .model import (NORMALIZED_TOL, DensityVector, StateSpace, _check_nonnegative,
-                    _write_csv, load_model, simulate, stationary)
+from .model import (DensityVector, StateSpace, _write_csv, load_model, simulate,
+                    stationary)
 
 OK, VIOLATED, INCONCLUSIVE, USAGE = 0, 2, 3, 64
 
@@ -58,17 +58,12 @@ def _load_measure(path) -> measures.PointMassMeasure:
     sp = doc["space"]
     space = StateSpace._counted(len(sp["ids"]), sp["ids"], sp.get("lambda"))
     atoms = doc["atoms"]
-    # the checks of DensityVector, on all atoms at once
     pts = np.array([a["point"] for a in atoms], dtype=float)
-    if pts.shape != (len(atoms), space.n):
-        raise ValueError("one density value per state cell required")
-    _check_nonnegative(pts, NegativeDensity, "density values")
-    mass = pts @ space.lambda_weights
-    off = np.flatnonzero(np.abs(mass - 1.0) > NORMALIZED_TOL)
-    if len(off):
-        i = off[0]
+    off = DensityVector._check_rows(space, pts)
+    if off:
+        i, mass = off
         raise ValueError(f"atoms[{i}] is not a normalized density: its "
-                         f"lambda-integral is {float(mass[i])!r}, expected 1")
+                         f"lambda-integral is {mass!r}, expected 1")
     return measures.PointMassMeasure(space, pts, [a["weight"] for a in atoms])
 
 

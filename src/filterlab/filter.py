@@ -42,16 +42,22 @@ def _masses(model: HmmModel, x: DensityVector) -> np.ndarray:
     return _values(model, x) * model.states.lambda_weights
 
 
-def _cell_sum(v: np.ndarray) -> np.ndarray:
+def _cell_sum(v: np.ndarray):
     """Sum over the last (cell) axis, bit for bit as ``v.sum(axis=-1)``.
 
     Below 8 cells numpy's sum adds the cells left to right, so adding one
-    cell at a time gives the same bits without a strided reduction; from 8
+    cell at a time gives the same bits without a strided reduction (and one
+    row is added in Python floats, without numpy's cost per call); from 8
     cells on numpy sums pairwise, and this calls it.
     """
     k = v.shape[-1]
     if k >= 8:
         return v.sum(axis=-1)
+    if v.ndim == 1:
+        total, *rest = v.tolist()
+        for term in rest:
+            total += term
+        return total
     total = v[..., 0].copy()
     for j in range(1, k):
         total += v[..., j]
@@ -323,25 +329,13 @@ def _filter_values(model: HmmModel, x: DensityVector, obs_seq: Sequence
     lam = model.states.lambda_weights
     mats = model.stepping_matrices
     y = _values(model, x)
-    where = {a: i for i, a in enumerate(model.obs.cells)}
-    try:
-        obs_idx = [where[a] for a in obs_seq]
-    except (KeyError, TypeError):  # an unknown observation, named as index() names it
-        obs_idx = [model.obs.index(a) for a in obs_seq]
+    obs_idx = [model.obs.index(a) for a in obs_seq]
     values = np.empty((len(obs_idx) + 1, model.n_states))
     values[0] = y
     zero_steps = []
-    # below 8 cells _cell_sum adds the cells left to right: Python floats
-    # give the same bits without numpy's cost per call
-    few_cells = model.n_states < 8
     for k, i in enumerate(obs_idx, 1):
         v = (y * lam) @ mats[i]
-        if few_cells:
-            g, *rest = v.tolist()
-            for term in rest:
-                g += term
-        else:
-            g = _cell_sum(v)
+        g = _cell_sum(v)
         if g > 0.0:
             y = v / g / lam
         else:

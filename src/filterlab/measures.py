@@ -255,24 +255,24 @@ class _TvRows:
     """TV ground costs between the rows of two mass matrices, computed on demand.
 
     ``C[lo:hi]`` is a block of rows and ``C[i, j]`` the costs of the arcs
-    ``(i, j)``.  :meth:`blocks` reads every row in blocks of ``_ROW_BLOCK``:
-    the leading blocks that fit in ``_KEEP_BYTES`` are kept once computed
-    and read from memory after that, the others are computed again on each
-    read, so memory stays within the budget plus a few blocks.  Rows and
-    arcs, kept or not, agree bit for bit.
+    ``(i, j)``, computed on each read.  :meth:`blocks` reads every row in
+    blocks of ``_ROW_BLOCK``: the leading blocks that fit in ``_KEEP_BYTES``
+    are computed once, on its first call, and kept; the others are computed
+    again on each call, so memory stays within the budget plus a few
+    blocks.  Rows and arcs agree bit for bit.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray):
         self.a, self.b = a, b
         self.shape = (len(a), len(b))
-        self._done = 0  # rows of _kept computed so far
 
     @staticmethod
     def _tv(a, b, out=None):
         # summed one cell at a time, left to right: a reduction over a short
         # last axis is several times slower, and rows and arcs of one pair
         # then agree bit for bit at any number of cells
-        total = np.abs(np.subtract(a[..., 0], b[..., 0], out=out), out=out)
+        total = np.subtract(a[..., 0], b[..., 0], out=out)
+        np.abs(total, out=total)
         term = np.empty_like(total)
         for c in range(1, a.shape[-1]):
             total += np.abs(np.subtract(a[..., c], b[..., c], out=term), out=term)
@@ -282,21 +282,18 @@ class _TvRows:
         if isinstance(key, slice):
             return self._tv(self.a[key, None, :], self.b[None, :, :])
         i, j = key
-        if not self._done:
-            return self._tv(self.a[i], self.b[j])
-        kept = i < self._done
-        if kept.all():
-            return self._kept[i, j]
-        out = self._tv(self.a[i], self.b[j])
-        out[kept] = self._kept[i[kept], j[kept]]
-        return out
+        return self._tv(self.a[i], self.b[j])
 
     @cached_property
     def _kept(self) -> np.ndarray:
-        """The leading whole row blocks within ``_KEEP_BYTES``, filled by :meth:`blocks`."""
+        """The leading whole row blocks within ``_KEEP_BYTES``, computed on first read."""
         m, n = self.shape
-        rows = _KEEP_BYTES // (8 * max(n, 1)) // _ROW_BLOCK * _ROW_BLOCK
-        return np.empty((min(m, rows), n))
+        rows = min(m, _KEEP_BYTES // (8 * max(n, 1)) // _ROW_BLOCK * _ROW_BLOCK)
+        kept = np.empty((rows, n))
+        for lo in range(0, rows, _ROW_BLOCK):
+            hi = lo + _ROW_BLOCK
+            self._tv(self.a[lo:hi, None, :], self.b[None], out=kept[lo:hi])
+        return kept
 
     @cached_property
     def work(self) -> np.ndarray:
@@ -305,16 +302,9 @@ class _TvRows:
 
     def blocks(self):
         """``(lo, C[lo:lo + _ROW_BLOCK])`` for every block of rows, in order."""
-        m = self.shape[0]
-        for lo in range(0, m, _ROW_BLOCK):
-            hi = min(lo + _ROW_BLOCK, m)
-            if hi > len(self._kept):
-                yield lo, self[lo:hi]
-                continue
-            if hi > self._done:
-                self._tv(self.a[lo:hi, None, :], self.b[None], out=self._kept[lo:hi])
-                self._done = hi
-            yield lo, self._kept[lo:hi]
+        kept = self._kept
+        for lo in range(0, self.shape[0], _ROW_BLOCK):
+            yield lo, kept[lo:lo + _ROW_BLOCK] if lo < len(kept) else self[lo:lo + _ROW_BLOCK]
 
 
 def _cost_matrix(mu: PointMassMeasure, nu: PointMassMeasure) -> np.ndarray:
@@ -437,38 +427,43 @@ class _LpPlan(tuple):
         return plan
 
 
+def _smallest(w: np.ndarray, k: int):
+    """Column indices and values of each row's ``k`` smallest entries, shape ``(k, rows)``.
+
+    Taken by ``k`` passes of ``argmin`` along the rows, each setting the
+    minimum it finds to infinity in ``w``: on short ``k`` several times
+    faster than ``argpartition``.
+    """
+    rows = np.arange(len(w))
+    idx, low = [], []
+    for _ in range(min(k, w.shape[1])):
+        j = w.argmin(axis=1)
+        idx.append(j)
+        low.append(w[rows, j])
+        w[rows, j] = np.inf
+    return np.array(idx), np.array(low)
+
+
 def _nearest_arcs(C) -> np.ndarray:
     """Each atom's ``_NEAREST`` nearest atoms of the other side, as keys ``i * n + j``.
 
-    Each row block is copied into ``C.work``, as it is and then transposed,
-    and the nearest atoms are taken one at a time along its rows: the first
-    minimum left once the earlier ones are set to infinity, so ties go to
-    the lower index.
+    :func:`_smallest` on each row block and on its transposed copy (argmin
+    along a row is several times faster than down a column); a pair of
+    several blocks takes each column's nearest among the blocks' picks.
     """
     m, n = C.shape
     keys, lows, tops = [], [], []
-    cols = np.arange(n)
     for lo, block in C.blocks():
-        rows = np.arange(len(block))
-        w = C.work[:len(block)]
-        w[...] = block
-        for _ in range(min(_NEAREST, n)):
-            j = w.argmin(axis=1)
-            keys.append((lo + rows) * n + j)
-            w[rows, j] = np.inf
-        # argmin along a row is several times faster than down a column
-        w = C.work.ravel()[:block.size].reshape(n, len(block))
-        w[...] = block.T
-        for _ in range(min(_NEAREST, len(block))):
-            i = w.argmin(axis=1)
-            lows.append(w[cols, i])
-            tops.append(lo + i)
-            w[cols, i] = np.inf
-    tops = np.array(tops)
-    if len(tops) > _NEAREST:  # several blocks: each column's nearest of them all
-        keep = np.argpartition(np.array(lows), _NEAREST - 1, axis=0)[:_NEAREST]
-        tops = np.take_along_axis(tops, keep, axis=0)
-    keys.append((tops * n + cols).ravel())
+        j, _ = _smallest(block.copy(), _NEAREST)
+        keys.append(((lo + np.arange(len(block))) * n + j).ravel())
+        i, low = _smallest(block.T.copy(), _NEAREST)
+        tops.append(lo + i)
+        lows.append(low)
+    tops = np.vstack(tops)
+    if len(tops) > _NEAREST:
+        pick, _ = _smallest(np.vstack(lows).T.copy(), _NEAREST)
+        tops = np.take_along_axis(tops, pick, axis=0)
+    keys.append((tops * n + np.arange(n)).ravel())
     return np.concatenate(keys)
 
 

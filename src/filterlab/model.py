@@ -16,6 +16,7 @@ import bisect
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -87,10 +88,15 @@ class _Grid:
     def n(self) -> int:
         return len(self.cells)
 
+    @cached_property
+    def _where(self) -> dict:
+        """Each cell id's index, for :meth:`index`."""
+        return {c: i for i, c in enumerate(self.cells)}
+
     def index(self, cell) -> int:
         try:
-            return self.cells.index(cell)
-        except ValueError:
+            return self._where[cell]
+        except (KeyError, TypeError):  # TypeError: an unhashable cell
             *_, noun, error = self._names
             raise error(f"unknown {noun} {cell!r}") from None
 
@@ -146,18 +152,31 @@ class DensityVector:
 
     def __init__(self, space: StateSpace, values, *, unnormalized: bool = False):
         vals = _freeze(values)
-        if vals.shape != (space.n,):
-            raise ValueError("one density value per state cell required")
-        _check_nonnegative(vals, NegativeDensity, "density values")
-        if not unnormalized:
-            mass = float(vals @ space.lambda_weights)
-            if abs(mass - 1.0) > NORMALIZED_TOL:
-                raise ValueError(
-                    f"density has lambda-integral {mass!r}, expected 1; "
-                    "pass unnormalized=True for general measures"
-                )
+        off = self._check_rows(space, vals[None], normalized=not unnormalized)
+        if off:
+            raise ValueError(
+                f"density has lambda-integral {off[1]!r}, expected 1; "
+                "pass unnormalized=True for general measures"
+            )
         self.space = space
         self.values = vals
+
+    @staticmethod
+    def _check_rows(space: StateSpace, rows: np.ndarray, *, normalized: bool = True):
+        """The checks of a density, on every row of ``rows`` at once.
+
+        Refuses rows of the wrong length and negative or non-finite values.
+        With ``normalized``, returns ``(i, mass)`` for the first row whose
+        lambda-integral is off one by more than ``NORMALIZED_TOL``; else None.
+        """
+        if rows.ndim != 2 or rows.shape[1] != space.n:
+            raise ValueError("one density value per state cell required")
+        _check_nonnegative(rows, NegativeDensity, "density values")
+        if normalized:
+            for i, mass in enumerate((rows @ space.lambda_weights).tolist()):
+                if abs(mass - 1.0) > NORMALIZED_TOL:
+                    return i, mass
+        return None
 
     @classmethod
     def from_masses(cls, space: StateSpace, masses, *, unnormalized: bool = False):

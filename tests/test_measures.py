@@ -1154,13 +1154,31 @@ class TestLpStartArcs:
         if nearest == 1:
             for plan in plans[1:]:
                 assert not np.isin(plan, near).all()
-        # each row's and each column's nearest atoms, ties to the lower index
-        dense = np.abs(self.A[:, None] - self.B[None]).sum(axis=2)
-        rows = np.argsort(dense, axis=1, kind="stable")[:, :nearest]
-        cols = np.argsort(dense, axis=0, kind="stable")[:nearest]
-        expect = np.union1d((np.arange(len(self.A))[:, None] * len(self.B) + rows).ravel(),
-                            (cols * len(self.B) + np.arange(len(self.B))).ravel())
-        assert np.array_equal(np.unique(near), expect)
+        _assert_nearest(near, np.abs(self.A[:, None] - self.B[None]).sum(axis=2), nearest)
+
+    @pytest.mark.parametrize("m, n", [(600, 600), (600, 40), (513, 3)])
+    def test_nearest_arcs_across_row_blocks(self, m, n):
+        rng = np.random.default_rng(m + n)
+        a, b = rng.dirichlet(np.ones(4), m), rng.dirichlet(np.ones(4), n)
+        b[:3] = a[:3]  # tied costs too
+        near = measures._nearest_arcs(measures._TvRows(a, b))
+        _assert_nearest(near, np.abs(a[:, None] - b[None]).sum(axis=2),
+                        min(measures._NEAREST, m, n))
+
+
+def _assert_nearest(near, dense, k):
+    """``near`` holds each row's and each column's ``k`` nearest atoms, ties either way.
+
+    Every arc is among the k nearest of its row or of its column, and every
+    row and every column holds k of its nearest.
+    """
+    row_kth = np.sort(dense, axis=1)[:, k - 1]
+    col_kth = np.sort(dense, axis=0)[k - 1]
+    i, j = np.divmod(np.unique(near), dense.shape[1])
+    in_row, in_col = dense[i, j] <= row_kth[i], dense[i, j] <= col_kth[j]
+    assert (in_row | in_col).all()
+    assert (np.bincount(i[in_row], minlength=dense.shape[0]) >= k).all()
+    assert (np.bincount(j[in_col], minlength=dense.shape[1]) >= k).all()
 
 
 class TestTvRows:
