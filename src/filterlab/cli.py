@@ -58,6 +58,8 @@ def _load_measure(path) -> measures.PointMassMeasure:
     sp = doc["space"]
     space = StateSpace._counted(len(sp["ids"]), sp["ids"], sp.get("lambda"))
     atoms = doc["atoms"]
+    if not atoms:
+        raise ValueError("atoms is empty: a measure needs at least one atom")
     pts = np.array([a["point"] for a in atoms], dtype=float)
     off = DensityVector._check_rows(space, pts)
     if off:

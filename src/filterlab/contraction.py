@@ -33,7 +33,7 @@ from .errors import (
     KappaBelowOne,
     NonpositiveEntry,
 )
-from .filter import ENUMERATION_BUDGET, _check_budget
+from .filter import ENUMERATION_BUDGET, _cell_sum, _check_budget
 from .model import DensityVector, HmmModel
 
 # (density row, observation sequence) branches, and stepping-product entries,
@@ -506,32 +506,23 @@ def _sample_threshold_densities(rng, model, f0_mask, threshold, count):
 
     Sample i mixes a flat Dirichlet draw on F0 with one on the other cells
     (i % 3 == 0, exactly at the threshold: worst admissible starts), takes
-    the F0 draw alone (i % 3 == 1), or mixes it with one on all cells.  The
-    draws are one ``standard_gamma`` stream, split and normalized as
-    ``Generator.dirichlet`` does sample by sample, so the variates are the
-    ones a loop of ``rng.dirichlet`` calls would return.
+    the F0 draw alone (i % 3 == 1), or mixes it with one on all cells; one
+    ``rng.dirichlet`` call per draw, sample by sample.
     """
     k = model.n_states
     idx_f0 = np.nonzero(f0_mask)[0]
     others = np.nonzero(~f0_mask)[0]
-    style = np.arange(count) % 3
-    at_threshold = (style == 0) & (len(others) > 0)
-    mixed = (style != 1) & ~at_threshold
-    sizes = len(idx_f0) + np.where(at_threshold, len(others), np.where(mixed, k, 0))
-    gammas = rng.standard_gamma(1.0, size=int(sizes.sum()))
-    starts = np.cumsum(sizes) - sizes
-
-    def dirichlet(rows, offset, size):
-        x = gammas[starts[rows, None] + offset + np.arange(size)]
-        # dirichlet sums left to right and scales by the reciprocal
-        return x * (1.0 / np.cumsum(x, axis=1)[:, -1:])
-
     out = np.zeros((count, k))
-    out[:, idx_f0] = dirichlet(np.arange(count), 0, len(idx_f0))
-    for rows, cells in ((at_threshold, others), (mixed, np.arange(k))):
-        rest = np.zeros((int(rows.sum()), k))
-        rest[:, cells] = dirichlet(np.flatnonzero(rows), len(idx_f0), len(cells))
-        out[rows] = threshold * out[rows] + (1.0 - threshold) * rest
+    for i in range(count):
+        out[i, idx_f0] = rng.dirichlet(np.ones(len(idx_f0)))
+        if i % 3 == 1:
+            continue
+        if i % 3 == 0 and len(others):
+            rest = np.zeros(k)
+            rest[others] = rng.dirichlet(np.ones(len(others)))
+        else:
+            rest = rng.dirichlet(np.ones(k))
+        out[i] = threshold * out[i] + (1.0 - threshold) * rest
     return out
 
 
@@ -670,7 +661,7 @@ def e1_constants(model: HmmModel, pi: DensityVector, cert: PCertificate,
         zs = np.vstack([xs, ys])  # the pairs (x_i, y_i) lie sample_pairs rows apart
         offsets = [sample_pairs]
     n_pairs = sum(len(zs) - d for d in offsets)
-    k, ones = model.n_states, np.ones(model.n_states)
+    k = model.n_states
     g_viol = h_viol = 0
     min_g, max_tv, all_usable = np.inf, 0.0, True
     block = max(1, _E1_BLOCK // max(len(zs), k * k))
@@ -687,10 +678,10 @@ def e1_constants(model: HmmModel, pi: DensityVector, cert: PCertificate,
                                                  for a in sequences[s:s + block].T))
                     for s in range(0, n_sequences, block))
     for product in products:
-        # rows (density, sequence) by cells from one GEMM; sums as matrix-
-        # vector products, which beat a reduction over a short axis
+        # rows (density, sequence) by cells from one GEMM; each row summed
+        # by itself, so its sum does not depend on the rows beside it
         gz = (zs @ product.transpose(1, 0, 2).reshape(k, -1)).reshape(len(zs), -1, k)
-        sz = gz.reshape(-1, k) @ ones
+        sz = _cell_sum(gz.reshape(-1, k))
         # a likelihood below the smallest normal float has too few digits to
         # normalise a density or to bound a mix of the vertices: it counts as 0
         sz[sz < np.finfo(float).tiny] = 0.0
@@ -701,7 +692,7 @@ def e1_constants(model: HmmModel, pi: DensityVector, cert: PCertificate,
         all_usable &= bool(usable.all())
         hz = gz / np.where(usable, sz, 1.0)[..., None]
         for d in offsets:
-            tv = np.abs(hz[:-d] - hz[d:]).reshape(-1, k) @ ones
+            tv = _cell_sum(np.abs(hz[:-d] - hz[d:]).reshape(-1, k))
             tv = tv[(usable[:-d] & usable[d:]).ravel()]
             max_tv = max(max_tv, float(tv.max(initial=0.0)))
             h_viol += int((tv >= rho).sum())

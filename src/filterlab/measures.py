@@ -333,7 +333,7 @@ def _line_sums(w1, w2, key1, key2):
 
     Compensated as in Ogita, Rump and Oishi's Sum2 (each addition's exact
     TwoSum error is added back), the sums err by about eps times the total
-    at any length.  The plan and its potentials both read them.
+    at any length.  The plan, its potentials and its reduced costs read them.
     """
     sides = []
     for w, key in ((w1, key1), (w2, key2)):
@@ -347,7 +347,7 @@ def _line_sums(w1, w2, key1, key2):
     return sides
 
 
-def _monotone_plan(w1, w2, key1, key2):
+def _monotone_plan(o1, c1, o2, c2):
     """Sorted (comonotone) coupling for atoms keyed by a scalar coordinate.
 
     The arcs are the gaps between consecutive breakpoints of the two sums of
@@ -355,7 +355,6 @@ def _monotone_plan(w1, w2, key1, key2):
     past the lighter side's total is left unplanned.  Each atom's planned
     mass is its weight within a few units in the last place of the total.
     """
-    o1, c1, o2, c2 = _line_sums(w1, w2, key1, key2)
     cuts = _sorted_union(c1, c2)
     cuts = cuts[cuts <= min(c1[-1], c2[-1])]
     # segment k, from cut k-1 to cut k, lies in the interval of the atom
@@ -366,7 +365,7 @@ def _monotone_plan(w1, w2, key1, key2):
     return o1[src], o2[tgt], cuts - np.concatenate(([0.0], cuts[:-1]))
 
 
-def _line_potentials(key1, key2, w1, w2):
+def _line_potentials(key1, key2, o1, c1, o2, c2):
     """Optimal dual potentials for the cost 2|k - l| between atoms on a line.
 
     The one-Lipschitz potential integrates minus the sign of the difference
@@ -375,7 +374,6 @@ def _line_potentials(key1, key2, w1, w2):
     slackness certificate re-checks numerically.  Both distributions are
     the sums of :func:`_line_sums`, which the plan cuts.
     """
-    o1, c1, o2, c2 = _line_sums(w1, w2, key1, key2)
     uniq = _sorted_union(key1, key2)
     gap = (np.r_[0.0, c1][np.searchsorted(key1[o1], uniq, "right")]
            - np.r_[0.0, c2][np.searchsorted(key2[o2], uniq, "right")])
@@ -386,16 +384,16 @@ def _line_potentials(key1, key2, w1, w2):
     return u, v
 
 
-def _line_min_reduced(key1, key2, u, v) -> float:
+def _line_min_reduced(key1, key2, o2, u, v) -> float:
     """Minimum of ``2|k_i - l_j| - u_i - v_j`` over every pair (i, j).
 
-    Sorted on the target keys, the targets at or above ``k_i`` contribute
-    the suffix minimum of ``2l - v`` minus ``2k_i``, those below it the
-    prefix minimum of ``-2l - v`` plus ``2k_i``: O((m+n) log(m+n)) work and
-    no m-by-n array.
+    In the targets' key order ``o2``, the targets at or above ``k_i``
+    contribute the suffix minimum of ``2l - v`` minus ``2k_i``, those below
+    it the prefix minimum of ``-2l - v`` plus ``2k_i``: O((m+n) log(m+n))
+    work and no m-by-n array.  A minimum does not depend on how tied keys
+    are ordered.
     """
-    order = np.argsort(key2)
-    l, vl = key2[order], v[order]
+    l, vl = key2[o2], v[o2]
     above = np.minimum.accumulate((2.0 * l - vl)[::-1])[::-1]
     below = np.minimum.accumulate(-2.0 * l - vl)
     p = np.searchsorted(l, key1)
@@ -480,7 +478,7 @@ def _start_arcs(C, w1, w2) -> np.ndarray:
     keys += [(C.a[:, c], C.b[:, c]) for c in range(C.a.shape[1])]
     plans = []
     for key1, key2 in keys:
-        src, tgt, _ = _monotone_plan(w1, w2, key1, key2)
+        src, tgt, _ = _monotone_plan(*_line_sums(w1, w2, key1, key2))
         plans.append(src * n + tgt)
     return _sorted_union(_nearest_arcs(C), np.concatenate(plans))
 
@@ -673,9 +671,10 @@ def kantorovich(mu: PointMassMeasure, nu: PointMassMeasure
     if mu.space.n == 2 and spread <= 1e-12:
         method = "monotone"
         key1, key2 = a[:, 0], b[:, 0]
-        src, tgt, mass = _monotone_plan(w1, w2, key1, key2)
-        u, v = _line_potentials(key1, key2, w1, w2)
-        min_reduced = _line_min_reduced(key1, key2, u, v) - spread
+        sums = _line_sums(w1, w2, key1, key2)
+        src, tgt, mass = _monotone_plan(*sums)
+        u, v = _line_potentials(key1, key2, *sums)
+        min_reduced = _line_min_reduced(key1, key2, sums[2], u, v) - spread
     else:
         method = "lp"
         # the start plan is monotone in input order: order the atoms

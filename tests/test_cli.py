@@ -376,3 +376,16 @@ class TestMeasureFileMessages:
                      "--out", str(out)]) == code
         assert capsys.readouterr().err.startswith(named)
         assert not out.exists()
+
+    def test_empty_atom_list_is_named(self, tmp_path, capsys):
+        mu_path, nu_path = tmp_path / "empty.json", tmp_path / "nu.json"
+        mu_path.write_text(json.dumps(_measure_doc([])))
+        nu_path.write_text(json.dumps(_measure_doc([([1.0, 0.0], 1.0)])))
+        out = tmp_path / "out"
+        assert main(["transport", "--mu", str(mu_path), "--nu", str(nu_path),
+                     "--out", str(out)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: cannot read {mu_path}")
+        assert "atoms is empty" in err
+        assert "one density value per state cell" not in err
+        assert not out.exists()

@@ -5,7 +5,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from filterlab.contraction import (
@@ -779,15 +779,15 @@ class TestE1PrefixProducts:
             cert = check_condition_P(model, pi, list(range(1, model.n_states + 1)), b0)
         assume(cert.ok and cert.kappa > 1.0)
         rho = 2.0 * ((cert.kappa - 1.0) / (cert.kappa + 1.0)) ** (horizon - 0.5)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(contraction, "_sequence_products", _reduced_products)
+            want = e1_constants(model, pi, cert, rho=rho)
         # from blocks of one sequence to blocks of all of them, which cut the
-        # prefix tree at every depth; the reference reads the same blocks
-        # (the row sums' rounding depends on how many rows a block holds)
+        # prefix tree at every depth
         for e1_block in (1, 7, 64, 1 << 13):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(contraction, "_E1_BLOCK", e1_block)
                 got = e1_constants(model, pi, cert, rho=rho)
-                mp.setattr(contraction, "_sequence_products", _reduced_products)
-                want = e1_constants(model, pi, cert, rho=rho)
             assert got.N == horizon
             assert got.verification.n_sequences == n_b0 ** horizon
             assert asdict(got.verification) == asdict(want.verification)
@@ -907,18 +907,25 @@ class TestE1Vertices:
         assert v.exhaustive_sequences and not v.decided
 
     @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(1, 6))
-    def test_block_size_changes_no_field(self, seed, horizon):
+    @given(seed=st.integers(0, 2**32 - 1), n_b0=st.integers(1, 2),
+           horizon=st.integers(1, 6))
+    # every cell and two sequences, which share one block from _E1_BLOCK 64
+    # on: a sum that reads the rows beside it moves max_tv in the last bit
+    @example(seed=933864, n_b0=2, horizon=1)
+    def test_block_size_changes_no_field(self, seed, n_b0, horizon):
         model, f0 = _sparse_product_model(seed)
         pi, _ = stationary(model)
-        cert = check_condition_P(model, pi, f0, [1])
+        b0 = list(range(1, n_b0 + 1))
+        cert = check_condition_P(model, pi, f0, b0)
+        if not cert.ok:  # only observation 1 stays in f0: take every cell
+            cert = check_condition_P(model, pi, list(range(1, model.n_states + 1)), b0)
         assume(cert.ok and cert.kappa > 1.0)
         # 2 factor**N falls below rho first at N = horizon
         rho = 2.0 * ((cert.kappa - 1.0) / (cert.kappa + 1.0)) ** (horizon - 0.5)
         for kwargs in ({}, {"sample_pairs": 40},
                        {"sample_pairs": 40, "sequence_budget": 0}):
             runs = []
-            for e1_block in (1, 7, 1 << 13):
+            for e1_block in (1, 7, 64, 1 << 13):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(contraction, "_E1_BLOCK", e1_block)
                     runs.append(e1_constants(model, pi, cert, rho=rho, **kwargs))
@@ -932,7 +939,7 @@ class TestE1Vertices:
                 n_sequences, *counts, min_g, max_tv = _reference_verification(
                     model, cert, e1c, n_pairs, budget, seed=0)
             else:
-                n_sequences = 1
+                n_sequences = n_b0 ** horizon
                 n_pairs, *counts, min_g, max_tv = _vertex_reference(model, e1c)
             assert (v.n_pairs, v.n_sequences, v.g_violations, v.h_violations) == \
                 (n_pairs, n_sequences, *counts)

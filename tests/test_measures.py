@@ -914,7 +914,8 @@ class TestTransportPaths:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 40),
            st.sampled_from([0.0, 1e-13, 1e-12]), st.booleans())
     def test_sorted_slackness_bound(self, seed, m, n, spread, optimal):
-        from filterlab.measures import _cost_matrix, _line_min_reduced, _line_potentials
+        from filterlab.measures import (_cost_matrix, _line_min_reduced, _line_potentials,
+                                        _line_sums)
         rng = np.random.default_rng(seed)
         space = _space(2, rng, weighted=True)
 
@@ -933,11 +934,13 @@ class TestTransportPaths:
         key1, key2 = mu.mass_matrix()[:, 0], nu.mass_matrix()[:, 0]
         if optimal:
             nu = nu.scaled(mu.total_mass / nu.total_mass)
-            u, v = _line_potentials(key1, key2, mu.weights, nu.weights)
+        sums = _line_sums(mu.weights, nu.weights, key1, key2)
+        if optimal:
+            u, v = _line_potentials(key1, key2, *sums)
         else:
             u, v = rng.uniform(-2.0, 2.0, m), rng.uniform(-2.0, 2.0, n)
         dense = (_cost_matrix(mu, nu) - u[:, None] - v[None, :]).min()
-        assert abs(_line_min_reduced(key1, key2, u, v) - dense) <= delta + 1e-15
+        assert abs(_line_min_reduced(key1, key2, sums[2], u, v) - dense) <= delta + 1e-15
 
 
 # acceptance criterion 06 draws its inputs from default_rng(60); its trial
@@ -1135,7 +1138,8 @@ class TestLpStartArcs:
         keys += [(self.A[:, c], self.B[:, c]) for c in range(3)]
         plans = []
         for key1, key2 in keys:
-            src, tgt, _ = measures._monotone_plan(self.W1, self.W2, key1, key2)
+            src, tgt, _ = measures._monotone_plan(
+                *measures._line_sums(self.W1, self.W2, key1, key2))
             plans.append(src * n + tgt)
         return plans
 
