@@ -171,8 +171,12 @@ def _coupled_step(model: HmmModel, joint: JointFilterMeasure) -> JointFilterMeas
     diag, w = _obs_couplings(model, gx, gy)
     w += diag[:, :, None] * np.eye(model.n_obs)  # the excess products vanish there
     pair, a, b = np.nonzero(w > 0.0)
-    return JointFilterMeasure.from_masses(model.states, np.hstack([hx[pair, a], hy[pair, b]]),
-                                          w[pair, a, b] * w0[pair])
+    # hx and hy view observation-major rows: gather from those, contiguous,
+    # by flat index, straight into the two halves of the children
+    children = np.empty((len(pair), 2 * k))
+    children[:, :k] = np.take(hx.transpose(1, 0, 2).reshape(-1, k), a * len(w0) + pair, axis=0)
+    children[:, k:] = np.take(hy.transpose(1, 0, 2).reshape(-1, k), b * len(w0) + pair, axis=0)
+    return JointFilterMeasure.from_masses(model.states, children, w[pair, a, b] * w0[pair])
 
 
 def coupled_filter_step(model: HmmModel, x: DensityVector, y: DensityVector

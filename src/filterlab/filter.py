@@ -75,9 +75,12 @@ def _bayes_step(model: HmmModel, masses: np.ndarray) -> tuple[np.ndarray, np.nda
     stepped = masses @ model.stepping_matrices
     g = _cell_sum(stepped)
     pos = g > 0.0
-    stepped /= np.where(pos, g, 1.0)[:, :, None]
-    obs, row = np.nonzero(~pos)
-    stepped[obs, row] = masses[row]
+    if pos.all():
+        stepped /= g[:, :, None]
+    else:
+        stepped /= np.where(pos, g, 1.0)[:, :, None]
+        obs, row = np.nonzero(~pos)
+        stepped[obs, row] = masses[row]
     return g.T, stepped.transpose(1, 0, 2)
 
 
@@ -88,11 +91,18 @@ def _branch(model: HmmModel, masses: np.ndarray, weights: np.ndarray):
     weights, and each child's parent row and observation index.
     """
     g, post = _bayes_step(model, masses)
-    w = weights[:, None] * model.obs.tau_weights * g
-    parent, obs = np.nonzero(w > 0.0)
-    # post views observation-major rows: gather from them by flat index
+    # g and post view observation-major arrays: weigh and gather on those,
+    # contiguous, by the flat index obs * rows + parent
+    n_rows, n_obs = g.shape
+    w = model.obs.tau_weights[:, None] * weights * g.T
+    live = w > 0.0
+    if live.all():
+        parent, obs = np.divmod(np.arange(n_rows * n_obs), n_obs)
+    else:
+        parent, obs = np.nonzero(live.T)
+    flat = obs * n_rows + parent
     rows = post.transpose(1, 0, 2).reshape(-1, post.shape[2])
-    return np.take(rows, obs * len(masses) + parent, axis=0), w[parent, obs], parent, obs
+    return np.take(rows, flat, axis=0), np.take(w, flat), parent, obs
 
 
 def likelihood(model: HmmModel, x: DensityVector, a) -> float:

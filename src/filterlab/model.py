@@ -46,8 +46,11 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _check_nonnegative(values: np.ndarray, error, what: str) -> None:
-    """Refuse a negative, NaN or infinite entry, in two reads of the array."""
-    if not (values >= 0).all() or not np.isfinite(values).all():
+    """Refuse a negative, NaN or infinite entry, in two reductions and no temporary.
+
+    A NaN makes the minimum NaN, which fails ``>= 0``; an empty array passes.
+    """
+    if values.size and not (values.min() >= 0 and values.max() < np.inf):
         raise error(f"{what} must be nonnegative and finite")
 
 

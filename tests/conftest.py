@@ -68,6 +68,23 @@ def random_model(rng, n_states, n_obs, weighted=False, sparsity=0.0):
     return HmmModel(states, obs, m)
 
 
+def bayes_step_per_row(model, masses):
+    """The likelihoods and updates of _bayes_step one row and observation at a time.
+
+    The stepped masses are rows of the one batched product: numpy rounds
+    ``masses[r] @ M_a`` differently from ``(masses @ M)[a, r]``.
+    """
+    products = masses @ model.stepping_matrices
+    g = np.empty((len(masses), model.n_obs))
+    post = np.empty((len(masses), model.n_obs, model.n_states))
+    for r in range(len(masses)):
+        for a in range(model.n_obs):
+            stepped = products[a, r]
+            g[r, a] = stepped.sum()
+            post[r, a] = stepped / g[r, a] if g[r, a] > 0.0 else masses[r]
+    return g, post
+
+
 def random_density(rng, space):
     return DensityVector.from_masses(space, rng.dirichlet(np.ones(space.n)))
 

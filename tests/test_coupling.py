@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filterlab.contraction import check_condition_P, e1_constants
 from filterlab.coupling import (
@@ -22,7 +24,7 @@ from filterlab.filter import filter_laws, observation_law, pushforward_n
 from filterlab.measures import PointMassMeasure
 from filterlab.model import DensityVector, partition_model, stationary
 
-from conftest import e, random_density, random_model
+from conftest import bayes_step_per_row, e, random_density, random_model
 
 
 class TestObsCoupling:
@@ -253,6 +255,50 @@ def _reference_step(model, x, y):
             py = ny / ny.sum() / lam if ny.sum() > 0 else y
             out.append((px, py, w))
     return out
+
+
+def _coupled_step_per_pair(model, masses, weights):
+    """The children of ``_coupled_step`` one pair and observation pair at a time.
+
+    Likelihoods and updates are those of :func:`bayes_step_per_row`, rows of
+    the one batched product; each pair's coupling weights are the diagonal
+    ``common * tau`` and the excess products ``ex[a] * ey[b] / total``.
+    """
+    k, tau = model.n_states, model.obs.tau_weights
+    live = weights > 0.0
+    masses, weights = masses[live], weights[live]
+    gx, hx = bayes_step_per_row(model, masses[:, :k])
+    gy, hy = bayes_step_per_row(model, masses[:, k:])
+    children, child_w = [], []
+    for p in range(len(weights)):
+        common = np.minimum(gx[p], gy[p])
+        ex, ey = (gx[p] - common) * tau, (gy[p] - common) * tau
+        total = ex.sum() if ex.sum() > 0.0 else 1.0
+        for a in range(model.n_obs):
+            for b in range(model.n_obs):
+                w = common[a] * tau[a] if a == b else ex[a] * ey[b] / total
+                if w > 0.0:
+                    children.append(np.concatenate([hx[p, a], hy[p, b]]))
+                    child_w.append(w * weights[p])
+    return np.reshape(children, (-1, 2 * k)), np.array(child_w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.integers(1, 4),
+       st.floats(0.0, 0.8), st.integers(1, 6))
+def test_coupled_step_is_the_per_pair_arithmetic(seed, n_states, n_obs, sparsity, n_pairs):
+    # bit-identical children in (pair, a, b) order on a stack of pairs, with
+    # zero-likelihood halves (all-zero ones too) and pairs of zero weight
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, n_states, n_obs, weighted=True, sparsity=sparsity)
+    masses = rng.dirichlet(np.ones(n_states), size=2 * n_pairs).reshape(n_pairs, -1)
+    masses *= rng.random(masses.shape) < 0.7
+    weights = rng.uniform(0.1, 1.0, n_pairs) * (rng.random(n_pairs) < 0.8)
+    joint = JointFilterMeasure.from_masses(model.states, masses, weights)
+    got = coupling._coupled_step(model, joint)
+    want_masses, want_w = _coupled_step_per_pair(model, masses, weights)
+    assert got._masses.tobytes() == want_masses.tobytes()
+    assert got.weights.tobytes() == want_w.tobytes()
 
 
 def _reference_chain(model, mu, nu, n):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -34,7 +34,7 @@ from filterlab.model import (
     simulate,
 )
 
-from conftest import e, numeric_csv_rows, random_density, random_model
+from conftest import bayes_step_per_row, e, numeric_csv_rows, random_density, random_model
 
 
 def _nodes_merged_once(model, x, n):
@@ -160,26 +160,11 @@ class TestBayesStep:
             assert node.weight == pytest.approx(w, rel=1e-13)
 
 
-def _bayes_step_per_row(model, masses):
-    """The likelihoods and updates of _bayes_step one row and observation at a time.
-
-    The stepped masses are rows of the one batched product: numpy rounds
-    ``masses[r] @ M_a`` differently from ``(masses @ M)[a, r]``.
-    """
-    products = masses @ model.stepping_matrices
-    g = np.empty((len(masses), model.n_obs))
-    post = np.empty((len(masses), model.n_obs, model.n_states))
-    for r in range(len(masses)):
-        for a in range(model.n_obs):
-            stepped = products[a, r]
-            g[r, a] = stepped.sum()
-            post[r, a] = stepped / g[r, a] if g[r, a] > 0.0 else masses[r]
-    return g, post
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.integers(1, 4),
        st.floats(0.0, 0.8), st.integers(1, 8))
+@example(seed=0, n_states=9, n_obs=3, sparsity=0.0, n_rows=4)  # every child live
+@example(seed=8, n_states=2, n_obs=2, sparsity=0.3, n_rows=4)  # a row of zero likelihoods
 def test_branch_is_the_per_row_arithmetic(seed, n_states, n_obs, sparsity, n_rows):
     # bit-identical on both sides of 8 cells, where the likelihood sum turns
     # pairwise, with zero-likelihood rows (all-zero ones too) and zero weights
@@ -188,7 +173,7 @@ def test_branch_is_the_per_row_arithmetic(seed, n_states, n_obs, sparsity, n_row
     masses = rng.dirichlet(np.ones(n_states), size=n_rows)
     masses *= rng.random((n_rows, n_states)) < 0.7
     weights = rng.uniform(0.1, 1.0, n_rows) * (rng.random(n_rows) < 0.8)
-    want_g, want_post = _bayes_step_per_row(model, masses)
+    want_g, want_post = bayes_step_per_row(model, masses)
     g, post = _bayes_step(model, masses)
     assert g.tobytes() == want_g.tobytes() and post.tobytes() == want_post.tobytes()
     # children in (row, observation) order, those of zero weight dropped

@@ -29,6 +29,7 @@ from filterlab.model import (
     ObsSpace,
     SteppingKernel,
     StateSpace,
+    _check_nonnegative,
     build_model,
     load_model,
     partition_model,
@@ -49,6 +50,16 @@ def _with(values, bad, at=(0,)):
 
 
 class TestSignCheck:
+    def test_gate_itself(self):
+        # negative zero and empty arrays pass; a bad value is found when it
+        # is the last of many
+        for ok in (np.array([-0.0, 0.0]), np.empty(0), np.empty((0, 3))):
+            _check_nonnegative(ok, NegativeDensity, "values")
+        for bad in BAD:
+            values = _with(np.ones((1000, 100)), bad, (-1, -1))
+            with pytest.raises(NegativeDensity, match="values must be nonnegative"):
+                _check_nonnegative(values, NegativeDensity, "values")
+
     def test_grid_weights(self):
         for bad in BAD:
             with pytest.raises(ValueError, match="positive and finite"):
