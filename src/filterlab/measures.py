@@ -52,6 +52,17 @@ def tv_distance(x: DensityVector, y: DensityVector) -> float:
     return float(np.abs(x.masses - y.masses).sum())
 
 
+def _merge_key(masses: np.ndarray, blocks: int = 1) -> np.ndarray:
+    """The sort key of :func:`merge_atoms`, ``masses @ cos(1..K) / blocks``.
+
+    Each row's key depends on that row alone: BLAS's product rounds every
+    row alike below 8 cells, and from 8 cells on, where it rounds a row by
+    its place in the array, the products are summed by numpy's pairwise sum.
+    """
+    proj = np.cos(np.arange(1, masses.shape[1] + 1)) / blocks
+    return masses @ proj if masses.shape[1] < 8 else (masses * proj).sum(axis=1)
+
+
 def merge_atoms(masses, weights, tol: float, blocks: int = 1):
     """Group atoms into the connected components of "TV <= tol".
 
@@ -60,28 +71,31 @@ def merge_atoms(masses, weights, tol: float, blocks: int = 1):
     Components do not depend on input order or on bystander atoms.  Returns
     each component's lexicographically first row and its summed weight.
     Components come in key order, the key being the projection
-    ``masses @ cos(1..K) / blocks``: each is placed by its first atom in
-    that order, atoms of equal key taken in lexicographic order.
+    ``masses @ cos(1..K) / blocks`` (:func:`_merge_key`): each is placed by
+    its first atom in that order, atoms of equal key taken in lexicographic
+    order.  Weights are summed in (key, row, weight) order, so the result is
+    the same bytes under any input order.
     """
     if len(weights) == 0:
         return masses, weights
     # a projection of all mass coordinates with weights |cos j| / blocks moves
     # by at most the row distance, so sorted on it only neighbours within tol
     # can be joined; unlike one column, pairs repeating one half do not tie on it
-    key = masses @ (np.cos(np.arange(1, masses.shape[1] + 1)) / blocks)
+    key = _merge_key(masses, blocks)
     order = np.argsort(key)
     key = key[order]
     masses, weights = np.take(masses, order, axis=0), weights[order]
     tied = key[1:] == key[:-1]
     if tied.any():
         # ties, exact duplicates among them: order the rows of equal key
-        # lexicographically and collapse the duplicates
+        # lexicographically, duplicates by weight, and collapse the
+        # duplicates, so their sums do not depend on the input order
         run = np.zeros(len(key), dtype=bool)
         run[1:] = tied
         run[:-1] |= tied
         run = np.flatnonzero(run)
         order = np.arange(len(key))
-        order[run] = run[np.lexsort((*masses[run].T[::-1], key[run]))]
+        order[run] = run[np.lexsort((weights[run], *masses[run].T[::-1], key[run]))]
         masses, weights = np.take(masses, order, axis=0), weights[order]
         dup = tied & (masses[1:] == masses[:-1]).all(axis=1)
         if dup.any():

@@ -26,6 +26,7 @@ from filterlab.measures import (
     SLACKNESS_TOL,
     LipschitzWitness,
     PointMassMeasure,
+    _merge_key,
     barycenter,
     barycenter_lower_bound,
     barycenter_match,
@@ -534,8 +535,8 @@ def _clustered_atoms(seed, blocks, tol=MERGE_TOL):
     return points, weights, np.array(chain), far_points
 
 
-def _key_rival(row, proj, rng):
-    """A row about 1e-6 from ``row`` in TV whose key ``row @ proj`` is the same float.
+def _key_rival(row, proj, blocks, rng):
+    """A row about 1e-6 from ``row`` in TV whose merge key is the same float.
 
     Steps along a direction orthogonal to ``proj``, then one ulp at a time in
     the cell of largest weight until the keys agree; ``None`` if they never do.
@@ -545,7 +546,7 @@ def _key_rival(row, proj, rng):
     rival = row + 1e-6 * v / np.abs(v).sum()
     j = int(np.argmax(np.abs(proj)))
     for _ in range(200):
-        want, got = np.vstack([row, rival]) @ proj
+        want, got = _merge_key(np.vstack([row, rival]), blocks)
         if got == want:
             return rival if (rival >= 0).all() else None
         rival[j] = np.nextafter(rival[j], np.inf if (got < want) == (proj[j] > 0) else -np.inf)
@@ -562,6 +563,22 @@ class TestMergeAtomsProperties:
         p2, w2 = merge_atoms(pts[perm], w[perm], MERGE_TOL, blocks)
         np.testing.assert_array_equal(p1, p2)
         np.testing.assert_allclose(w1, w2, rtol=1e-14, atol=0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from([1, 2]))
+    def test_duplicate_sums_do_not_depend_on_input_order(self, seed, blocks):
+        # chains, plus rows repeated exactly three to five more times, every
+        # weight distinct: the merged law is the same bytes in any input order
+        pts, w, _, _ = _clustered_atoms(seed, blocks)
+        rng = np.random.default_rng(seed + 3)
+        dup = rng.choice(len(pts), size=min(len(pts), int(rng.integers(1, 4))), replace=False)
+        pts = np.vstack([pts, np.repeat(pts[dup], rng.integers(3, 6, len(dup)), axis=0)])
+        w = rng.uniform(0.1, 1.0, len(pts))
+        assert len(np.unique(w)) == len(w)
+        perm = rng.permutation(len(w))
+        p1, w1 = merge_atoms(pts, w, MERGE_TOL, blocks)
+        p2, w2 = merge_atoms(pts[perm], w[perm], MERGE_TOL, blocks)
+        assert p1.tobytes() == p2.tobytes() and w1.tobytes() == w2.tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10**6), st.sampled_from([1, 2]))
@@ -603,13 +620,14 @@ class TestMergeAtomsProperties:
         for t in twins:
             j = int(np.argmin(t))
             t[j] = np.nextafter(t[j], rng.choice([-1.0, 2.0]))
-        rivals = [_key_rival(row, proj, rng) for row in pts[rng.choice(len(pts), size=3)]]
+        rivals = [_key_rival(row, proj, blocks, rng)
+                  for row in pts[rng.choice(len(pts), size=3)]]
         rivals = np.array([r for r in rivals if r is not None]).reshape(-1, pts.shape[1])
         pts = np.vstack([pts, far, twins, rivals])
         w = np.concatenate([w, rng.uniform(0.1, 1.0, len(pts) - len(w))])
         perm = rng.permutation(len(w))
         pts, w = pts[perm], w[perm]
-        key = pts @ proj
+        key = _merge_key(pts, blocks)
         firsts, reps, sums = [], [], []
         for comp in _brute_force_components(pts, MERGE_TOL, blocks):
             # the component's first atom in key order, lexicographic on ties,
@@ -644,7 +662,7 @@ def test_merge_without_edges_sorts_and_sums_duplicates(seed, blocks):
     tv = np.abs(distinct[:, None] - distinct[None])
     tv = tv.reshape(len(distinct), len(distinct), blocks, k).sum(axis=3).max(axis=2)
     assume((tv + np.eye(len(distinct)) > 1e-6).all())
-    key = distinct @ (np.cos(np.arange(1, distinct.shape[1] + 1)) / blocks)
+    key = _merge_key(distinct, blocks)
     by_key = np.argsort(key, kind="stable")
     p, w = merge_atoms(points, weights, MERGE_TOL, blocks)
     assert p.tobytes() == distinct[by_key].tobytes()
