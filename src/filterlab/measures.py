@@ -19,7 +19,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -52,6 +52,12 @@ def tv_distance(x: DensityVector, y: DensityVector) -> float:
     return float(np.abs(x.masses - y.masses).sum())
 
 
+@lru_cache
+def _merge_proj(n_cells: int, blocks: int) -> np.ndarray:
+    """The key's weights ``cos(1..n_cells) / blocks``, computed once per shape."""
+    return _freeze(np.cos(np.arange(1, n_cells + 1)) / blocks)
+
+
 def _merge_key(masses: np.ndarray, blocks: int = 1) -> np.ndarray:
     """The sort key of :func:`merge_atoms`, ``masses @ cos(1..K) / blocks``.
 
@@ -59,7 +65,7 @@ def _merge_key(masses: np.ndarray, blocks: int = 1) -> np.ndarray:
     row alike below 8 cells, and from 8 cells on, where it rounds a row by
     its place in the array, the products are summed by numpy's pairwise sum.
     """
-    proj = np.cos(np.arange(1, masses.shape[1] + 1)) / blocks
+    proj = _merge_proj(masses.shape[1], blocks)
     return masses @ proj if masses.shape[1] < 8 else (masses * proj).sum(axis=1)
 
 
@@ -102,7 +108,7 @@ def merge_atoms(masses, weights, tol: float, blocks: int = 1):
             starts = np.flatnonzero(np.concatenate(([True], ~dup)))
             weights = np.add.reduceat(weights, starts)
             masses, key = np.take(masses, starts, axis=0), key[starts]
-    edges = [np.zeros((2, 0), dtype=np.int64)]
+    edges = []
     for d in range(1, len(key)):
         a = np.flatnonzero(key[d:] - key[:-d] <= tol)
         if len(a) == 0:
@@ -110,7 +116,7 @@ def merge_atoms(masses, weights, tol: float, blocks: int = 1):
         tv = np.abs(np.take(masses, a, axis=0) - np.take(masses, a + d, axis=0))
         hit = a[tv.reshape(len(a), blocks, -1).sum(axis=2).max(axis=1) <= tol]
         edges.append(np.stack([hit, hit + d]))
-    rows, cols = np.concatenate(edges, axis=1)
+    rows, cols = np.concatenate(edges, axis=1) if edges else ((), ())
     if len(rows) == 0:
         # no edge: every atom is its own component, already in order
         return masses, weights
@@ -693,9 +699,8 @@ def kantorovich(mu: PointMassMeasure, nu: PointMassMeasure
         method = "lp"
         # the start plan is monotone in input order: order the atoms
         # along the projection key merge_atoms sorts on
-        proj = np.cos(np.arange(1, mu.space.n + 1))
-        o1 = np.argsort(a @ proj, kind="stable")
-        o2 = np.argsort(b @ proj, kind="stable")
+        o1 = np.argsort(_merge_key(a), kind="stable")
+        o2 = np.argsort(_merge_key(b), kind="stable")
         lp = _lp_plan(w1[o1], w2[o2], a[o1], b[o2])
         src, tgt, mass, pu, pv = lp
         src, tgt = o1[src], o2[tgt]
