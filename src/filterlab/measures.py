@@ -61,9 +61,10 @@ def _merge_proj(n_cells: int, blocks: int) -> np.ndarray:
 def _merge_key(masses: np.ndarray, blocks: int = 1) -> np.ndarray:
     """The sort key of :func:`merge_atoms`, ``masses @ cos(1..K) / blocks``.
 
-    Each row's key depends on that row alone: BLAS's product rounds every
-    row alike below 8 cells, and from 8 cells on, where it rounds a row by
-    its place in the array, the products are summed by numpy's pairwise sum.
+    Each row's key depends on that row alone: below 8 cells OpenBLAS's
+    product rounds every row alike, and from 8 cells on, where it rounds a
+    row by its place in the array, the products are summed by numpy's
+    pairwise sum.  ``test_permutation_invariant`` checks both sides.
     """
     proj = _merge_proj(masses.shape[1], blocks)
     return masses @ proj if masses.shape[1] < 8 else (masses * proj).sum(axis=1)
