@@ -18,7 +18,8 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BarycenterMismatch, SpaceMismatch
-from .filter import ENUMERATION_BUDGET, _bayes_step, _check_budget, observation_law
+from .filter import (ENUMERATION_BUDGET, _bayes_step, _check_budget, _check_horizon,
+                     _values, observation_law)
 from .measures import (MARGINAL_TOL, MERGE_TOL, PointMassMeasure, barycenter,
                        merge_atoms, tv_distance)
 from .model import DensityVector, HmmModel, ObsSpace, _freeze
@@ -186,8 +187,8 @@ def coupled_filter_step(model: HmmModel, x: DensityVector, y: DensityVector
     Each marginal of the result is exactly the one-step filter law of the
     corresponding start.
     """
-    return _coupled_step(model, JointFilterMeasure(model.states, x.values, y.values,
-                                                   [1.0]))
+    return _coupled_step(model, JointFilterMeasure(model.states, _values(model, x),
+                                                   _values(model, y), [1.0]))
 
 
 def product_coupling(mu: PointMassMeasure, nu: PointMassMeasure
@@ -211,6 +212,9 @@ def coupled_laws(model: HmmModel, mu: PointMassMeasure, nu: PointMassMeasure,
     and ``nu``.  ``budget`` bounds the children of each step, merged pairs
     times ``|A|**2``, and is checked before the step builds them.
     """
+    _check_horizon(n_max)
+    if not mu.space.same_as(model.states):
+        raise SpaceMismatch("measures live on a different state space than the model")
     joint = product_coupling(mu, nu).merged()
     yield joint
     for n in range(1, n_max + 1):

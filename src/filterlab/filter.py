@@ -32,6 +32,12 @@ def _check_budget(rows: int, budget: int, what: str) -> None:
         raise BudgetExceeded(f"{what}: {rows} rows exceed budget {budget}")
 
 
+def _check_horizon(n: int) -> None:
+    """The one horizon guard: a step count below zero is refused by name."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+
+
 def _values(model: HmmModel, x: DensityVector) -> np.ndarray:
     if not x.space.same_as(model.states):
         raise SpaceMismatch("density lives on a different state space")
@@ -150,8 +156,7 @@ def pushforward_nodes(model: HmmModel, x: DensityVector, n: int,
     the budget bounds ``|A|**n``, the sequences this enumeration holds.
     Zero-likelihood sequences carry zero weight, so they are omitted.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_horizon(n)
     _check_budget(model.n_obs**n, budget, f"|A|^n = {model.n_obs}**{n} sequences")
     masses = _masses(model, x)[None, :]
     weights = np.ones(1)
@@ -177,8 +182,7 @@ def filter_laws(model: HmmModel, x: DensityVector, n_max: int, prune_eps: float 
     The budget bounds the children of each step, merged atoms times ``|A|``,
     and is checked before the step builds them.
     """
-    if n_max < 0:
-        raise ValueError("n must be nonnegative")
+    _check_horizon(n_max)
     masses = _masses(model, x)[None, :]
     weights = np.array([1.0])
     pruned = 0.0
@@ -272,6 +276,7 @@ def grid_averages(model: HmmModel, u_list, masses_grid: np.ndarray,
     the last level, ``|A|**n_max`` per grid point, and is checked before the
     block is stepped.
     """
+    _check_horizon(n_max)
     grid = np.atleast_2d(np.asarray(masses_grid, dtype=float))
     out = np.zeros((n_max + 1, len(u_list), len(grid)))
     size = max(1, _GRID_BLOCK // model.n_obs**n_max)

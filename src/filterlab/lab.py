@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contraction import _fit_rate, check_condition_P
-from .filter import ENUMERATION_BUDGET, filter_laws, grid_averages
+from .filter import ENUMERATION_BUDGET, _check_horizon, filter_laws, grid_averages
 from .measures import kantorovich
 from .model import (
     DensityVector,
@@ -149,6 +149,7 @@ def weak_contraction_report(model: HmmModel, pairs, n_max: int,
                             budget: int = ENUMERATION_BUDGET,
                             prune_eps: float = 0.0) -> WeakContractionReport:
     """Track how the filter laws of paired starts merge in transport distance."""
+    _check_horizon(n_max)
     P = model.markov_matrix
     dists = np.zeros((len(pairs), n_max))
     floors = np.zeros_like(dists)

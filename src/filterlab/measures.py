@@ -218,6 +218,8 @@ class PointMassMeasure:
 
     def mass_in_ball(self, center: DensityVector, eps: float) -> float:
         """Weight carried by atoms with TV-distance strictly below eps."""
+        if not center.space.same_as(self.space):
+            raise SpaceMismatch("ball centre lives on a different state space")
         d = np.abs(self._masses - center.masses[None, :]).sum(axis=1)
         return float(self.weights[d < eps].sum())
 
@@ -426,82 +428,28 @@ def _line_min_reduced(key1, key2, o2, u, v) -> float:
 
 
 _ROW_BLOCK = 256  # rows of the cost matrix read at a time
-_NEAREST = 4      # start arcs per atom, to its nearest atoms of the other side
 _KEEP_BYTES = 32 << 20  # bytes of cost rows _TvRows.blocks keeps once computed
 # violations of u + v <= C smaller than this are rounding: costs are at most
 # 2, and C - u - v computed at that scale errs by a few units of 2.2e-16
 _PRICE_TOL = 1e-14
 
 
-class _LpPlan(tuple):
-    """``(src, tgt, mass, u, v)`` of an LP plan and its potentials.
-
-    ``min_reduced`` is the minimum of ``C - u - v`` over every arc, from the
-    last reduced-cost scan: the global half of the slackness certificate.
-    """
-
-    def __new__(cls, src, tgt, mass, u, v, min_reduced: float):
-        plan = super().__new__(cls, (src, tgt, mass, u, v))
-        plan.min_reduced = min_reduced
-        return plan
-
-
-def _smallest(w: np.ndarray, k: int):
-    """Column indices and values of each row's ``k`` smallest entries, shape ``(k, rows)``.
-
-    Taken by ``k`` passes of ``argmin`` along the rows, each setting the
-    minimum it finds to infinity in ``w``: on short ``k`` several times
-    faster than ``argpartition``.
-    """
-    rows = np.arange(len(w))
-    idx, low = [], []
-    for _ in range(min(k, w.shape[1])):
-        j = w.argmin(axis=1)
-        idx.append(j)
-        low.append(w[rows, j])
-        w[rows, j] = np.inf
-    return np.array(idx), np.array(low)
-
-
-def _nearest_arcs(C) -> np.ndarray:
-    """Each atom's ``_NEAREST`` nearest atoms of the other side, as keys ``i * n + j``.
-
-    :func:`_smallest` on each row block and on its transposed copy (argmin
-    along a row is several times faster than down a column); a pair of
-    several blocks takes each column's nearest among the blocks' picks.
-    """
-    m, n = C.shape
-    keys, lows, tops = [], [], []
-    for lo, block in C.blocks():
-        j, _ = _smallest(block.copy(), _NEAREST)
-        keys.append(((lo + np.arange(len(block))) * n + j).ravel())
-        i, low = _smallest(block.T.copy(), _NEAREST)
-        tops.append(lo + i)
-        lows.append(low)
-    tops = np.vstack(tops)
-    if len(tops) > _NEAREST:
-        pick, _ = _smallest(np.vstack(lows).T.copy(), _NEAREST)
-        tops = np.take_along_axis(tops, pick, axis=0)
-    keys.append((tops * n + np.arange(n)).ravel())
-    return np.concatenate(keys)
-
-
 def _start_arcs(C, w1, w2) -> np.ndarray:
     """The first arcs of the transport LP, as sorted keys ``i * n + j``.
 
-    Each atom's nearest atoms of the other side; the monotone plan in input
-    order, a coupling of ``w1`` and ``w2`` that makes the restricted LP
-    feasible; and the monotone plan along each cell's masses, which holds
-    many of the optimal arcs that rank far down their row and column.
+    The monotone plans along the projection key :func:`_merge_key` and along
+    each cell's masses.  Each is a coupling of ``w1`` and ``w2``, so the
+    restricted LP is feasible; the cells' plans hold many of the optimal arcs
+    that rank far down their row and column.
     """
-    m, n = C.shape
-    keys = [(np.arange(m), np.arange(n))]
+    n = C.shape[1]
+    keys = [(_merge_key(C.a), _merge_key(C.b))]
     keys += [(C.a[:, c], C.b[:, c]) for c in range(C.a.shape[1])]
     plans = []
     for key1, key2 in keys:
         src, tgt, _ = _monotone_plan(*_line_sums(w1, w2, key1, key2))
         plans.append(src * n + tgt)
-    return _sorted_union(_nearest_arcs(C), np.concatenate(plans))
+    return _sorted_union(plans[0], np.concatenate(plans[1:]))
 
 
 def _price(C, u, v, arcs):
@@ -573,22 +521,24 @@ def _highs_core():
     return core
 
 
-def _lp_plan(w1, w2, a, b) -> _LpPlan:
-    """Optimal plan between atoms with cell masses ``a`` and ``b``, by column generation.
+def _lp_plan(w1, w2, C):
+    """Optimal plan between atoms of weights ``w1`` and ``w2``, by column generation.
 
-    The TV costs are read through :class:`_TvRows`, which keeps the leading
-    row blocks within ``_KEEP_BYTES`` once computed (32 MiB: every row of a
-    pair up to 2,048 atoms a side), so each of those costs is computed once
-    per solve; rows past the budget are computed again on each scan.  The
-    arcs start as :func:`_start_arcs`: nearest atoms, the monotone plan in
-    input order (which makes the restricted LP feasible) and the monotone
-    plan along each cell.  Each round solves the LP on the arcs and adds
-    the most violated arc of each row and of each column; the round whose
-    scan adds none ends the loop, and that scan is the global slackness
-    check.  The set only grows, so the loop ends.
+    ``C`` is the pair's :class:`_TvRows`, which keeps the leading row blocks
+    within ``_KEEP_BYTES`` once computed (32 MiB: every row of a pair up to
+    2,048 atoms a side), so each of those costs is computed once per solve;
+    rows past the budget are computed again on each scan.  The arcs start as
+    :func:`_start_arcs`, the monotone plans along the projection key and
+    along each cell.  Each round solves the LP on the arcs and adds the most
+    violated arc of each row and of each column; the round whose scan adds
+    none ends the loop, and that scan is the global slackness check.  The
+    set only grows, so the loop ends.
 
     One HiGHS model holds the m + n marginal rows; each round appends its
-    new arcs as columns and solves again from the last basis.
+    new arcs as columns and solves again from the last basis.  Returns
+    ``(src, tgt, mass, u, v, min_reduced)``: the plan, its potentials and
+    the minimum of ``C - u - v`` over every arc from the last scan, the
+    global half of the slackness certificate.
     """
     # HiGHS is driven directly: linprog rebuilds the model and checks every
     # input and option per call
@@ -598,8 +548,7 @@ def _lp_plan(w1, w2, a, b) -> _LpPlan:
         if status != highs.HighsStatus.kOk:
             raise SolverFailure(f"transport LP: HiGHS {call} returned {status.name}")
 
-    m, n = len(a), len(b)
-    C = _TvRows(a, b)
+    m, n = C.shape
     arcs = _start_arcs(C, w1, w2)
     lp = highs._Highs()
     # HiGHS's default feasibility tolerances (1e-7) let plans miss
@@ -637,7 +586,7 @@ def _lp_plan(w1, w2, a, b) -> _LpPlan:
     x = np.asarray(solution.col_value)
     on = x > 0
     i, j = np.divmod(np.concatenate(columns)[on], n)
-    return _LpPlan(i, j, x[on], u, v, worst)
+    return i, j, x[on], u, v, worst
 
 
 def _certify(src, tgt, mass, cost, w1, w2, u, v, min_reduced):
@@ -665,10 +614,10 @@ def kantorovich(mu: PointMassMeasure, nu: PointMassMeasure
     One path per input, certified once: the monotone plan on two cells whose
     point masses spread by at most 1e-12, else the LP; a plan that misses
     its certificate raises :class:`SolverFailure`.  The monotone path builds
-    no m-by-n array.  The LP starts from each atom's nearest atoms and the
-    monotone plans along the projection key and along each cell, and keeps
-    its TV cost rows, up to ``_KEEP_BYTES`` (32 MiB), once computed: about
-    0.08 s for 729 atoms a side and 0.7 s for 2,187 on a 2-vCPU host.
+    no m-by-n array.  The LP starts from the monotone plans along the
+    projection key and along each cell, and keeps its TV cost rows, up to
+    ``_KEEP_BYTES`` (32 MiB), once computed: about 0.07 s for 729 atoms a
+    side and 0.45 s for 2,187 on a 2-vCPU host.
     """
     if not mu.space.same_as(nu.space):
         raise SpaceMismatch("measures live on different state spaces")
@@ -698,16 +647,7 @@ def kantorovich(mu: PointMassMeasure, nu: PointMassMeasure
         min_reduced = _line_min_reduced(key1, key2, sums[2], u, v) - spread
     else:
         method = "lp"
-        # the start plan is monotone in input order: order the atoms
-        # along the projection key merge_atoms sorts on
-        o1 = np.argsort(_merge_key(a), kind="stable")
-        o2 = np.argsort(_merge_key(b), kind="stable")
-        lp = _lp_plan(w1[o1], w2[o2], a[o1], b[o2])
-        src, tgt, mass, pu, pv = lp
-        src, tgt = o1[src], o2[tgt]
-        u, v = np.empty(len(o1)), np.empty(len(o2))
-        u[o1], v[o2] = pu, pv
-        min_reduced = lp.min_reduced
+        src, tgt, mass, u, v, min_reduced = _lp_plan(w1, w2, C)
     cost = C[src, tgt]
     marg, slack = _certify(src, tgt, mass, cost, w1, w2, u, v, min_reduced)
     if marg > MARGINAL_TOL or slack > SLACKNESS_TOL:

@@ -14,14 +14,24 @@ import pytest
 
 from filterlab.cli import main
 from filterlab.contraction import check_condition_P
-from filterlab.coupling import JointFilterMeasure, vasershtein_obs_coupling
+from filterlab.coupling import (
+    JointFilterMeasure,
+    condition_E_estimate,
+    coupled_chain,
+    coupled_filter_step,
+    coupled_laws,
+    vasershtein_obs_coupling,
+)
 from filterlab.errors import (
     BadPartition,
     NegativeDensity,
     NonStochastic,
     NonStochasticEmission,
+    SpaceMismatch,
     UnknownObservation,
 )
+from filterlab.filter import apply_T_grid, grid_averages, lipschitz_probe, mass_functional
+from filterlab.lab import osc_decay_report, tightness_probe, weak_contraction_report
 from filterlab.measures import PointMassMeasure
 from filterlab.model import (
     DensityVector,
@@ -138,6 +148,63 @@ class TestSubsetRule:
         coupling = vasershtein_obs_coupling(m2, e(m2, 1), e(m2, 2))
         with pytest.raises(UnknownObservation):
             coupling.diagonal_mass_on([3])
+
+
+# a negative horizon, at each entry point that takes one
+NEGATIVE_HORIZON = {
+    "grid_averages": lambda m, u, x, y: grid_averages(m, [u], np.eye(2), -1),
+    "apply_T_grid": lambda m, u, x, y: apply_T_grid(m, u, np.eye(2), -1),
+    "osc_decay_report": lambda m, u, x, y: osc_decay_report(m, [u], -1),
+    "lipschitz_probe": lambda m, u, x, y: lipschitz_probe(m, u, -1),
+    "weak_contraction_report": lambda m, u, x, y: weak_contraction_report(m, [(x, y)], -1),
+    "coupled_laws": lambda m, u, x, y: list(coupled_laws(
+        m, PointMassMeasure.dirac(x), PointMassMeasure.dirac(y), -1)),
+    "coupled_chain": lambda m, u, x, y: coupled_chain(
+        m, PointMassMeasure.dirac(x), PointMassMeasure.dirac(y), -1),
+    "condition_E_estimate": lambda m, u, x, y: condition_E_estimate(m, x, 0.1, -1),
+}
+
+
+class TestHorizonGate:
+    @pytest.mark.parametrize("call", NEGATIVE_HORIZON.values(), ids=NEGATIVE_HORIZON.keys())
+    def test_negative_horizon_is_refused_by_name(self, call):
+        model = load_model(DEMOS / "noisy_sensor.json")
+        u = mass_functional(model, [1])
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            call(model, u, e(model, 1), e(model, 2))
+
+
+class TestStateSpaceGate:
+    # two cells, like noisy_sensor's grid, but with other cell weights
+    OTHER = StateSpace((1, 2), [2.0, 0.5])
+
+    @pytest.fixture
+    def sensor(self):
+        return load_model(DEMOS / "noisy_sensor.json")
+
+    def _foreign(self):
+        return DensityVector(self.OTHER, [0.2, 1.2])
+
+    def test_coupled_filter_step(self, sensor):
+        x = self._foreign()
+        with pytest.raises(SpaceMismatch):
+            coupled_filter_step(sensor, x, x)
+
+    @pytest.mark.parametrize("model", ["noisy_sensor", "block_partition"])
+    def test_coupled_chain(self, model):
+        model = load_model(DEMOS / f"{model}.json")
+        mu = PointMassMeasure.dirac(self._foreign())
+        with pytest.raises(SpaceMismatch):
+            coupled_chain(model, mu, mu, 2)
+
+    def test_mass_in_ball(self, sensor):
+        mu = PointMassMeasure.dirac(e(sensor, 1))
+        with pytest.raises(SpaceMismatch):
+            mu.mass_in_ball(self._foreign(), 0.5)
+
+    def test_tightness_probe(self, sensor):
+        with pytest.raises(SpaceMismatch):
+            tightness_probe(sensor, self._foreign(), 0.5, [e(sensor, 1)], 2)
 
 
 class TestProductFormBuilder:

@@ -176,11 +176,10 @@ class TestKantorovich:
             nu = nu.scaled(mu.total_mass / nu.total_mass)
             d, plan = kantorovich(mu, nu)
             assert plan.method == "monotone"
-            from filterlab.measures import _cost_matrix, _lp_plan
-            C = _cost_matrix(mu, nu)
-            src, tgt, mass, u, v = _lp_plan(mu.weights, nu.weights,
-                                            mu.mass_matrix(), nu.mass_matrix())
+            C = measures._TvRows(mu.mass_matrix(), nu.mass_matrix())
+            src, tgt, mass, u, v, min_reduced = measures._lp_plan(mu.weights, nu.weights, C)
             assert d == pytest.approx(float(mass @ C[src, tgt]), abs=1e-10)
+            assert min_reduced >= -SLACKNESS_TOL
 
     def test_plan_certificate_and_scaling(self):
         rng = np.random.default_rng(4)
@@ -1139,58 +1138,46 @@ class TestLpStartArcs:
     W1 = np.array([0.1, 0.2, 0.1, 0.15, 0.15, 0.2, 0.1])
     W2 = np.array([0.2, 0.1, 0.2, 0.15, 0.15, 0.2])
 
-    def _plans(self):
-        """Keys of the monotone plan in input order and along each cell."""
+    def test_start_arcs_are_the_monotone_plans(self):
         m, n = len(self.A), len(self.B)
-        keys = [(np.arange(m), np.arange(n))]
+        arcs = measures._start_arcs(measures._TvRows(self.A, self.B), self.W1, self.W2)
+        keys = [(_merge_key(self.A), _merge_key(self.B))]
         keys += [(self.A[:, c], self.B[:, c]) for c in range(3)]
         plans = []
         for key1, key2 in keys:
-            src, tgt, _ = measures._monotone_plan(
+            src, tgt, mass = measures._monotone_plan(
                 *measures._line_sums(self.W1, self.W2, key1, key2))
+            # each plan couples the two weight vectors, so the first LP is feasible
+            np.testing.assert_allclose(np.bincount(src, mass, m), self.W1, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(np.bincount(tgt, mass, n), self.W2, rtol=0, atol=1e-15)
             plans.append(src * n + tgt)
-        return plans
+        assert np.array_equal(arcs, np.unique(np.concatenate(plans)))
+        # every cell's plan adds arcs the key's plan lacks
+        for plan in plans[1:]:
+            assert not np.isin(plan, plans[0]).all()
 
-    @pytest.mark.parametrize("nearest", [1, 2, 4])
-    def test_start_arcs_hold_every_plan_and_nearest_atom(self, nearest, monkeypatch):
-        monkeypatch.setattr(measures, "_NEAREST", nearest)
-        C = measures._TvRows(self.A, self.B)
-        arcs = measures._start_arcs(C, self.W1, self.W2)
-        assert np.array_equal(arcs, np.unique(arcs))
-        plans = self._plans()
-        near = measures._nearest_arcs(C)
-        assert np.array_equal(arcs, np.union1d(near, np.concatenate(plans)))
-        for plan in plans:
-            assert np.isin(plan, arcs).all()
-        # with one nearest atom each, every cell's plan adds arcs of its own
-        if nearest == 1:
-            for plan in plans[1:]:
-                assert not np.isin(plan, near).all()
-        _assert_nearest(near, np.abs(self.A[:, None] - self.B[None]).sum(axis=2), nearest)
-
-    @pytest.mark.parametrize("m, n", [(600, 600), (600, 40), (513, 3)])
-    def test_nearest_arcs_across_row_blocks(self, m, n):
-        rng = np.random.default_rng(m + n)
-        a, b = rng.dirichlet(np.ones(4), m), rng.dirichlet(np.ones(4), n)
-        b[:3] = a[:3]  # tied costs too
-        near = measures._nearest_arcs(measures._TvRows(a, b))
-        _assert_nearest(near, np.abs(a[:, None] - b[None]).sum(axis=2),
-                        min(measures._NEAREST, m, n))
-
-
-def _assert_nearest(near, dense, k):
-    """``near`` holds each row's and each column's ``k`` nearest atoms, ties either way.
-
-    Every arc is among the k nearest of its row or of its column, and every
-    row and every column holds k of its nearest.
-    """
-    row_kth = np.sort(dense, axis=1)[:, k - 1]
-    col_kth = np.sort(dense, axis=0)[k - 1]
-    i, j = np.divmod(np.unique(near), dense.shape[1])
-    in_row, in_col = dense[i, j] <= row_kth[i], dense[i, j] <= col_kth[j]
-    assert (in_row | in_col).all()
-    assert (np.bincount(i[in_row], minlength=dense.shape[0]) >= k).all()
-    assert (np.bincount(j[in_col], minlength=dense.shape[1]) >= k).all()
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 4), st.integers(1, 40),
+           st.integers(1, 40), st.floats(0.0, 1.0))
+    def test_distance_does_not_depend_on_atom_order(self, seed, k, m, n, shared):
+        rng = np.random.default_rng(seed)
+        space = _space(k, rng, weighted=True)
+        mu, nu = _random_measure(rng, space, m), _random_measure(rng, space, n)
+        # a share of nu's atoms sit exactly on atoms of mu
+        s = int(shared * min(m, n))
+        b = nu.mass_matrix().copy()
+        b[:s] = mu.mass_matrix()[rng.permutation(m)[:s]]
+        nu = PointMassMeasure.from_masses(space, b, nu.weights * (mu.total_mass / nu.total_mass))
+        p1, p2 = rng.permutation(m), rng.permutation(n)
+        permuted = [PointMassMeasure.from_masses(space, x.mass_matrix()[p], x.weights[p])
+                    for x, p in ((mu, p1), (nu, p2))]
+        d, plan = kantorovich(mu, nu)
+        d_perm, plan_perm = kantorovich(*permuted)
+        for p in (plan, plan_perm):
+            assert p.method == "lp"
+            assert p.marginal_residual <= MARGINAL_TOL
+            assert p.slackness_residual <= SLACKNESS_TOL
+        assert d_perm == pytest.approx(d, rel=1e-12, abs=1e-15)
 
 
 class TestTvRows:
