@@ -1138,20 +1138,29 @@ class TestLpStartArcs:
     W1 = np.array([0.1, 0.2, 0.1, 0.15, 0.15, 0.2, 0.1])
     W2 = np.array([0.2, 0.1, 0.2, 0.15, 0.15, 0.2])
 
-    def test_start_arcs_are_the_monotone_plans(self):
+    @pytest.mark.parametrize("scale", [1, 2, 4])
+    def test_start_arcs_hold_every_plan_and_nearest_atom(self, scale):
+        """The start arcs are exactly the monotone plans' arcs.
+
+        The name dates from a start set that also held each atom's nearest
+        atoms; that search is gone.  Both weight vectors are scaled by a
+        power of two, which is exact, so the arcs must not change with it.
+        """
         m, n = len(self.A), len(self.B)
-        arcs = measures._start_arcs(measures._TvRows(self.A, self.B), self.W1, self.W2)
+        w1, w2 = scale * self.W1, scale * self.W2
+        arcs = measures._start_arcs(measures._TvRows(self.A, self.B), w1, w2)
         keys = [(_merge_key(self.A), _merge_key(self.B))]
         keys += [(self.A[:, c], self.B[:, c]) for c in range(3)]
         plans = []
         for key1, key2 in keys:
-            src, tgt, mass = measures._monotone_plan(
-                *measures._line_sums(self.W1, self.W2, key1, key2))
+            src, tgt, mass = measures._monotone_plan(*measures._line_sums(w1, w2, key1, key2))
             # each plan couples the two weight vectors, so the first LP is feasible
-            np.testing.assert_allclose(np.bincount(src, mass, m), self.W1, rtol=0, atol=1e-15)
-            np.testing.assert_allclose(np.bincount(tgt, mass, n), self.W2, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(np.bincount(src, mass, m), w1, rtol=0, atol=1e-15 * scale)
+            np.testing.assert_allclose(np.bincount(tgt, mass, n), w2, rtol=0, atol=1e-15 * scale)
             plans.append(src * n + tgt)
         assert np.array_equal(arcs, np.unique(np.concatenate(plans)))
+        assert np.array_equal(
+            arcs, measures._start_arcs(measures._TvRows(self.A, self.B), self.W1, self.W2))
         # every cell's plan adds arcs the key's plan lacks
         for plan in plans[1:]:
             assert not np.isin(plan, plans[0]).all()
