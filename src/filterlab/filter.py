@@ -90,24 +90,38 @@ def _bayes_step(model: HmmModel, masses: np.ndarray) -> tuple[np.ndarray, np.nda
     return g.T, stepped.transpose(1, 0, 2)
 
 
+def _children(model: HmmModel, masses: np.ndarray, weights: np.ndarray):
+    """Every weighted row stepped by every observation, observation-major.
+
+    Returns ``post[a, r]``, the update of row ``r`` by observation ``a`` as
+    cell masses (:func:`_bayes_step`), and its weight ``w[a, r] = tau(a) *
+    weights[r] * g[r, a]``.  Both are contiguous, so ``post.reshape(-1, k)``
+    and ``w.ravel()`` list the children in (observation, row) order without
+    a copy.  Children of zero weight are kept.
+    """
+    g, post = _bayes_step(model, masses)
+    return post.transpose(1, 0, 2), model.obs.tau_weights[:, None] * weights * g.T
+
+
 def _branch(model: HmmModel, masses: np.ndarray, weights: np.ndarray):
     """Children of weighted rows in (row, observation) order, weights w * tau * g.
 
+    The children of :func:`_children`, gathered by the flat index
+    ``obs * rows + parent`` for the callers that read them in that order:
+    :func:`pushforward_nodes` lists sequences lexicographically and
+    :func:`grid_averages` sums each grid point's children in that order.
     Children of zero weight are dropped.  Returns their cell masses, their
     weights, and each child's parent row and observation index.
     """
-    g, post = _bayes_step(model, masses)
-    # g and post view observation-major arrays: weigh and gather on those,
-    # contiguous, by the flat index obs * rows + parent
-    n_rows, n_obs = g.shape
-    w = model.obs.tau_weights[:, None] * weights * g.T
+    post, w = _children(model, masses, weights)
+    n_obs, n_rows = w.shape
     live = w > 0.0
     if live.all():
         parent, obs = np.divmod(np.arange(n_rows * n_obs), n_obs)
     else:
         parent, obs = np.nonzero(live.T)
     flat = obs * n_rows + parent
-    rows = post.transpose(1, 0, 2).reshape(-1, post.shape[2])
+    rows = post.reshape(-1, post.shape[2])
     return np.take(rows, flat, axis=0), np.take(w, flat), parent, obs
 
 
@@ -177,7 +191,11 @@ def filter_laws(model: HmmModel, x: DensityVector, n_max: int, prune_eps: float 
     Steps the merged frontier one observation at a time: every atom is
     advanced by every observation, weighted by its likelihood times the tau
     mass, and the result is merged before the next step, so atoms that meet
-    are stepped once.  ``prune_eps`` drops merged atoms of weight below it
+    are stepped once.  The children of positive weight go to the merge in
+    the observation-major order :func:`_children` writes them, ungathered: a
+    merged law is the same bytes under any input order (:func:`merge_atoms`),
+    so the laws equal those merged from :func:`_branch`'s (atom,
+    observation) order.  ``prune_eps`` drops merged atoms of weight below it
     from horizon one on; the dropped mass accumulates in ``pruned_mass``.
     The budget bounds the children of each step, merged atoms times ``|A|``,
     and is checked before the step builds them.
@@ -189,7 +207,11 @@ def filter_laws(model: HmmModel, x: DensityVector, n_max: int, prune_eps: float 
     for n in range(n_max + 1):
         if n:
             _check_budget(len(weights) * model.n_obs, budget, f"filter-law step {n}")
-            masses, weights, _, _ = _branch(model, masses, weights)
+            post, w = _children(model, masses, weights)
+            masses, weights = post.reshape(-1, post.shape[2]), w.ravel()
+            live = weights > 0.0
+            if not live.all():
+                masses, weights = masses[live], weights[live]
         law = PointMassMeasure.from_masses(model.states, masses, weights,
                                            pruned_mass=pruned).merged()
         if n and prune_eps > 0.0:

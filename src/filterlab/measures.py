@@ -820,15 +820,19 @@ def brute_force_uniform_assignment(mu: PointMassMeasure, nu: PointMassMeasure) -
 
     Only valid when both measures carry equally many atoms of equal weight;
     by Birkhoff's theorem the optimum of the transport problem is then
-    attained at a permutation.
+    attained at a permutation.  Any other input, empty measures included,
+    raises :class:`MassMismatch`.
     """
     if mu.n_atoms != nu.n_atoms:
         raise MassMismatch("assignment oracle needs equal atom counts")
+    weights = np.concatenate([mu.weights, nu.weights])
+    if not len(weights) or (weights != weights[0]).any():
+        raise MassMismatch("assignment oracle needs atoms, every atom of both "
+                           "measures carrying the same weight")
     C = _cost_matrix(mu, nu)
-    w = mu.weights[0]
     best = None
     for perm in itertools.permutations(range(nu.n_atoms)):
         cost = sum(C[i, j] for i, j in enumerate(perm))
         if best is None or cost < best:
             best = cost
-    return float(w * best)
+    return float(weights[0] * best)

@@ -1,3 +1,5 @@
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -183,6 +185,63 @@ def test_branch_is_the_per_row_arithmetic(seed, n_states, n_obs, sparsity, n_row
     assert list(zip(parent, obs)) == pairs
     assert children.tobytes() == want_post[parent, obs].tobytes()
     assert w.tobytes() == want_w[parent, obs].tobytes()
+
+
+_BLOCK_PARTITION = partition_model([[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.25, 0.25, 0.5]],
+                                   [[1, 2], [3]])
+
+
+def _laws_merged_from_branch(model, x, n_max, prune_eps):
+    """The laws of ``filter_laws``, each level gathered by ``_branch`` before its merge."""
+    masses, weights, pruned = filter_module._masses(model, x)[None, :], np.ones(1), 0.0
+    for n in range(n_max + 1):
+        if n:
+            masses, weights, _, _ = _branch(model, masses, weights)
+        law = PointMassMeasure.from_masses(model.states, masses, weights,
+                                           pruned_mass=pruned).merged()
+        if n and prune_eps > 0.0:
+            keep = law.weights >= prune_eps
+            if not keep.any():
+                return
+            pruned += float(law.weights[~keep].sum())
+            law = PointMassMeasure.from_masses(model.states, law.mass_matrix()[keep],
+                                               law.weights[keep], pruned_mass=pruned)
+        yield law
+        masses, weights = law.mass_matrix(), law.weights
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.integers(1, 4),
+       st.floats(0.0, 0.8), st.integers(0, 6), st.sampled_from([0.0, 1e-3]),
+       st.just(False))
+# a start with a zero cell under a sparse kernel: two zero-weight children,
+# and four merges of atoms within 1e-12 but not equal
+@example(seed=3, n_states=3, n_obs=2, sparsity=0.7, n_max=4, prune_eps=0.0,
+         block_partition=False)
+# demos/models/block_partition.json: exact duplicates, the merge's tie path
+@example(seed=0, n_states=3, n_obs=2, sparsity=0.0, n_max=6, prune_eps=0.0,
+         block_partition=True)
+def test_filter_laws_are_the_laws_merged_from_branch(seed, n_states, n_obs, sparsity, n_max,
+                                                     prune_eps, block_partition):
+    # filter_laws merges the children in the observation-major order the
+    # Bayes step writes them; the merge does not depend on input order, so
+    # every law is the same bytes as one merged from (atom, observation) order
+    rng = np.random.default_rng(seed)
+    model = (_BLOCK_PARTITION if block_partition else
+             random_model(rng, n_states, n_obs, weighted=True, sparsity=sparsity))
+    masses = rng.dirichlet(np.ones(model.n_states)) * (rng.random(model.n_states) < 0.7)
+    masses[rng.integers(model.n_states)] += masses.sum() == 0.0
+    x = DensityVector.from_masses(model.states, masses / masses.sum())
+    want = list(_laws_merged_from_branch(model, x, n_max, prune_eps))
+    got = []
+    with pytest.raises(BudgetExceeded) if len(want) <= n_max else nullcontext():
+        for law in filter_laws(model, x, n_max, prune_eps):
+            got.append(law)
+    assert len(got) == len(want)
+    for law, ref in zip(got, want):
+        assert law.mass_matrix().tobytes() == ref.mass_matrix().tobytes()
+        assert law.weights.tobytes() == ref.weights.tobytes()
+        assert law.pruned_mass == ref.pruned_mass
 
 
 class TestPushforward:

@@ -292,6 +292,31 @@ class TestGrids:
         np.testing.assert_array_equal(a, b)
         np.testing.assert_allclose(a.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_many_cells_hold_the_vertices_first(self):
+        space = StateSpace([1, 2, 3, 4, 5], [1, 1, 1, 1, 1])
+        grid = simplex_grid(space, seed=3, mc_points=64)
+        assert grid.shape == (5 + 64, 5)
+        np.testing.assert_array_equal(grid[:5], np.eye(5))
+        np.testing.assert_array_equal(grid[5:], np.random.default_rng(3).dirichlet(
+            np.ones(5), size=64))
+
+    @pytest.mark.parametrize("k, n_obs, weighted", [(4, 3, False), (5, 2, True)])
+    def test_default_grid_oscillation_is_the_matrix_power_one(self, k, n_obs, weighted):
+        # T^n of a mass functional is linear in the start masses, so its
+        # oscillation over the simplex is max - min of P^n c, reached at the
+        # vertices; Dirichlet samples alone read about 0.82 of it at n = 0
+        rng = np.random.default_rng([0, 3])
+        model = random_model(rng, k, n_obs, weighted=weighted)
+        u = mass_functional(model, [1])
+        report = osc_decay_report(model, [u], n_max=5)
+        assert report.grid_points == k + 512
+        c = (np.arange(k) == 0).astype(float)
+        want = []
+        for _ in range(6):
+            want.append(c.max() - c.min())
+            c = model.markov_matrix @ c
+        np.testing.assert_allclose(report.oscillations[0], want, rtol=0, atol=1e-14)
+
 
 def test_periodic_control_is_two_cycle():
     model = periodic_control_model()

@@ -166,6 +166,27 @@ class TestKantorovich:
             assert d == pytest.approx(brute_force_uniform_assignment(mu, nu),
                                       abs=1e-10)
 
+    def test_permutation_oracle_refuses_unequal_weights(self):
+        # a permutation is optimal only between equal weights: on these
+        # unequal ones a permutation costs 0.853, the transport distance 0.493
+        rng = np.random.default_rng(2)
+        space = _space(3)
+        pts = rng.dirichlet(np.ones(3), size=6)
+        mu = PointMassMeasure(space, pts[:3], [0.5, 0.3, 0.2])
+        nu = PointMassMeasure(space, pts[3:], [0.2, 0.2, 0.6])
+        with pytest.raises(MassMismatch, match="same weight"):
+            brute_force_uniform_assignment(mu, nu)
+        half = PointMassMeasure(space, pts[3:5], [0.5, 0.5])
+        third = PointMassMeasure(space, pts[:3], np.full(3, 1 / 3))
+        with pytest.raises(MassMismatch, match="atom counts"):
+            brute_force_uniform_assignment(half, third)
+        empty = PointMassMeasure.from_masses(space, np.zeros((0, 3)), np.zeros(0))
+        with pytest.raises(MassMismatch, match="same weight"):
+            brute_force_uniform_assignment(empty, empty)
+        uniform = PointMassMeasure(space, pts[3:], np.full(3, 1 / 3))
+        d, _ = kantorovich(third, uniform)
+        assert brute_force_uniform_assignment(third, uniform) == pytest.approx(d, abs=1e-10)
+
     def test_monotone_and_lp_agree_on_two_cells(self):
         rng = np.random.default_rng(3)
         space = _space(2)
