@@ -20,8 +20,7 @@ import numpy as np
 from .errors import BarycenterMismatch, SpaceMismatch
 from .filter import (ENUMERATION_BUDGET, _bayes_step, _check_budget, _check_horizon,
                      _values, observation_law)
-from .measures import (MARGINAL_TOL, MERGE_TOL, PointMassMeasure, barycenter,
-                       merge_atoms, tv_distance)
+from .measures import MARGINAL_TOL, PointMassMeasure, _AtomStore, barycenter, tv_distance
 from .model import DensityVector, HmmModel, ObsSpace, _freeze
 
 
@@ -101,7 +100,7 @@ def vasershtein_obs_coupling(model: HmmModel, x: DensityVector,
                        tau=model.obs.tau_weights)
 
 
-class JointFilterMeasure:
+class JointFilterMeasure(_AtomStore):
     """Finitely supported coupling of two filter laws.
 
     Atom ``k`` puts weight ``weights[k]`` on the pair of densities
@@ -110,7 +109,8 @@ class JointFilterMeasure:
     density arrays are derived from it when read and cannot be written.
     """
 
-    __slots__ = ("space", "_masses", "weights", "pruned_mass")
+    __slots__ = ()
+    _BLOCKS = 2
 
     def __new__(cls, space, x_points, y_points, weights, pruned_mass=0.0):
         # densities enter here, once: the coupling is built on their cell masses
@@ -119,9 +119,6 @@ class JointFilterMeasure:
             raise ValueError("points must have shape (n_atoms, n_cells)")
         masses = np.hstack(halves) * np.tile(space.lambda_weights, 2)
         return cls.from_masses(space, masses, weights, pruned_mass)
-
-    # the one gate of both measure classes: the same fields, sign check and no copy
-    from_masses = classmethod(PointMassMeasure.from_masses.__func__)
 
     @property
     def x_points(self) -> np.ndarray:
@@ -132,14 +129,6 @@ class JointFilterMeasure:
     def y_points(self) -> np.ndarray:
         """The second halves' densities, derived from the held masses when read."""
         return _freeze(self._masses[:, self.space.n:] / self.space.lambda_weights)
-
-    @property
-    def n_atoms(self) -> int:
-        return int(self.weights.size)
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
 
     def marginal_x(self) -> PointMassMeasure:
         return PointMassMeasure.from_masses(self.space, self._masses[:, :self.space.n],
@@ -157,11 +146,6 @@ class JointFilterMeasure:
         """Joint mass on pairs closer than ``rho`` in total variation."""
         return float(self.weights[self.pair_tv() < rho].sum())
 
-    def merged(self) -> "JointFilterMeasure":
-        """Merge pairs whose two halves each lie within ``MERGE_TOL`` in TV."""
-        merged = merge_atoms(self._masses, self.weights, MERGE_TOL, blocks=2)
-        return JointFilterMeasure.from_masses(self.space, *merged, pruned_mass=self.pruned_mass)
-
 
 def _coupled_step(model: HmmModel, joint: JointFilterMeasure) -> JointFilterMeasure:
     """One unmerged coupled step of every pair; pairs of zero mass are dropped."""
@@ -169,14 +153,14 @@ def _coupled_step(model: HmmModel, joint: JointFilterMeasure) -> JointFilterMeas
     k, w0, masses = model.n_states, joint.weights[live], joint._masses[live]
     gx, hx = _bayes_step(model, masses[:, :k])
     gy, hy = _bayes_step(model, masses[:, k:])
-    diag, w = _obs_couplings(model, gx, gy)
+    diag, w = _obs_couplings(model, gx.T, gy.T)
     w += diag[:, :, None] * np.eye(model.n_obs)  # the excess products vanish there
     pair, a, b = np.nonzero(w > 0.0)
-    # hx and hy view observation-major rows: gather from those, contiguous,
-    # by flat index, straight into the two halves of the children
+    # hx and hy hold observation-major rows: gather by flat index, straight
+    # into the two halves of the children
     children = np.empty((len(pair), 2 * k))
-    children[:, :k] = np.take(hx.transpose(1, 0, 2).reshape(-1, k), a * len(w0) + pair, axis=0)
-    children[:, k:] = np.take(hy.transpose(1, 0, 2).reshape(-1, k), b * len(w0) + pair, axis=0)
+    children[:, :k] = np.take(hx.reshape(-1, k), a * len(w0) + pair, axis=0)
+    children[:, k:] = np.take(hy.reshape(-1, k), b * len(w0) + pair, axis=0)
     return JointFilterMeasure.from_masses(model.states, children, w[pair, a, b] * w0[pair])
 
 

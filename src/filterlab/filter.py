@@ -71,12 +71,12 @@ def _cell_sum(v: np.ndarray):
 
 
 def _bayes_step(model: HmmModel, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every row of cell masses stepped by every observation.
+    """Every row of cell masses stepped by every observation, observation-major.
 
-    Returns the likelihoods ``g[r, a]`` and the normalized updates
-    ``post[r, a]`` as cell masses, views of observation-major arrays.  An
-    update of zero likelihood keeps its row: this is the zero-likelihood
-    convention of the whole package.
+    Returns the likelihoods ``g[a, r]`` and the normalized updates
+    ``post[a, r]`` as cell masses, both contiguous as the batched product
+    writes them.  An update of zero likelihood keeps its row: this is the
+    zero-likelihood convention of the whole package.
     """
     stepped = masses @ model.stepping_matrices
     g = _cell_sum(stepped)
@@ -87,42 +87,25 @@ def _bayes_step(model: HmmModel, masses: np.ndarray) -> tuple[np.ndarray, np.nda
         stepped /= np.where(pos, g, 1.0)[:, :, None]
         obs, row = np.nonzero(~pos)
         stepped[obs, row] = masses[row]
-    return g.T, stepped.transpose(1, 0, 2)
-
-
-def _children(model: HmmModel, masses: np.ndarray, weights: np.ndarray):
-    """Every weighted row stepped by every observation, observation-major.
-
-    Returns ``post[a, r]``, the update of row ``r`` by observation ``a`` as
-    cell masses (:func:`_bayes_step`), and its weight ``w[a, r] = tau(a) *
-    weights[r] * g[r, a]``.  Both are contiguous, so ``post.reshape(-1, k)``
-    and ``w.ravel()`` list the children in (observation, row) order without
-    a copy.  Children of zero weight are kept.
-    """
-    g, post = _bayes_step(model, masses)
-    return post.transpose(1, 0, 2), model.obs.tau_weights[:, None] * weights * g.T
+    return g, stepped
 
 
 def _branch(model: HmmModel, masses: np.ndarray, weights: np.ndarray):
-    """Children of weighted rows in (row, observation) order, weights w * tau * g.
+    """The children of positive weight of every weighted row, observation-major.
 
-    The children of :func:`_children`, gathered by the flat index
-    ``obs * rows + parent`` for the callers that read them in that order:
-    :func:`pushforward_nodes` lists sequences lexicographically and
-    :func:`grid_averages` sums each grid point's children in that order.
-    Children of zero weight are dropped.  Returns their cell masses, their
-    weights, and each child's parent row and observation index.
+    Child ``a * rows + r`` is the update of row ``r`` by observation ``a``
+    (:func:`_bayes_step`), of weight ``tau(a) * weights[r] * g[a, r]``.
+    Returns the kept children's cell masses, their weights, and ``keep``,
+    the boolean selector of the kept children among all ``|A| * rows``.
+    When every child is kept, the masses are ``post.reshape(-1, k)``, a view.
     """
-    post, w = _children(model, masses, weights)
-    n_obs, n_rows = w.shape
-    live = w > 0.0
-    if live.all():
-        parent, obs = np.divmod(np.arange(n_rows * n_obs), n_obs)
-    else:
-        parent, obs = np.nonzero(live.T)
-    flat = obs * n_rows + parent
-    rows = post.reshape(-1, post.shape[2])
-    return np.take(rows, flat, axis=0), np.take(w, flat), parent, obs
+    g, post = _bayes_step(model, masses)
+    children = post.reshape(-1, post.shape[2])
+    w = (model.obs.tau_weights[:, None] * weights * g).ravel()
+    keep = w > 0.0
+    if keep.all():
+        return children, w, keep
+    return children[keep], w[keep], keep
 
 
 def likelihood(model: HmmModel, x: DensityVector, a) -> float:
@@ -135,7 +118,7 @@ def likelihood(model: HmmModel, x: DensityVector, a) -> float:
 
 def observation_law(model: HmmModel, x: DensityVector) -> np.ndarray:
     """All likelihoods at once: g(x, a) for every observation cell a."""
-    return _bayes_step(model, _masses(model, x)[None, :])[0][0]
+    return _bayes_step(model, _masses(model, x)[None, :])[0][:, 0]
 
 
 def update(model: HmmModel, x: DensityVector, a) -> DensityVector:
@@ -168,7 +151,9 @@ def pushforward_nodes(model: HmmModel, x: DensityVector, n: int,
 
     Each level branches every surviving sequence by every observation, so
     the budget bounds ``|A|**n``, the sequences this enumeration holds.
-    Zero-likelihood sequences carry zero weight, so they are omitted.
+    Zero-likelihood sequences carry zero weight, so they are omitted.  The
+    levels keep :func:`_branch`'s observation-major order; one lexsort
+    after the last level lists the sequences lexicographically.
     """
     _check_horizon(n)
     _check_budget(model.n_obs**n, budget, f"|A|^n = {model.n_obs}**{n} sequences")
@@ -176,8 +161,12 @@ def pushforward_nodes(model: HmmModel, x: DensityVector, n: int,
     weights = np.ones(1)
     seqs = np.zeros((1, 0), dtype=np.int64)
     for _ in range(n):
-        masses, weights, parent, obs = _branch(model, masses, weights)
-        seqs = np.column_stack([seqs[parent], obs])
+        masses, weights, keep = _branch(model, masses, weights)
+        obs = np.repeat(np.arange(model.n_obs), len(seqs))
+        seqs = np.column_stack([np.tile(seqs, (model.n_obs, 1)), obs])[keep]
+    if n:  # lexsort refuses an empty list of keys
+        order = np.lexsort(seqs.T[::-1])
+        masses, weights, seqs = masses[order], weights[order], seqs[order]
     cells = model.obs.cells
     return [PushforwardNode(tuple(cells[i] for i in seq),
                             DensityVector.from_masses(model.states, m), float(w))
@@ -192,12 +181,11 @@ def filter_laws(model: HmmModel, x: DensityVector, n_max: int, prune_eps: float 
     advanced by every observation, weighted by its likelihood times the tau
     mass, and the result is merged before the next step, so atoms that meet
     are stepped once.  The children of positive weight go to the merge in
-    the observation-major order :func:`_children` writes them, ungathered: a
-    merged law is the same bytes under any input order (:func:`merge_atoms`),
-    so the laws equal those merged from :func:`_branch`'s (atom,
-    observation) order.  ``prune_eps`` drops merged atoms of weight below it
-    from horizon one on; the dropped mass accumulates in ``pruned_mass``.
-    The budget bounds the children of each step, merged atoms times ``|A|``,
+    the observation-major order :func:`_branch` writes them: a merged law is
+    the same bytes under any input order (:func:`merge_atoms`), so the laws
+    equal those merged from (atom, observation) order.  ``prune_eps`` drops
+    merged atoms of weight below it from horizon one on; the dropped mass
+    accumulates in ``pruned_mass``.  The budget bounds the children of each step, merged atoms times ``|A|``,
     and is checked before the step builds them.
     """
     _check_horizon(n_max)
@@ -207,11 +195,7 @@ def filter_laws(model: HmmModel, x: DensityVector, n_max: int, prune_eps: float 
     for n in range(n_max + 1):
         if n:
             _check_budget(len(weights) * model.n_obs, budget, f"filter-law step {n}")
-            post, w = _children(model, masses, weights)
-            masses, weights = post.reshape(-1, post.shape[2]), w.ravel()
-            live = weights > 0.0
-            if not live.all():
-                masses, weights = masses[live], weights[live]
+            masses, weights, _ = _branch(model, masses, weights)
         law = PointMassMeasure.from_masses(model.states, masses, weights,
                                            pruned_mass=pruned).merged()
         if n and prune_eps > 0.0:
@@ -296,7 +280,9 @@ def grid_averages(model: HmmModel, u_list, masses_grid: np.ndarray,
     grid times all ``|A|**n_max`` sequences is built; zero-likelihood
     branches contribute nothing.  The budget bounds a block's branches at
     the last level, ``|A|**n_max`` per grid point, and is checked before the
-    block is stepped.
+    block is stepped.  Each branch carries its grid point's index through
+    :func:`_branch`'s observation-major levels, and one ``bincount`` per
+    level and function sums the branches of each grid point.
     """
     _check_horizon(n_max)
     grid = np.atleast_2d(np.asarray(masses_grid, dtype=float))
@@ -309,8 +295,8 @@ def grid_averages(model: HmmModel, u_list, masses_grid: np.ndarray,
         masses, weights, root = block, np.ones(len(block)), np.arange(len(block))
         for n in range(n_max + 1):
             if n:
-                masses, weights, parent, _ = _branch(model, masses, weights)
-                root = root[parent]
+                masses, weights, keep = _branch(model, masses, weights)
+                root = np.tile(root, model.n_obs)[keep]
             for i, u in enumerate(u_list):
                 out[n, i, s:s + size] = np.bincount(root, weights * u.on_masses(masses),
                                                     minlength=len(block))
@@ -422,6 +408,8 @@ def lipschitz_probe(model: HmmModel, u: LipschitzFunction, n: int,
     checks compare it against the one-step bound ``sup_norm + 2 gamma`` and
     the uniform bound ``3 gamma``.
     """
+    if sample_pairs < 1:
+        raise ValueError("sample_pairs must be positive")
     xs, ys, tv = _dirichlet_pairs(model.n_states, sample_pairs, seed)
     tx, ty = np.split(grid_averages(model, [u], np.vstack([xs, ys]), n)[:, 0], 2, axis=1)
     max_ratio: dict[int, float] = {}

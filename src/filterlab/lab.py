@@ -268,6 +268,7 @@ def tightness_probe(model: HmmModel, x0: DensityVector, epsilon: float,
     The liminf estimate is the smallest tail-half value across all starts;
     a positive value is tightness evidence for the probed horizon.
     """
+    _check_horizon(n_max)
     if not len(starts):
         raise ValueError("tightness_probe needs at least one start in starts")
     masses = np.zeros((len(starts), n_max + 1))

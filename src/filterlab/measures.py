@@ -144,7 +144,51 @@ def merge_atoms(masses, weights, tol: float, blocks: int = 1):
     return merged, np.bincount(comp, weights=weights)
 
 
-class PointMassMeasure:
+class _AtomStore:
+    """Weighted atoms held as rows of cell masses: the store of both measure classes.
+
+    A row holds ``_BLOCKS`` vectors of cell masses side by side: one for a
+    :class:`PointMassMeasure`, two (the pair's halves) for a
+    :class:`~filterlab.coupling.JointFilterMeasure`.
+    """
+
+    __slots__ = ("space", "_masses", "weights", "pruned_mass")
+    _BLOCKS = 1
+
+    @classmethod
+    def from_masses(cls, space: StateSpace, masses, weights, pruned_mass: float = 0.0):
+        """The measure whose atoms have the cell masses ``masses``, kept without a copy.
+
+        ``masses`` holds one row of ``_BLOCKS * space.n`` cells per weight;
+        weights and masses must be nonnegative and finite
+        (:class:`NegativeDensity`).
+        """
+        mu = object.__new__(cls)
+        mu.space, mu._masses = space, np.asarray(masses, dtype=float)
+        mu.weights, mu.pruned_mass = np.asarray(weights, dtype=float), float(pruned_mass)
+        _check_nonnegative(mu.weights, NegativeDensity, "atom weights")
+        _check_nonnegative(mu._masses, NegativeDensity, "atom densities")
+        return mu
+
+    @property
+    def n_atoms(self) -> int:
+        return int(self.weights.size)
+
+    @property
+    def total_mass(self) -> float:
+        return float(self.weights.sum())
+
+    def merged(self):
+        """Merge atoms into the connected components of "TV <= MERGE_TOL".
+
+        Two rows are as far apart as their farthest pair of blocks
+        (:func:`merge_atoms`); the result is a measure of the same class.
+        """
+        merged = merge_atoms(self._masses, self.weights, MERGE_TOL, blocks=self._BLOCKS)
+        return type(self).from_masses(self.space, *merged, pruned_mass=self.pruned_mass)
+
+
+class PointMassMeasure(_AtomStore):
     """Finitely supported measure on K: a weighted list of atoms.
 
     The atoms are held as cell masses, the ``(n_atoms, n_cells)`` array
@@ -154,7 +198,7 @@ class PointMassMeasure:
     so error budgets stay auditable.
     """
 
-    __slots__ = ("space", "_masses", "weights", "pruned_mass")
+    __slots__ = ()
 
     def __new__(cls, space: StateSpace, points, weights, pruned_mass: float = 0.0):
         # densities enter here, once: the measure is built on their cell masses
@@ -162,22 +206,6 @@ class PointMassMeasure:
         if points.shape != (np.size(weights), space.n):
             raise ValueError("points must have shape (n_atoms, n_cells)")
         return cls.from_masses(space, points * space.lambda_weights, weights, pruned_mass)
-
-    @classmethod
-    def from_masses(cls, space: StateSpace, masses, weights, pruned_mass: float = 0.0):
-        """The measure whose atoms have the cell masses ``masses``, kept without a copy.
-
-        ``masses`` holds one row of ``space.n`` cells per weight (for a
-        :class:`~filterlab.coupling.JointFilterMeasure`, which shares this
-        gate, ``2 * space.n``: both halves side by side); weights and masses
-        must be nonnegative and finite (:class:`NegativeDensity`).
-        """
-        mu = object.__new__(cls)
-        mu.space, mu._masses = space, np.asarray(masses, dtype=float)
-        mu.weights, mu.pruned_mass = np.asarray(weights, dtype=float), float(pruned_mass)
-        _check_nonnegative(mu.weights, NegativeDensity, "atom weights")
-        _check_nonnegative(mu._masses, NegativeDensity, "atom densities")
-        return mu
 
     @classmethod
     def dirac(cls, x: DensityVector) -> "PointMassMeasure":
@@ -192,14 +220,6 @@ class PointMassMeasure:
     def points(self) -> np.ndarray:
         """The atoms' densities, derived from their cell masses when read."""
         return _freeze(self._masses / self.space.lambda_weights)
-
-    @property
-    def n_atoms(self) -> int:
-        return int(self.weights.size)
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
 
     @property
     def point_masses(self) -> np.ndarray:
@@ -222,11 +242,6 @@ class PointMassMeasure:
             raise SpaceMismatch("ball centre lives on a different state space")
         d = np.abs(self._masses - center.masses[None, :]).sum(axis=1)
         return float(self.weights[d < eps].sum())
-
-    def merged(self) -> "PointMassMeasure":
-        """Merge atoms into the connected components of "TV <= MERGE_TOL"."""
-        merged = merge_atoms(self._masses, self.weights, MERGE_TOL)
-        return PointMassMeasure.from_masses(self.space, *merged, pruned_mass=self.pruned_mass)
 
     def scaled(self, factor: float) -> "PointMassMeasure":
         return PointMassMeasure.from_masses(self.space, self._masses, self.weights * factor,

@@ -21,7 +21,7 @@ from filterlab.coupling import (
 from filterlab import coupling
 from filterlab.errors import BarycenterMismatch, BudgetExceeded
 from filterlab.filter import filter_laws, observation_law, pushforward_n
-from filterlab.measures import PointMassMeasure
+from filterlab.measures import MERGE_TOL, PointMassMeasure, merge_atoms
 from filterlab.model import DensityVector, partition_model, stationary
 
 from conftest import bayes_step_per_row, e, random_density, random_model
@@ -110,6 +110,19 @@ class TestCoupledStep:
                 assert marg.n_atoms == law.n_atoms
                 np.testing.assert_allclose(marg.points, law.points, atol=1e-12)
                 np.testing.assert_allclose(marg.weights, law.weights, atol=1e-12)
+
+
+def test_pair_merge_reads_each_half_alone(m2):
+    # each half of the two pairs lies 8e-13 apart in TV, the whole rows
+    # 1.6e-12: pairs merge on their farther half, atoms on their whole row
+    d = 4e-13
+    points = [[0.5, 0.5], [0.5 + d, 0.5 - d]]
+    joint = JointFilterMeasure(m2.states, points, points, [0.25, 0.75]).merged()
+    assert type(joint) is JointFilterMeasure and joint.n_atoms == 1
+    assert joint.total_mass == 1.0
+    assert len(merge_atoms(np.hstack([points, points]), np.array([0.25, 0.75]),
+                           MERGE_TOL)[1]) == 2
+    assert type(PointMassMeasure(m2.states, points, [0.25, 0.75]).merged()) is PointMassMeasure
 
 
 class TestCoupledChain:

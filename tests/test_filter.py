@@ -109,21 +109,26 @@ class TestBayesStep:
     """The one Bayes step behind every filter and coupling path."""
 
     def test_matches_per_row_reference(self):
+        # observation-major and contiguous: g[a, r] and post[a, r]
         rng = np.random.default_rng(31)
         for _ in range(5):
             model = random_model(rng, 4, 3, weighted=True, sparsity=0.6)
             masses = rng.dirichlet(np.ones(4), size=6) * (rng.random((6, 4)) < 0.7)
             g, post = _bayes_step(model, masses)
-            assert g.shape == (6, 3) and post.shape == (6, 3, 4)
+            assert g.shape == (3, 6) and post.shape == (3, 6, 4)
+            assert g.flags.c_contiguous and post.flags.c_contiguous
+            want_g, want_post = bayes_step_per_row(model, masses)
+            assert g.tobytes() == want_g.T.tobytes()
+            assert post.tobytes() == want_post.transpose(1, 0, 2).tobytes()
             for r in range(6):
                 for a in range(3):
                     stepped = masses[r] @ model.stepping_matrices[a]
-                    assert g[r, a] == pytest.approx(stepped.sum(), abs=1e-15)
+                    assert g[a, r] == pytest.approx(stepped.sum(), abs=1e-15)
                     if stepped.sum() > 0.0:
-                        np.testing.assert_allclose(post[r, a], stepped / stepped.sum(),
+                        np.testing.assert_allclose(post[a, r], stepped / stepped.sum(),
                                                    atol=1e-15)
                     else:  # a zero-likelihood update keeps its row
-                        np.testing.assert_array_equal(post[r, a], masses[r])
+                        np.testing.assert_array_equal(post[a, r], masses[r])
 
     def test_branch_order_weights_and_parents(self):
         rng = np.random.default_rng(32)
@@ -131,14 +136,17 @@ class TestBayesStep:
         masses = np.vstack([np.eye(3), rng.dirichlet(np.ones(3), size=2)])
         weights = np.array([0.3, 0.0, 0.2, 0.4, 0.1])
         g, post = _bayes_step(model, masses)
-        children, w, parent, obs = _branch(model, masses, weights)
-        want = [(r, a) for r in range(5) for a in range(3)
-                if weights[r] * model.obs.tau_weights[a] * g[r, a] > 0.0]
-        assert list(zip(parent, obs)) == want
-        assert 1 not in parent and ((g == 0.0) & (weights[:, None] > 0.0)).any()
-        np.testing.assert_array_equal(children, post[parent, obs])
+        children, w, keep = _branch(model, masses, weights)
+        # child a * rows + r is row r stepped by observation a
+        assert keep.shape == (15,)
+        obs, parent = np.divmod(np.flatnonzero(keep), 5)
+        want = [(a, r) for a in range(3) for r in range(5)
+                if model.obs.tau_weights[a] * weights[r] * g[a, r] > 0.0]
+        assert list(zip(obs, parent)) == want
+        assert 1 not in parent and ((g == 0.0) & (weights > 0.0)).any()
+        np.testing.assert_array_equal(children, post[obs, parent])
         np.testing.assert_array_equal(
-            w, weights[parent] * model.obs.tau_weights[obs] * g[parent, obs])
+            w, model.obs.tau_weights[obs] * weights[parent] * g[obs, parent])
 
     def test_nodes_match_per_sequence_products(self):
         # every positive-weight sequence, in lexicographic order, with the
@@ -176,15 +184,19 @@ def test_branch_is_the_per_row_arithmetic(seed, n_states, n_obs, sparsity, n_row
     masses *= rng.random((n_rows, n_states)) < 0.7
     weights = rng.uniform(0.1, 1.0, n_rows) * (rng.random(n_rows) < 0.8)
     want_g, want_post = bayes_step_per_row(model, masses)
+    want_g, want_post = want_g.T, want_post.transpose(1, 0, 2)
     g, post = _bayes_step(model, masses)
     assert g.tobytes() == want_g.tobytes() and post.tobytes() == want_post.tobytes()
-    # children in (row, observation) order, those of zero weight dropped
-    want_w = weights[:, None] * model.obs.tau_weights * want_g
-    pairs = [(r, a) for r in range(n_rows) for a in range(n_obs) if want_w[r, a] > 0.0]
-    children, w, parent, obs = _branch(model, masses, weights)
-    assert list(zip(parent, obs)) == pairs
-    assert children.tobytes() == want_post[parent, obs].tobytes()
-    assert w.tobytes() == want_w[parent, obs].tobytes()
+    # children in (observation, row) order, those of zero weight dropped; a
+    # view of the step's own array when every child is kept
+    want_w = model.obs.tau_weights[:, None] * weights * want_g
+    pairs = [(a, r) for a in range(n_obs) for r in range(n_rows) if want_w[a, r] > 0.0]
+    children, w, keep = _branch(model, masses, weights)
+    obs, parent = np.divmod(np.flatnonzero(keep), n_rows)
+    assert keep.shape == (n_obs * n_rows,) and list(zip(obs, parent)) == pairs
+    assert children.tobytes() == want_post[obs, parent].tobytes()
+    assert w.tobytes() == want_w[obs, parent].tobytes()
+    assert children.flags.owndata != keep.all()
 
 
 _BLOCK_PARTITION = partition_model([[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.25, 0.25, 0.5]],
@@ -192,11 +204,15 @@ _BLOCK_PARTITION = partition_model([[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.25, 0.2
 
 
 def _laws_merged_from_branch(model, x, n_max, prune_eps):
-    """The laws of ``filter_laws``, each level gathered by ``_branch`` before its merge."""
+    """The laws of ``filter_laws``, each level's children put in (atom, observation) order."""
     masses, weights, pruned = filter_module._masses(model, x)[None, :], np.ones(1), 0.0
     for n in range(n_max + 1):
         if n:
-            masses, weights, _, _ = _branch(model, masses, weights)
+            rows = len(weights)
+            masses, weights, keep = _branch(model, masses, weights)
+            obs, atom = np.divmod(np.flatnonzero(keep), rows)
+            order = np.argsort(atom * model.n_obs + obs)
+            masses, weights = masses[order], weights[order]
         law = PointMassMeasure.from_masses(model.states, masses, weights,
                                            pruned_mass=pruned).merged()
         if n and prune_eps > 0.0:
@@ -440,8 +456,8 @@ def _bayes_chain(model, x, obs_seq):
     for k, a in enumerate(obs_seq, 1):
         g, post = _bayes_step(model, (rows[-1] * lam)[None, :])
         i = model.obs.index(a)
-        if g[0, i] > 0.0:
-            rows.append(post[0, i] / lam)
+        if g[i, 0] > 0.0:
+            rows.append(post[i, 0] / lam)
         else:
             rows.append(rows[-1])
             zero_steps.append(k)
@@ -508,6 +524,12 @@ class TestLipschitzProbe:
         u = mass_functional(m2, [1])
         report = lipschitz_probe(m2, u, n=2, sample_pairs=100, seed=2)
         assert 0.0 < report.max_ratio[1] <= report.uniform_bound + 1e-9
+
+    @pytest.mark.parametrize("pairs", [0, -3])
+    def test_no_pairs_is_refused(self, m2, pairs):
+        # no pair would report ratios of 0.0 and both bounds met, from nothing
+        with pytest.raises(ValueError, match="sample_pairs must be positive"):
+            lipschitz_probe(m2, mass_functional(m2, [1]), n=2, sample_pairs=pairs)
 
 
 @settings(max_examples=200, deadline=None)

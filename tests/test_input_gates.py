@@ -162,6 +162,8 @@ NEGATIVE_HORIZON = {
     "coupled_chain": lambda m, u, x, y: coupled_chain(
         m, PointMassMeasure.dirac(x), PointMassMeasure.dirac(y), -1),
     "condition_E_estimate": lambda m, u, x, y: condition_E_estimate(m, x, 0.1, -1),
+    # -2: the report's (starts, n_max + 1) array is sized from the horizon
+    "tightness_probe": lambda m, u, x, y: tightness_probe(m, x, 0.1, [x], -2),
 }
 
 
