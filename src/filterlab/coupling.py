@@ -71,17 +71,17 @@ class ObsCoupling:
 def _obs_couplings(model: HmmModel, gx: np.ndarray, gy: np.ndarray):
     """Maximal-diagonal couplings of the observation laws with likelihoods gx, gy.
 
-    Takes the likelihoods of two stacks of densities (rows x |A|) and returns
-    the diagonal masses (rows x |A|) and the excess products (rows x |A| x
-    |A|), zero on the diagonal: only one law exceeds.
+    Takes the likelihoods ``g[a, r]`` of two stacks of densities, as
+    :func:`_bayes_step` returns them, and returns the diagonal masses
+    ``diag[a, r]`` and the excess products ``off[a, b, r]``, zero on the diagonal.
     """
-    tau = model.obs.tau_weights
+    tau = model.obs.tau_weights[:, None]
     common = np.minimum(gx, gy)
     ex, ey = (gx - common) * tau, (gy - common) * tau
     # a zero total excess leaves ex all zero, so any positive divisor does
-    excess = ex.sum(axis=1)
-    excess = np.where(excess > 0.0, excess, 1.0)[:, None, None]
-    return common * tau, ex[:, :, None] * ey[:, None, :] / excess
+    excess = ex.sum(axis=0)
+    excess = np.where(excess > 0.0, excess, 1.0)
+    return common * tau, ex[:, None, :] * ey[None, :, :] / excess
 
 
 def vasershtein_obs_coupling(model: HmmModel, x: DensityVector,
@@ -93,10 +93,10 @@ def vasershtein_obs_coupling(model: HmmModel, x: DensityVector,
     normalized by the total excess mass (purely diagonal when there is none).
     """
     gx, gy = observation_law(model, x), observation_law(model, y)
-    diag, off = _obs_couplings(model, gx[None, :], gy[None, :])
-    src, tgt = np.nonzero(off[0] > 0.0)
-    return ObsCoupling(obs_cells=model.obs.cells, diagonal=diag[0], off_source=src,
-                       off_target=tgt, off_mass=off[0][src, tgt], g_x=gx, g_y=gy,
+    diag, off = _obs_couplings(model, gx[:, None], gy[:, None])
+    src, tgt = np.nonzero(off[:, :, 0] > 0.0)
+    return ObsCoupling(obs_cells=model.obs.cells, diagonal=diag[:, 0], off_source=src,
+                       off_target=tgt, off_mass=off[src, tgt, 0], g_x=gx, g_y=gy,
                        tau=model.obs.tau_weights)
 
 
@@ -131,12 +131,12 @@ class JointFilterMeasure(_AtomStore):
         return _freeze(self._masses[:, self.space.n:] / self.space.lambda_weights)
 
     def marginal_x(self) -> PointMassMeasure:
-        return PointMassMeasure.from_masses(self.space, self._masses[:, :self.space.n],
-                                            self.weights, self.pruned_mass).merged()
+        return PointMassMeasure._of_gated(self.space, self._masses[:, :self.space.n],
+                                          self.weights, self.pruned_mass).merged()
 
     def marginal_y(self) -> PointMassMeasure:
-        return PointMassMeasure.from_masses(self.space, self._masses[:, self.space.n:],
-                                            self.weights, self.pruned_mass).merged()
+        return PointMassMeasure._of_gated(self.space, self._masses[:, self.space.n:],
+                                          self.weights, self.pruned_mass).merged()
 
     def pair_tv(self) -> np.ndarray:
         k = self.space.n
@@ -153,15 +153,15 @@ def _coupled_step(model: HmmModel, joint: JointFilterMeasure) -> JointFilterMeas
     k, w0, masses = model.n_states, joint.weights[live], joint._masses[live]
     gx, hx = _bayes_step(model, masses[:, :k])
     gy, hy = _bayes_step(model, masses[:, k:])
-    diag, w = _obs_couplings(model, gx.T, gy.T)
-    w += diag[:, :, None] * np.eye(model.n_obs)  # the excess products vanish there
-    pair, a, b = np.nonzero(w > 0.0)
-    # hx and hy hold observation-major rows: gather by flat index, straight
-    # into the two halves of the children
+    diag, w = _obs_couplings(model, gx, gy)
+    w[np.diag_indices(model.n_obs)] = diag  # the excess products vanish there
+    a, b, pair = np.nonzero(w > 0.0)
+    # children in (a, b, pair) order, as the Bayes step writes both updates:
+    # gather by flat index, straight into the two halves of the children
     children = np.empty((len(pair), 2 * k))
     children[:, :k] = np.take(hx.reshape(-1, k), a * len(w0) + pair, axis=0)
     children[:, k:] = np.take(hy.reshape(-1, k), b * len(w0) + pair, axis=0)
-    return JointFilterMeasure.from_masses(model.states, children, w[pair, a, b] * w0[pair])
+    return JointFilterMeasure.from_masses(model.states, children, w[a, b, pair] * w0[pair])
 
 
 def coupled_filter_step(model: HmmModel, x: DensityVector, y: DensityVector

@@ -180,13 +180,13 @@ def filter_laws(model: HmmModel, x: DensityVector, n_max: int, prune_eps: float 
     Steps the merged frontier one observation at a time: every atom is
     advanced by every observation, weighted by its likelihood times the tau
     mass, and the result is merged before the next step, so atoms that meet
-    are stepped once.  The children of positive weight go to the merge in
-    the observation-major order :func:`_branch` writes them: a merged law is
-    the same bytes under any input order (:func:`merge_atoms`), so the laws
-    equal those merged from (atom, observation) order.  ``prune_eps`` drops
-    merged atoms of weight below it from horizon one on; the dropped mass
-    accumulates in ``pruned_mass``.  The budget bounds the children of each step, merged atoms times ``|A|``,
-    and is checked before the step builds them.
+    are stepped once.  The children of positive weight pass the sign check
+    and go to the merge in :func:`_branch`'s observation-major order: a
+    merged law is the same bytes under any input order (:func:`merge_atoms`),
+    so the laws equal those merged from (atom, observation) order.
+    ``prune_eps`` drops merged atoms of weight below it from horizon one on;
+    the dropped mass accumulates in ``pruned_mass``.  The budget bounds each
+    step's children, merged atoms times ``|A|``, checked before it builds them.
     """
     _check_horizon(n_max)
     masses = _masses(model, x)[None, :]
@@ -203,8 +203,8 @@ def filter_laws(model: HmmModel, x: DensityVector, n_max: int, prune_eps: float 
             if not keep.any():
                 raise BudgetExceeded("pruning removed all mass; lower prune_eps")
             pruned += float(law.weights[~keep].sum())
-            law = PointMassMeasure.from_masses(model.states, law.mass_matrix()[keep],
-                                               law.weights[keep], pruned_mass=pruned)
+            law = PointMassMeasure._of_gated(model.states, law.mass_matrix()[keep],
+                                             law.weights[keep], pruned_mass=pruned)
         yield law
         masses, weights = law.mass_matrix(), law.weights
 
@@ -406,20 +406,20 @@ def lipschitz_probe(model: HmmModel, u: LipschitzFunction, n: int,
 
     Reports the empirical maximum ratio per horizon up to ``n``; downstream
     checks compare it against the one-step bound ``sup_norm + 2 gamma`` and
-    the uniform bound ``3 gamma``.
+    the uniform bound ``3 gamma``.  A probe of no pair or no horizon is refused.
     """
     if sample_pairs < 1:
         raise ValueError("sample_pairs must be positive")
+    if n == 0:
+        raise ValueError("n = 0 probes no horizon")
     xs, ys, tv = _dirichlet_pairs(model.n_states, sample_pairs, seed)
+    if not len(tv):
+        raise ValueError("sampled no pair of distinct densities (one cell has one density)")
     tx, ty = np.split(grid_averages(model, [u], np.vstack([xs, ys]), n)[:, 0], 2, axis=1)
-    max_ratio: dict[int, float] = {}
-    for horizon in range(1, n + 1):
-        ratios = np.abs(tx[horizon] - ty[horizon]) / tv
-        max_ratio[horizon] = float(ratios.max()) if len(ratios) else 0.0
     return LipschitzProbeReport(
         gamma_u=u.gamma,
         sup_norm_u=u.sup_norm,
-        max_ratio=max_ratio,
+        max_ratio=dict(enumerate((np.abs(tx[1:] - ty[1:]) / tv).max(axis=1).tolist(), 1)),
         one_step_bound=u.sup_norm + 2.0 * u.gamma,
         uniform_bound=3.0 * u.gamma,
     )

@@ -156,6 +156,14 @@ class _AtomStore:
     _BLOCKS = 1
 
     @classmethod
+    def _of_gated(cls, space: StateSpace, masses, weights, pruned_mass: float = 0.0):
+        """``from_masses`` without the sign check: for rows and weights that passed it."""
+        mu = object.__new__(cls)
+        mu.space, mu._masses = space, np.asarray(masses, dtype=float)
+        mu.weights, mu.pruned_mass = np.asarray(weights, dtype=float), float(pruned_mass)
+        return mu
+
+    @classmethod
     def from_masses(cls, space: StateSpace, masses, weights, pruned_mass: float = 0.0):
         """The measure whose atoms have the cell masses ``masses``, kept without a copy.
 
@@ -163,9 +171,7 @@ class _AtomStore:
         weights and masses must be nonnegative and finite
         (:class:`NegativeDensity`).
         """
-        mu = object.__new__(cls)
-        mu.space, mu._masses = space, np.asarray(masses, dtype=float)
-        mu.weights, mu.pruned_mass = np.asarray(weights, dtype=float), float(pruned_mass)
+        mu = cls._of_gated(space, masses, weights, pruned_mass)
         _check_nonnegative(mu.weights, NegativeDensity, "atom weights")
         _check_nonnegative(mu._masses, NegativeDensity, "atom densities")
         return mu
@@ -184,8 +190,10 @@ class _AtomStore:
         Two rows are as far apart as their farthest pair of blocks
         (:func:`merge_atoms`); the result is a measure of the same class.
         """
-        merged = merge_atoms(self._masses, self.weights, MERGE_TOL, blocks=self._BLOCKS)
-        return type(self).from_masses(self.space, *merged, pruned_mass=self.pruned_mass)
+        masses, weights = merge_atoms(self._masses, self.weights, MERGE_TOL, self._BLOCKS)
+        if weights.size and not weights.max() < np.inf:  # gated rows; a sum can overflow
+            raise NegativeDensity("atom weights must be nonnegative and finite")
+        return type(self)._of_gated(self.space, masses, weights, self.pruned_mass)
 
 
 class PointMassMeasure(_AtomStore):

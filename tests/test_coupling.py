@@ -276,13 +276,14 @@ def _coupled_step_per_pair(model, masses, weights):
     Likelihoods and updates are those of :func:`bayes_step_per_row`, rows of
     the one batched product; each pair's coupling weights are the diagonal
     ``common * tau`` and the excess products ``ex[a] * ey[b] / total``.
+    Returns the children in (pair, a, b) order, with their ``(a, b, pair)``.
     """
     k, tau = model.n_states, model.obs.tau_weights
     live = weights > 0.0
     masses, weights = masses[live], weights[live]
     gx, hx = bayes_step_per_row(model, masses[:, :k])
     gy, hy = bayes_step_per_row(model, masses[:, k:])
-    children, child_w = [], []
+    children, child_w, index = [], [], []
     for p in range(len(weights)):
         common = np.minimum(gx[p], gy[p])
         ex, ey = (gx[p] - common) * tau, (gy[p] - common) * tau
@@ -293,15 +294,17 @@ def _coupled_step_per_pair(model, masses, weights):
                 if w > 0.0:
                     children.append(np.concatenate([hx[p, a], hy[p, b]]))
                     child_w.append(w * weights[p])
-    return np.reshape(children, (-1, 2 * k)), np.array(child_w)
+                    index.append((a, b, p))
+    return np.reshape(children, (-1, 2 * k)), np.array(child_w), np.reshape(index, (-1, 3))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.integers(1, 4),
        st.floats(0.0, 0.8), st.integers(1, 6))
 def test_coupled_step_is_the_per_pair_arithmetic(seed, n_states, n_obs, sparsity, n_pairs):
-    # bit-identical children in (pair, a, b) order on a stack of pairs, with
-    # zero-likelihood halves (all-zero ones too) and pairs of zero weight
+    # bit-identical children on a stack of pairs, with zero-likelihood halves
+    # (all-zero ones too) and pairs of zero weight; the step lists them
+    # observation-major, so the reference is permuted into (a, b, pair) order
     rng = np.random.default_rng(seed)
     model = random_model(rng, n_states, n_obs, weighted=True, sparsity=sparsity)
     masses = rng.dirichlet(np.ones(n_states), size=2 * n_pairs).reshape(n_pairs, -1)
@@ -309,9 +312,10 @@ def test_coupled_step_is_the_per_pair_arithmetic(seed, n_states, n_obs, sparsity
     weights = rng.uniform(0.1, 1.0, n_pairs) * (rng.random(n_pairs) < 0.8)
     joint = JointFilterMeasure.from_masses(model.states, masses, weights)
     got = coupling._coupled_step(model, joint)
-    want_masses, want_w = _coupled_step_per_pair(model, masses, weights)
-    assert got._masses.tobytes() == want_masses.tobytes()
-    assert got.weights.tobytes() == want_w.tobytes()
+    want_masses, want_w, index = _coupled_step_per_pair(model, masses, weights)
+    order = np.lexsort(index.T[::-1])
+    assert got._masses.tobytes() == want_masses[order].tobytes()
+    assert got.weights.tobytes() == want_w[order].tobytes()
 
 
 def _reference_chain(model, mu, nu, n):

@@ -531,6 +531,17 @@ class TestLipschitzProbe:
         with pytest.raises(ValueError, match="sample_pairs must be positive"):
             lipschitz_probe(m2, mass_functional(m2, [1]), n=2, sample_pairs=pairs)
 
+    def test_one_cell_is_refused(self):
+        # every draw on one cell is the same density, so no pair is kept
+        model = random_model(np.random.default_rng(0), 1, 2)
+        with pytest.raises(ValueError, match="no pair of distinct densities"):
+            lipschitz_probe(model, mass_functional(model, [1]), n=3, sample_pairs=200)
+
+    def test_no_horizon_is_refused(self, m2):
+        # n = 0 would report an empty max_ratio and both bounds met
+        with pytest.raises(ValueError, match="n = 0 probes no horizon"):
+            lipschitz_probe(m2, mass_functional(m2, [1]), n=0)
+
 
 @settings(max_examples=200, deadline=None)
 @given(

@@ -13,17 +13,22 @@ import numpy as np
 import pytest
 
 from filterlab.cli import main
-from filterlab.contraction import check_condition_P
+from filterlab.contraction import check_condition_P, e1_constants, verify_hopf
 from filterlab.coupling import (
     JointFilterMeasure,
     condition_E_estimate,
     coupled_chain,
     coupled_filter_step,
     coupled_laws,
+    extremal_pair,
+    product_coupling,
     vasershtein_obs_coupling,
 )
 from filterlab.errors import (
     BadPartition,
+    CertificateInvalid,
+    HypothesisViolated,
+    MassMismatch,
     NegativeDensity,
     NonStochastic,
     NonStochasticEmission,
@@ -31,8 +36,19 @@ from filterlab.errors import (
     UnknownObservation,
 )
 from filterlab.filter import apply_T_grid, grid_averages, lipschitz_probe, mass_functional
-from filterlab.lab import osc_decay_report, tightness_probe, weak_contraction_report
-from filterlab.measures import PointMassMeasure
+from filterlab.lab import (
+    osc_decay_report,
+    simplex_grid,
+    tightness_probe,
+    weak_contraction_report,
+)
+from filterlab.measures import (
+    PointMassMeasure,
+    barycenter_lower_bound,
+    barycenter_match,
+    half_mass_check,
+    kantorovich,
+)
 from filterlab.model import (
     DensityVector,
     HmmModel,
@@ -44,6 +60,7 @@ from filterlab.model import (
     load_model,
     partition_model,
     product_model,
+    simulate,
     stationary,
 )
 
@@ -263,6 +280,122 @@ class TestProductFormBuilder:
             product_model(_with(P_SYM, float("nan"), at), Q_SYM)
         with pytest.raises(NonStochastic, match=f"row {at[0] + 1} integrates to nan"):
             partition_model(_with(P_SYM, float("nan"), at), [[1], [2]])
+
+
+def _split():
+    """Two states, observed as the state entered; F0 = {1}, B0 = {1} certifies it."""
+    return partition_model(P_SYM, [[1], [2]])
+
+
+def _split_pi():
+    return stationary(_split())[0]
+
+
+def _foreign():
+    """A density on two cells, like ``_split``'s grid, with other cell weights."""
+    return DensityVector(StateSpace((1, 2), [2.0, 0.5]), [0.2, 1.2])
+
+
+def _dirac(cell=1):
+    return PointMassMeasure.dirac(e(_split(), cell))
+
+
+def _stale_e1():
+    # certified under the stationary law, revalidated under a law with no mass on F0
+    cert = check_condition_P(_split(), _split_pi(), [1], [1])
+    return e1_constants(_split(), e(_split(), 2), cert, 0.1)
+
+
+def _empty_b0():
+    v = check_condition_P(_split(), _split_pi(), [1], [])
+    return v.ok, v.clause, v.message
+
+
+def _labels(reports):
+    return [(r.mu_label, r.nu_label) for r in reports]
+
+
+# each gate with the outcome it documents: an error and its message, or the
+# value returned (error None)
+DOCUMENTED_GATES = {
+    "grid without cells": (
+        lambda: StateSpace((), []), ValueError, "state space needs at least one cell"),
+    "grid with duplicate ids": (
+        lambda: ObsSpace((1, 1), [1.0, 1.0]), ValueError, "observation ids must be unique"),
+    "grid with a weight short": (
+        lambda: StateSpace((1, 2), [1.0]), ValueError, "one lambda weight per cell required"),
+    "density off the simplex": (
+        lambda: DensityVector(_split().states, [0.5, 0.2]), ValueError,
+        "density has lambda-integral 0.7, expected 1"),
+    "density of the wrong length": (
+        lambda: DensityVector(_split().states, [1.0]), ValueError,
+        "one density value per state cell required"),
+    "density tensor shape": (
+        lambda: HmmModel(StateSpace((1, 2), [1.0, 1.0]), ObsSpace((1,), [1.0]),
+                         np.full((2, 2, 2), 0.25)),
+        ValueError, r"density tensor must have shape .*=\(2,2,1\), got \(2, 2, 2\)"),
+    "spec without dense or p and q": (
+        lambda: build_model({"states": {"ids": [1, 2]}, "obs": {"ids": [1, 2]},
+                             "m": {"p": P_SYM}}),
+        ValueError, "m must supply either 'dense' or factored 'p'/'q'"),
+    "product model shapes": (
+        lambda: product_model([[1.0]], Q_SYM), ValueError,
+        r"factored form needs p of shape \(\|S\|,\|S\|\), q of \(\|S\|,\|A\|\)"),
+    "simulate no step": (
+        lambda: simulate(_split(), e(_split(), 1), 0, seed=0), ValueError,
+        "simulate requires n >= 1"),
+    "simulate from another space": (
+        lambda: simulate(_split(), _foreign(), 3, seed=0), SpaceMismatch,
+        "initial density lives on a different state space"),
+    "measure point shape": (
+        lambda: PointMassMeasure(_split().states, [[1.0, 0.0, 0.0]], [1.0]), ValueError,
+        r"points must have shape \(n_atoms, n_cells\)"),
+    "joint measure point shape": (
+        lambda: JointFilterMeasure(_split().states, [[1.0, 0.0]], [[1.0, 0.0]], [0.5, 0.5]),
+        ValueError, r"points must have shape \(n_atoms, n_cells\)"),
+    "kantorovich across spaces": (
+        lambda: kantorovich(_dirac(), PointMassMeasure.dirac(_foreign())), SpaceMismatch,
+        "measures live on different state spaces"),
+    "kantorovich of zero mass": (
+        lambda: kantorovich(_dirac().scaled(0.0), _dirac(2).scaled(0.0)), MassMismatch,
+        "transport between zero-mass measures is undefined"),
+    "barycenter_lower_bound across spaces": (
+        lambda: barycenter_lower_bound(_dirac(), PointMassMeasure.dirac(_foreign())),
+        SpaceMismatch, "measures live on different state spaces"),
+    "barycenter_match across spaces": (
+        lambda: barycenter_match(_dirac(), _foreign()), SpaceMismatch,
+        "target lives on a different state space"),
+    "half_mass_check of half a measure": (
+        lambda: half_mass_check(_dirac().scaled(0.5), [1]), MassMismatch,
+        "half-mass bound applies to probability measures"),
+    "product_coupling across spaces": (
+        lambda: product_coupling(_dirac(), PointMassMeasure.dirac(_foreign())),
+        SpaceMismatch, "measures live on different state spaces"),
+    "condition P with an empty B0": (
+        _empty_b0, None, (False, "2", "tau mass of B0 is zero")),
+    "verify_hopf with no first-row mass in y": (
+        lambda: verify_hopf([np.full((2, 2), 0.5)], [1.0, 0.0], [0.0, 0.0]),
+        HypothesisViolated, "y carries no mass on the first row set"),
+    "e1_constants on a certificate that no longer validates": (
+        _stale_e1, CertificateInvalid,
+        "certificate no longer validates: stationary mass of F0 is zero"),
+    "simplex_grid on one cell": (
+        lambda: simplex_grid(StateSpace((1,), [1.0])).tolist(), None, [[1.0]]),
+    "condition E with a valid extra pair": (
+        lambda: _labels(condition_E_estimate(_split(), _split_pi(), 0.1, 1,
+                                             extra_pairs=[extremal_pair(_split_pi())[::-1]])),
+        None, [("dirac(pi)", "atomized(pi)")] * 2 + [("user_mu_0", "user_nu_0")] * 2),
+}
+
+
+@pytest.mark.parametrize("call, error, expected", DOCUMENTED_GATES.values(),
+                         ids=DOCUMENTED_GATES.keys())
+def test_documented_gate(call, error, expected):
+    if error is None:
+        assert call() == expected
+    else:
+        with pytest.raises(error, match=expected):
+            call()
 
 
 def _measure_file(path, atoms):

@@ -11,15 +11,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from filterlab.coupling import JointFilterMeasure, coupled_laws, extremal_pair
 from filterlab.errors import (
     BarycenterMismatch,
     MassMismatch,
+    NegativeDensity,
     NegativeTarget,
     SolverFailure,
     SpaceMismatch,
 )
 from filterlab import measures
-from filterlab.filter import pushforward_n
+from filterlab.filter import filter_laws, pushforward_n
 from filterlab.measures import (
     MARGINAL_TOL,
     MERGE_TOL,
@@ -44,11 +46,15 @@ from filterlab.model import (
     HmmModel,
     ObsSpace,
     StateSpace,
+    _check_nonnegative,
     load_model,
     markov_kernel,
+    stationary,
 )
 
 from conftest import e, numeric_csv_rows, random_density
+
+DEMOS = Path(__file__).parents[1] / "demos" / "models"
 
 
 def _space(k, rng=None, weighted=False):
@@ -487,6 +493,50 @@ class TestMerging:
         merged = PointMassMeasure(space, pts, [0.2, 0.3, 0.5]).merged()
         assert merged.n_atoms == 1
         np.testing.assert_array_equal(merged.points[0], pts[0])
+
+    @pytest.mark.parametrize("cls", [PointMassMeasure, JointFilterMeasure])
+    def test_an_overflowing_sum_is_refused(self, cls):
+        # merged() checks no row again, but the weights it summed can overflow
+        space = _space(2)
+        pts = [[0.5, 0.5], [0.5, 0.5]]
+        halves = [pts, pts] if cls is JointFilterMeasure else [pts]
+        mu = cls(space, *halves, [1e308, 1e308])
+        with np.errstate(over="ignore"), pytest.raises(NegativeDensity, match="atom weights"):
+            mu.merged()
+
+
+class TestOneGatePerLevel:
+    """Each frontier level passes the sign check once: its children, then the merge."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        seen = []
+
+        def counting(values, error, what):
+            seen.append(what)
+            _check_nonnegative(values, error, what)
+
+        monkeypatch.setattr(measures, "_check_nonnegative", counting)
+        return seen
+
+    # 3e-3 prunes some of noisy_sensor's level-8 atoms, not all of them
+    @pytest.mark.parametrize("prune_eps", [0.0, 3e-3])
+    def test_filter_laws(self, checks, prune_eps):
+        model = load_model(DEMOS / "noisy_sensor.json")
+        laws = list(filter_laws(model, e(model, 1), 8, prune_eps))
+        # weights and masses of each level's children, nothing else
+        assert checks == ["atom weights", "atom densities"] * len(laws)
+        assert (laws[-1].pruned_mass > 0.0) == (prune_eps > 0.0)
+
+    def test_coupled_laws(self, checks):
+        model = load_model(DEMOS / "noisy_sensor.json")
+        mu, nu = extremal_pair(stationary(model)[0])
+        checks.clear()
+        joints = list(coupled_laws(model, mu, nu, 5))
+        assert checks == ["atom weights", "atom densities"] * len(joints)
+        # a marginal is a slice of gated pairs: it is merged without the check
+        joints[-1].marginal_x(), joints[-1].marginal_y()
+        assert len(checks) == 2 * len(joints)
 
 
 class TestHeldMasses:
