@@ -49,7 +49,7 @@ def _positive_mask(kernel: np.ndarray, zero_tol: float) -> np.ndarray:
         if ambiguous.any():
             i, j = np.argwhere(ambiguous)[0]
             raise AmbiguousSupport(
-                f"entry ({i},{j})={kernel[i, j]!r} lies strictly between 0 "
+                f"entry ({i},{j})={float(kernel[i, j])!r} lies strictly between 0 "
                 f"and the support tolerance {zero_tol!r}"
             )
         return kernel >= zero_tol
@@ -568,30 +568,25 @@ def _sequence_products(mats, n, depth):
     """Stepping products of all ``len(mats)**n`` sequences, in lexicographic order.
 
     Yields one ``(len(mats)**depth, k, k)`` block per prefix of length
-    ``n - depth``.  A prefix's product is formed once and extended a level
-    at a time by one stacked product with ``mats``, so each product is the
-    left fold ``((M1 M2) M3) ...`` that ``functools.reduce`` forms, bit for
-    bit, from one matrix product per node of the prefix tree.
+    ``n - depth``.  The walk starts at the empty prefix, the identity, and
+    extends a prefix's product a level at a time by one stacked product with
+    ``mats``; the identity times a finite matrix is that matrix, so each
+    product is the left fold ``((M1 M2) M3) ...`` that ``functools.reduce``
+    forms, bit for bit, from one matrix product per node of the prefix tree.
     """
     k = mats.shape[1]
 
-    def extend(products, levels):
-        for _ in range(levels):
+    def walk(products, length):
+        block = length == n - depth  # a block's prefix: extend it to the block
+        for _ in range(depth if block else 1):
             products = np.matmul(products[:, None], mats).reshape(-1, k, k)
-        return products
-
-    def walk(product, length):
-        if length == n - depth:
-            yield extend(product, depth)
+        if block:
+            yield products
         else:
-            for child in extend(product, 1):
+            for child in products:
                 yield from walk(child[None], length + 1)
 
-    if depth == n:
-        yield extend(mats, n - 1)
-    else:
-        for m in mats:
-            yield from walk(m[None], 1)
+    yield from walk(np.eye(k)[None], 0)
 
 
 def e1_constants(model: HmmModel, pi: DensityVector, cert: PCertificate,

@@ -8,6 +8,7 @@ and are reported with their residual, never asserted.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,32 +91,28 @@ def simplex_grid(space, step: float | None = None, seed: int = 0,
                  mc_points: int = 512) -> np.ndarray:
     """Mass-vector grid over the simplex of a state space.
 
-    Regular mesh for two and three cells; above, the ``k`` unit vectors
-    followed by ``mc_points`` seeded Dirichlet samples.  Unless a mesh
-    step leaves a remainder in one, the grid holds the simplex vertices, so
-    the oscillation of an average of a linear functional (a mass
+    Up to three cells, one regular mesh of step ``h`` (0.02 on two cells,
+    else 0.05): each index tuple of length ``k - 1`` with sum at most
+    ``round(1/h)``, in lexicographic order, gives the coordinates
+    ``min(i*h, 1)`` and last ``max(0, 1 - a - b ...)``.  Above three cells,
+    the ``k`` unit vectors followed by ``mc_points`` seeded Dirichlet samples.
+    Unless a mesh step leaves a remainder in one, the grid holds the simplex
+    vertices, so the oscillation of an average of a linear functional (a mass
     functional's ``T^n u`` is linear in the start masses) is exact on it at
     every horizon.
     """
     k = space.n
-    if k == 1:
-        return np.ones((1, 1))
-    if k == 2:
-        h = 0.02 if step is None else step
-        t = np.arange(0.0, 1.0 + h / 2, h)
-        t = np.clip(t, 0.0, 1.0)
-        return np.column_stack([t, 1.0 - t])
-    if k == 3:
-        h = 0.05 if step is None else step
-        pts = []
-        steps = int(round(1.0 / h))
-        for i in range(steps + 1):
-            for j in range(steps + 1 - i):
-                a, b = i * h, j * h
-                pts.append([a, b, max(0.0, 1.0 - a - b)])
-        return np.asarray(pts)
-    rng = np.random.default_rng(seed)
-    return np.vstack([np.eye(k), rng.dirichlet(np.ones(k), size=mc_points)])
+    if k > 3:
+        rng = np.random.default_rng(seed)
+        return np.vstack([np.eye(k), rng.dirichlet(np.ones(k), size=mc_points)])
+    h = (0.02 if k == 2 else 0.05) if step is None else step
+    steps = int(round(1.0 / h))
+    pts = []
+    for idx in itertools.product(range(steps + 1), repeat=k - 1):
+        if sum(idx) <= steps:
+            lead = [min(i * h, 1.0) for i in idx]
+            pts.append(lead + [max(0.0, np.subtract.reduce([1.0, *lead]))])
+    return np.asarray(pts)
 
 
 # ---------------------------------------------------------------------------

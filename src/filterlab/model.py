@@ -39,6 +39,20 @@ STOCHASTIC_TOL = 1e-9
 NORMALIZED_TOL = 1e-12
 
 
+def _check_stochastic(integrals: np.ndarray, cells, error, what: str = "") -> float:
+    """The one row gate: every row integrates to one within ``STOCHASTIC_TOL``.
+
+    Returns the worst deviation; else raises ``error`` naming the worst row.
+    ``not off <= tol`` also refuses a NaN integral, and argmax names the first NaN.
+    """
+    dev = np.abs(integrals - 1.0)
+    off = float(np.max(dev))
+    if not off <= STOCHASTIC_TOL:
+        bad = int(np.argmax(dev))
+        raise error(f"{what}row {cells[bad]!r} integrates to {float(integrals[bad])!r}")
+    return off
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
@@ -261,12 +275,7 @@ class HmmModel:
         lam = states.lambda_weights
         tau = obs.tau_weights
         row_integrals = np.einsum("sta,t,a->s", m, lam, tau)
-        residual = float(np.max(np.abs(row_integrals - 1.0)))
-        if residual > STOCHASTIC_TOL:
-            bad = int(np.argmax(np.abs(row_integrals - 1.0)))
-            raise NonStochastic(
-                f"row {states.cells[bad]!r} integrates to {row_integrals[bad]!r}"
-            )
+        residual = _check_stochastic(row_integrals, states.cells, NonStochastic)
         m = m / row_integrals[:, None, None]
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "obs", obs)
@@ -399,8 +408,9 @@ class ErgodicityReport:
     ``ergodic`` records whether that sequence fell below tolerance inside the
     diagnostic horizon; when it did not (periodic or reducible chains) the
     stationary law is still returned but flagged.  ``null_dim`` is the
-    dimension of the solution space of ``pi P = pi``: above one the chain is
-    reducible and its stationary law is not unique.
+    dimension of the solution space of ``pi P = pi``, the number of closed
+    classes of P's support: above one the chain is reducible and its
+    stationary law is not unique.
     """
 
     converged: bool
@@ -419,8 +429,9 @@ def stationary(model: HmmModel) -> tuple[DensityVector, ErgodicityReport]:
     iteration runs (``iterations`` is 0); the report is ``converged`` when
     the residual is at most 1e-12, and ``ergodic`` when the worst-case
     distance of ``P^n`` rows to pi falls to 1e-12 within 512 steps.  A solution
-    space of dimension above one (a reducible chain) is reported in
-    ``null_dim`` and in the note, and the law returned is then the
+    space of dimension above one (a reducible chain: several closed classes
+    of P's support, counted in booleans) is reported in ``null_dim`` and in
+    the note, and the law returned is then the
     minimum-norm solution, a mixture of the chain's closed classes.  Ties and
     periodicity are reported, never resolved: the report's flags say whether
     the worst-case mixing distance actually decayed.
@@ -428,9 +439,13 @@ def stationary(model: HmmModel) -> tuple[DensityVector, ErgodicityReport]:
     tol, diag_horizon = 1e-12, 512
     P = model.markov_matrix
     k = model.n_states
+    reach = (P > 0) | np.eye(k, dtype=bool)
+    for j in range(k):  # Warshall's closure: add the paths through cell j
+        reach |= reach[:, j:j + 1] & reach[j]
+    closed = ~(reach & ~reach.T).any(axis=1)  # every cell reached reaches back
+    # each closed class counted once, at its first cell
+    null_dim = int((closed & (reach.argmax(axis=1) == np.arange(k))).sum())
     A = P.T - np.eye(k)
-    s = np.linalg.svd(A, compute_uv=False)
-    null_dim = int((s <= s.max() * k * np.finfo(float).eps).sum())
     x = np.linalg.lstsq(np.vstack([A, np.ones(k)]), np.r_[np.zeros(k), 1.0],
                         rcond=None)[0]
     x = np.maximum(x, 0.0)
@@ -542,19 +557,8 @@ def product_model(p, q, tau_weights=None, state_ids=None, obs_ids=None,
     obs = ObsSpace._counted(n_obs, obs_ids, tau_weights)
     if p.shape != (states.n, states.n) or q.shape != (states.n, obs.n):
         raise ValueError("factored form needs p of shape (|S|,|S|), q of (|S|,|A|)")
-    # `not x <= tol` also refuses a NaN row sum; np.argmax names the first NaN
-    rows = q @ obs.tau_weights
-    if not np.max(np.abs(rows - 1.0)) <= STOCHASTIC_TOL:
-        bad = int(np.argmax(np.abs(rows - 1.0)))
-        raise NonStochasticEmission(
-            f"emission row {states.cells[bad]!r} integrates to {float(rows[bad])!r}"
-        )
-    prow = p @ states.lambda_weights
-    if not np.max(np.abs(prow - 1.0)) <= STOCHASTIC_TOL:
-        bad = int(np.argmax(np.abs(prow - 1.0)))
-        raise NonStochastic(
-            f"p is not row-stochastic under lambda: row {states.cells[bad]!r} "
-            f"integrates to {float(prow[bad])!r}"
-        )
+    _check_stochastic(q @ obs.tau_weights, states.cells, NonStochasticEmission, "emission ")
+    _check_stochastic(p @ states.lambda_weights, states.cells, NonStochastic,
+                      "p is not row-stochastic under lambda: ")
     m = p[:, :, None] * q[None, :, :]
     return HmmModel(states, obs, m)

@@ -76,6 +76,10 @@ class TestRectangularSupport:
         with pytest.raises(AmbiguousSupport):
             rectangular_support([[1.0, 1e-15], [1.0, 1.0]], zero_tol=1e-12)
 
+    def test_ambiguous_entry_is_printed_as_a_number(self):
+        with pytest.raises(AmbiguousSupport, match=r"^entry \(0,1\)=1e-15 lies strictly"):
+            rectangular_support([[1, 1e-15], [1, 1]], zero_tol=1e-12)
+
     def test_tolerance_coarsens_support(self):
         kernel = [[1.0, 0.0], [1.0, 0.0]]
         assert rectangular_support(kernel, zero_tol=1e-9).cols == (0,)

@@ -300,6 +300,38 @@ class TestGrids:
         np.testing.assert_array_equal(grid[5:], np.random.default_rng(3).dirichlet(
             np.ones(5), size=64))
 
+    @staticmethod
+    def _per_k_mesh(k, step):
+        """The meshes of one, two and three cells as separate formulas wrote them."""
+        if k == 1:
+            return np.ones((1, 1))
+        if k == 2:
+            h = 0.02 if step is None else step
+            t = np.clip(np.arange(0.0, 1.0 + h / 2, h), 0.0, 1.0)
+            return np.column_stack([t, 1.0 - t])
+        h = 0.05 if step is None else step
+        steps = int(round(1.0 / h))
+        return np.asarray([[i * h, j * h, max(0.0, 1.0 - i * h - j * h)]
+                           for i in range(steps + 1) for j in range(steps + 1 - i)])
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_one_mesh_is_the_per_k_formulas(self, k):
+        space = StateSpace(tuple(range(1, k + 1)), [1.0] * k)
+        for step in [None] + [1.0 / m for m in range(1, 41)]:
+            grid, want = simplex_grid(space, step=step), self._per_k_mesh(k, step)
+            assert grid.dtype == want.dtype and grid.shape == want.shape
+            assert grid.tobytes() == want.tobytes(), step
+
+    def test_mesh_steps_past_one_are_capped(self):
+        # 7 * 0.15 = 1.05: a leading coordinate is capped at one, and the
+        # last one is then 0
+        for k in (2, 3):
+            grid = simplex_grid(StateSpace(tuple(range(1, k + 1)), [1.0] * k), step=0.15)
+            assert grid.max() == 1.0 and grid.min() == 0.0
+            assert [1.0] + [0.0] * (k - 1) in grid.tolist()
+        three = simplex_grid(StateSpace((1, 2, 3), [1.0] * 3), step=0.15).tolist()
+        assert [0.0, 1.0, 0.0] in three and [0.0, 1.05, 0.0] not in three
+
     @pytest.mark.parametrize("k, n_obs, weighted", [(4, 3, False), (5, 2, True)])
     def test_default_grid_oscillation_is_the_matrix_power_one(self, k, n_obs, weighted):
         # T^n of a mass functional is linear in the start masses, so its

@@ -365,6 +365,11 @@ class TestBarycenterMatch:
             barycenter_match(phi, DensityVector(m2.states, [0.3, 0.3],
                                                 unnormalized=True))
 
+    def test_mass_mismatch_prints_plain_numbers(self, m2):
+        phi = PointMassMeasure.dirac(e(m2, 1))
+        with pytest.raises(MassMismatch, match=r"^total masses differ: 1\.0 vs 2\.0$"):
+            barycenter_match(phi, DensityVector(m2.states, [1.0, 1.0], unnormalized=True))
+
     def test_negative_target(self, m2):
         # the constructor already rejects negatives; the guard still holds for
         # hand-built vectors that sidestep it
@@ -503,6 +508,17 @@ class TestMerging:
         mu = cls(space, *halves, [1e308, 1e308])
         with np.errstate(over="ignore"), pytest.raises(NegativeDensity, match="atom weights"):
             mu.merged()
+
+    @pytest.mark.parametrize("cls", [PointMassMeasure, JointFilterMeasure])
+    @pytest.mark.parametrize("second", [[0.5, 0.5], [0.5 + 4e-13, 0.5 - 4e-13]])
+    def test_an_overflowing_sum_raises_no_warning_first(self, cls, second):
+        # numpy warnings are errors here: exact duplicates and near atoms alike
+        # reach merged()'s own refusal
+        space = _space(2)
+        pts = [[0.5, 0.5], second]
+        halves = [pts, pts] if cls is JointFilterMeasure else [pts]
+        with pytest.raises(NegativeDensity, match="atom weights"):
+            cls(space, *halves, [1e308, 1e308]).merged()
 
 
 class TestOneGatePerLevel:

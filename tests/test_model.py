@@ -65,6 +65,12 @@ class TestBuildModel:
         with pytest.raises(NonStochastic):
             HmmModel(StateSpace([1, 2], [1, 1]), ObsSpace([1, 2], [1, 1]), bad)
 
+    def test_row_off_one_is_named_with_a_plain_number(self):
+        bad = np.array(P_SYM)[:, :, None] * np.array(Q_SYM)[None, :, :]
+        bad[0] *= 2.0
+        with pytest.raises(NonStochastic, match=r"^row 1 integrates to 2\.0$"):
+            HmmModel(StateSpace([1, 2], [1, 1]), ObsSpace([1, 2], [1, 1]), bad)
+
     def test_negative_density_rejected(self):
         bad = np.array(P_SYM)[:, :, None] * np.array(Q_SYM)[None, :, :]
         bad[0, 0, 0] = -bad[0, 0, 0]
@@ -263,6 +269,30 @@ class TestStationary:
         else:
             assert "not unique" in report.note
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6),
+           density=st.sampled_from([0.15, 0.3, 0.6]))
+    def test_null_dim_counts_closed_classes(self, seed, k, density):
+        rng = np.random.default_rng(seed)
+        support = rng.random((k, k)) < density
+        support[np.arange(k), rng.integers(k, size=k)] = True  # every row alive
+        p = np.where(support, rng.uniform(0.5, 2.0, (k, k)), 0.0)
+        p /= p.sum(axis=1, keepdims=True)
+        _, report = stationary(partition_model(p, [list(range(1, k + 1))]))
+        assert report.null_dim == _closed_classes(support)
+        assert ("reducible:" in report.note) == (report.null_dim > 1)
+
+    def test_slow_two_state_chains_have_one_closed_class(self):
+        # irreducible chains whose null singular value of P^T - I lies at the
+        # rounding level, where a rank threshold can miss it; the support cannot
+        q = np.array([[0.7, 0.3], [0.3, 0.7]])
+        space, obs = StateSpace([1, 2], [1, 1]), ObsSpace([1, 2], [1, 1])
+        for eps in np.linspace(0.001, 0.5, 500):
+            p = np.array([[1 - eps, eps], [eps, 1 - eps]])
+            pi, report = stationary(HmmModel(space, obs, p[:, :, None] * q[None]))
+            assert report.null_dim == 1 and "reducible:" not in report.note, eps
+            np.testing.assert_allclose(pi.masses, [0.5, 0.5], atol=1e-12)
+
     def test_sup_distance_non_increasing(self, m2):
         rng = np.random.default_rng(13)
         models = [m2] + [random_model(rng, 4, 2) for _ in range(5)]
@@ -270,6 +300,21 @@ class TestStationary:
             _, report = stationary(model)
             diffs = np.diff(report.sup_tv)
             assert np.all(diffs <= 1e-12)
+
+
+def _closed_classes(support):
+    """Closed communicating classes of a boolean support, by search from each cell."""
+    k = len(support)
+    reach = []
+    for i in range(k):
+        seen, todo = {i}, [i]
+        while todo:
+            for j in np.flatnonzero(support[todo.pop()]).tolist():
+                if j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+        reach.append(frozenset(seen))
+    return len({reach[i] for i in range(k) if all(i in reach[j] for j in reach[i])})
 
 
 def _simulate_by_choice(model, x0, n, seed):
