@@ -34,7 +34,7 @@ from .errors import (
     NonpositiveEntry,
 )
 from .filter import ENUMERATION_BUDGET, _cell_sum, _check_budget
-from .model import DensityVector, HmmModel
+from .model import DensityVector, HmmModel, _check_space
 
 # (density row, observation sequence) branches, and stepping-product entries,
 # that one block of e1_constants holds; its pairs are compared a row offset
@@ -388,8 +388,10 @@ def check_condition_P(model: HmmModel, pi: DensityVector, F0, B0):
     """Verify the block-positivity hypotheses for candidate sets F0 and B0.
 
     Returns a :class:`PCertificate` or a :class:`ConditionViolation`
-    describing the first failed clause; violations are data, not errors.
+    describing the first failed clause; violations are data, not errors.  A
+    ``pi`` on another grid than the model's raises :class:`SpaceMismatch`.
     """
+    _check_space(pi.space, model.states, "pi lives on a different state space than the model")
     f0, b0 = model.states.mask(F0), model.obs.mask(B0)
     f0_cells = tuple(c for c, m in zip(model.states.cells, f0) if m)
     b0_cells = tuple(c for c, m in zip(model.obs.cells, b0) if m)

@@ -17,11 +17,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import BarycenterMismatch, SpaceMismatch
 from .filter import (ENUMERATION_BUDGET, _bayes_step, _check_budget, _check_horizon,
                      _values, observation_law)
-from .measures import MARGINAL_TOL, PointMassMeasure, _AtomStore, barycenter, tv_distance
-from .model import DensityVector, HmmModel, ObsSpace, _freeze
+from .measures import PointMassMeasure, _AtomStore, _check_barycenter
+from .model import DensityVector, HmmModel, ObsSpace, _check_space, _freeze
 
 
 @dataclass(eq=False)
@@ -113,12 +112,7 @@ class JointFilterMeasure(_AtomStore):
     _BLOCKS = 2
 
     def __new__(cls, space, x_points, y_points, weights, pruned_mass=0.0):
-        # densities enter here, once: the coupling is built on their cell masses
-        halves = [np.atleast_2d(np.asarray(p, dtype=float)) for p in (x_points, y_points)]
-        if any(h.shape != (np.size(weights), space.n) for h in halves):
-            raise ValueError("points must have shape (n_atoms, n_cells)")
-        masses = np.hstack(halves) * np.tile(space.lambda_weights, 2)
-        return cls.from_masses(space, masses, weights, pruned_mass)
+        return cls._from_points(space, [x_points, y_points], weights, pruned_mass)
 
     @property
     def x_points(self) -> np.ndarray:
@@ -148,7 +142,7 @@ class JointFilterMeasure(_AtomStore):
 
 
 def _coupled_step(model: HmmModel, joint: JointFilterMeasure) -> JointFilterMeasure:
-    """One unmerged coupled step of every pair; pairs of zero mass are dropped."""
+    """One unmerged coupled step of every pair, pruned mass kept; zero-mass pairs drop."""
     live = joint.weights > 0.0
     k, w0, masses = model.n_states, joint.weights[live], joint._masses[live]
     gx, hx = _bayes_step(model, masses[:, :k])
@@ -161,7 +155,8 @@ def _coupled_step(model: HmmModel, joint: JointFilterMeasure) -> JointFilterMeas
     children = np.empty((len(pair), 2 * k))
     children[:, :k] = np.take(hx.reshape(-1, k), a * len(w0) + pair, axis=0)
     children[:, k:] = np.take(hy.reshape(-1, k), b * len(w0) + pair, axis=0)
-    return JointFilterMeasure.from_masses(model.states, children, w[a, b, pair] * w0[pair])
+    return JointFilterMeasure.from_masses(model.states, children, w[a, b, pair] * w0[pair],
+                                          joint.pruned_mass)
 
 
 def coupled_filter_step(model: HmmModel, x: DensityVector, y: DensityVector
@@ -177,13 +172,17 @@ def coupled_filter_step(model: HmmModel, x: DensityVector, y: DensityVector
 
 def product_coupling(mu: PointMassMeasure, nu: PointMassMeasure
                      ) -> JointFilterMeasure:
-    """Independent coupling of two point-mass measures on K."""
-    if not mu.space.same_as(nu.space):
-        raise SpaceMismatch("measures live on different state spaces")
+    """Independent coupling of two point-mass measures on K.
+
+    Its pruned mass is what it misses of the product of the unpruned laws:
+    ``p_mu T_nu + T_mu p_nu + p_mu p_nu``, ``T`` being the total masses.
+    """
+    _check_space(mu.space, nu.space, "measures live on different state spaces")
     xs = np.repeat(mu.mass_matrix(), nu.n_atoms, axis=0)
     ys = np.tile(nu.mass_matrix(), (mu.n_atoms, 1))
     ws = np.outer(mu.weights, nu.weights).ravel()
-    return JointFilterMeasure.from_masses(mu.space, np.hstack([xs, ys]), ws)
+    pruned = mu.pruned_mass * nu.total_mass + (mu.total_mass + mu.pruned_mass) * nu.pruned_mass
+    return JointFilterMeasure.from_masses(mu.space, np.hstack([xs, ys]), ws, pruned)
 
 
 def coupled_laws(model: HmmModel, mu: PointMassMeasure, nu: PointMassMeasure,
@@ -197,8 +196,8 @@ def coupled_laws(model: HmmModel, mu: PointMassMeasure, nu: PointMassMeasure,
     times ``|A|**2``, and is checked before the step builds them.
     """
     _check_horizon(n_max)
-    if not mu.space.same_as(model.states):
-        raise SpaceMismatch("measures live on a different state space than the model")
+    _check_space(mu.space, model.states,
+                 "measures live on a different state space than the model")
     joint = product_coupling(mu, nu).merged()
     yield joint
     for n in range(1, n_max + 1):
@@ -264,11 +263,7 @@ def condition_E_estimate(model: HmmModel, pi: DensityVector, rho: float,
     pairs = [(dirac_pi, atomized_pi, "dirac(pi)", "atomized(pi)")]
     for k, (mu, nu) in enumerate(extra_pairs or []):
         for name, m in (("mu", mu), ("nu", nu)):
-            gap = tv_distance(barycenter(m), pi)
-            if gap > MARGINAL_TOL:
-                raise BarycenterMismatch(
-                    f"extra pair {k}: {name} barycenter differs from pi by {gap!r}"
-                )
+            _check_barycenter(m, pi, f"extra pair {k}: {name}")
         pairs.append((mu, nu, f"user_mu_{k}", f"user_nu_{k}"))
     return [EConditionReport(rho=rho, n=n, alpha_achieved=joint.mass_within(rho),
                              mu_label=mu_label, nu_label=nu_label,

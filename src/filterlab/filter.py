@@ -16,9 +16,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, SpaceMismatch
+from .errors import BudgetExceeded
 from .measures import LipschitzFunction, PointMassMeasure
-from .model import DensityVector, HmmModel, StateSpace, _write_csv
+from .model import DensityVector, HmmModel, StateSpace, _check_space, _write_csv
 
 # rows a search may hold, checked before each step builds them
 ENUMERATION_BUDGET = 10**6
@@ -39,8 +39,7 @@ def _check_horizon(n: int) -> None:
 
 
 def _values(model: HmmModel, x: DensityVector) -> np.ndarray:
-    if not x.space.same_as(model.states):
-        raise SpaceMismatch("density lives on a different state space")
+    _check_space(x.space, model.states, "density lives on a different state space")
     return x.values
 
 

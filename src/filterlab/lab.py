@@ -15,7 +15,7 @@ import numpy as np
 
 from .contraction import _fit_rate, check_condition_P
 from .filter import ENUMERATION_BUDGET, _check_horizon, filter_laws, grid_averages
-from .measures import kantorovich
+from .measures import barycenter_lower_bound, kantorovich
 from .model import (
     DensityVector,
     HmmModel,
@@ -151,21 +151,18 @@ def weak_contraction_report(model: HmmModel, pairs, n_max: int,
                             prune_eps: float = 0.0) -> WeakContractionReport:
     """Track how the filter laws of paired starts merge in transport distance."""
     _check_horizon(n_max)
-    P = model.markov_matrix
     dists = np.zeros((len(pairs), n_max))
     floors = np.zeros_like(dists)
     pruned = 0.0
     rates = []
     for i, (x, y) in enumerate(pairs):
-        xm, ym = x.masses, y.masses
         laws = zip(filter_laws(model, x, n_max, prune_eps, budget),
                    filter_laws(model, y, n_max, prune_eps, budget))
         next(laws)  # horizon zero: the two starts themselves
         for n, (mu, nu) in enumerate(laws, start=1):
             pruned = max(pruned, mu.pruned_mass + nu.pruned_mass)
             dists[i, n - 1], _ = kantorovich(mu, nu)
-            xm, ym = xm @ P, ym @ P
-            floors[i, n - 1] = np.abs(xm - ym).sum()
+            floors[i, n - 1] = barycenter_lower_bound(mu, nu)
         rates.append(_fit_rate(dists[i]))
     return WeakContractionReport(pairs=list(pairs), n_max=n_max,
                                  distances=dists, lower_bounds=floors,

@@ -30,9 +30,9 @@ from .errors import (
     NegativeDensity,
     NegativeTarget,
     SolverFailure,
-    SpaceMismatch,
 )
-from .model import DensityVector, StateSpace, _check_nonnegative, _freeze, _write_csv
+from .model import (DensityVector, StateSpace, _check_nonnegative, _check_space, _freeze,
+                    _write_csv)
 
 MERGE_TOL = 1e-12
 MARGINAL_TOL = 1e-10
@@ -47,8 +47,7 @@ def _check_equal_mass(r1: float, r2: float) -> None:
 
 def tv_distance(x: DensityVector, y: DensityVector) -> float:
     """Total variation between two densities: the lambda-weighted L1 distance."""
-    if not x.space.same_as(y.space):
-        raise SpaceMismatch("densities live on different state spaces")
+    _check_space(x.space, y.space, "densities live on different state spaces")
     return float(np.abs(x.masses - y.masses).sum())
 
 
@@ -83,8 +82,6 @@ def merge_atoms(masses, weights, tol: float, blocks: int = 1):
     order.  Weights are summed in (key, row, weight) order, so the result is
     the same bytes under any input order.
     """
-    if len(weights) == 0:
-        return masses, weights
     # a projection of all mass coordinates with weights |cos j| / blocks moves
     # by at most the row distance, so sorted on it only neighbours within tol
     # can be joined; unlike one column, pairs repeating one half do not tie on it
@@ -178,6 +175,15 @@ class _AtomStore:
         _check_nonnegative(mu._masses, NegativeDensity, "atom densities")
         return mu
 
+    @classmethod
+    def _from_points(cls, space: StateSpace, halves, weights, pruned_mass: float):
+        """Densities enter here, once: ``_BLOCKS`` arrays of them, one row per weight."""
+        halves = [np.atleast_2d(np.asarray(p, dtype=float)) for p in halves]
+        if any(h.shape != (np.size(weights), space.n) for h in halves):
+            raise ValueError("points must have shape (n_atoms, n_cells)")
+        masses = np.hstack(halves) * np.tile(space.lambda_weights, cls._BLOCKS)
+        return cls.from_masses(space, masses, weights, pruned_mass)
+
     @property
     def n_atoms(self) -> int:
         return int(self.weights.size)
@@ -211,11 +217,7 @@ class PointMassMeasure(_AtomStore):
     __slots__ = ()
 
     def __new__(cls, space: StateSpace, points, weights, pruned_mass: float = 0.0):
-        # densities enter here, once: the measure is built on their cell masses
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if points.shape != (np.size(weights), space.n):
-            raise ValueError("points must have shape (n_atoms, n_cells)")
-        return cls.from_masses(space, points * space.lambda_weights, weights, pruned_mass)
+        return cls._from_points(space, [points], weights, pruned_mass)
 
     @classmethod
     def dirac(cls, x: DensityVector) -> "PointMassMeasure":
@@ -248,8 +250,7 @@ class PointMassMeasure(_AtomStore):
 
     def mass_in_ball(self, center: DensityVector, eps: float) -> float:
         """Weight carried by atoms with TV-distance strictly below eps."""
-        if not center.space.same_as(self.space):
-            raise SpaceMismatch("ball centre lives on a different state space")
+        _check_space(center.space, self.space, "ball centre lives on a different state space")
         d = np.abs(self._masses - center.masses[None, :]).sum(axis=1)
         return float(self.weights[d < eps].sum())
 
@@ -265,6 +266,13 @@ class PointMassMeasure(_AtomStore):
 def barycenter(mu: PointMassMeasure) -> DensityVector:
     """Weighted mean density; its total mass equals the measure's mass."""
     return DensityVector.from_masses(mu.space, mu.barycenter_masses(), unnormalized=True)
+
+
+def _check_barycenter(mu: PointMassMeasure, pi: DensityVector, what: str) -> None:
+    """The one barycenter gate: ``mu``'s barycenter is ``pi`` within ``MARGINAL_TOL`` in TV."""
+    gap = tv_distance(barycenter(mu), pi)
+    if gap > MARGINAL_TOL:
+        raise BarycenterMismatch(f"{what} barycenter differs from pi by {gap!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -644,8 +652,7 @@ def kantorovich(mu: PointMassMeasure, nu: PointMassMeasure
     ``_KEEP_BYTES`` (32 MiB), once computed: about 0.07 s for 729 atoms a
     side and 0.45 s for 2,187 on a 2-vCPU host.
     """
-    if not mu.space.same_as(nu.space):
-        raise SpaceMismatch("measures live on different state spaces")
+    _check_space(mu.space, nu.space, "measures live on different state spaces")
     _check_equal_mass(mu.total_mass, nu.total_mass)
     keep1 = mu.weights > 0
     keep2 = nu.weights > 0
@@ -729,6 +736,7 @@ def hahn_witness(mu: PointMassMeasure, nu: PointMassMeasure) -> LipschitzWitness
     F1 collects the cells where mu's barycenter dominates nu's; the witness
     has Lipschitz constant one and attains the barycenter gap.
     """
+    _check_space(mu.space, nu.space, "measures live on different state spaces")
     j = np.where(mu.barycenter_masses() >= nu.barycenter_masses(), 1.0, -1.0)
     return LipschitzWitness(fn=lambda masses: masses @ j, gamma=1.0,
                             name="barycenter-sign-split")
@@ -753,8 +761,7 @@ def kantorovich_dual_check(mu: PointMassMeasure, nu: PointMassMeasure,
 
 def barycenter_lower_bound(mu: PointMassMeasure, nu: PointMassMeasure) -> float:
     """Transport distance is at least the barycenter gap in total variation."""
-    if not mu.space.same_as(nu.space):
-        raise SpaceMismatch("measures live on different state spaces")
+    _check_space(mu.space, nu.space, "measures live on different state spaces")
     _check_equal_mass(mu.total_mass, nu.total_mass)
     return float(np.abs(mu.barycenter_masses() - nu.barycenter_masses()).sum())
 
@@ -778,8 +785,7 @@ def barycenter_match(phi: PointMassMeasure, b: DensityVector) -> PointMassMeasur
     """
     if np.any(b.values < 0):
         raise NegativeTarget("target density must be nonnegative")
-    if not phi.space.same_as(b.space):
-        raise SpaceMismatch("target lives on a different state space")
+    _check_space(phi.space, b.space, "target lives on a different state space")
     xis = phi.mass_matrix()
     a = phi.weights @ xis
     _check_equal_mass(float(a.sum()), float(b.masses.sum()))
@@ -804,6 +810,7 @@ def nearest_barycenter_distance(mu: PointMassMeasure, y: DensityVector
     ``max(1, r)``, or :class:`SolverFailure` is raised; no transport
     problem is solved.
     """
+    _check_space(mu.space, y.space, "target lives on a different state space")
     r = mu.total_mass
     target = DensityVector(mu.space, y.values * r, unnormalized=True)
     psi = barycenter_match(mu, target)
@@ -826,13 +833,10 @@ def half_mass_check(mu: PointMassMeasure, F, pi: DensityVector | None = None
     """
     if abs(mu.total_mass - 1.0) > MARGINAL_TOL:
         raise MassMismatch("half-mass bound applies to probability measures")
-    bary = barycenter(mu)
     if pi is None:
-        pi = bary
-    elif tv_distance(bary, pi) > MARGINAL_TOL:
-        raise BarycenterMismatch(
-            f"measure barycenter differs from pi by {tv_distance(bary, pi)!r}"
-        )
+        pi = barycenter(mu)
+    else:
+        _check_barycenter(mu, pi, "measure")
     mask = mu.space.mask(F)
     threshold = pi.mass_of(mask) / 2.0
     atom_f_mass = mu.mass_matrix()[:, mask].sum(axis=1)
@@ -848,6 +852,7 @@ def brute_force_uniform_assignment(mu: PointMassMeasure, nu: PointMassMeasure) -
     attained at a permutation.  Any other input, empty measures included,
     raises :class:`MassMismatch`.
     """
+    _check_space(mu.space, nu.space, "measures live on different state spaces")
     if mu.n_atoms != nu.n_atoms:
         raise MassMismatch("assignment oracle needs equal atom counts")
     weights = np.concatenate([mu.weights, nu.weights])

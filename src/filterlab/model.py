@@ -68,6 +68,12 @@ def _check_nonnegative(values: np.ndarray, error, what: str) -> None:
         raise error(f"{what} must be nonnegative and finite")
 
 
+def _check_space(space, other, what: str, error=SpaceMismatch) -> None:
+    """The one foreign-grid gate: refuse with ``error(what)`` unless the grids are equal."""
+    if not space.same_as(other):
+        raise error(what)
+
+
 class _Grid:
     """Finite grid: ordered cell ids plus a positive weight per cell.
 
@@ -376,8 +382,8 @@ def compose(model1: HmmModel, model2: HmmModel) -> HmmModel:
     The composite observes the pair (a1, a2); its density integrates the
     intermediate state against lambda.  Associative up to float roundoff.
     """
-    if not model1.states.same_as(model2.states):
-        raise StateSpaceMismatch("composition requires identical state spaces")
+    _check_space(model1.states, model2.states, "composition requires identical state spaces",
+                 StateSpaceMismatch)
     m12, tau = _chain(model1.m, model1.obs.tau_weights, model2)
     ids = [(a, b) for a in model1.obs.cells for b in model2.obs.cells]
     return HmmModel(model1.states, ObsSpace(ids, tau), m12)
@@ -405,12 +411,11 @@ class ErgodicityReport:
     """Direct-solve outcome plus per-step worst-case mixing distances.
 
     ``sup_tv[k]`` is ``max_s || P^{k+1}(s,.) - pi ||`` in total variation.
-    ``ergodic`` records whether that sequence fell below tolerance inside the
-    diagnostic horizon; when it did not (periodic or reducible chains) the
-    stationary law is still returned but flagged.  ``null_dim`` is the
-    dimension of the solution space of ``pi P = pi``, the number of closed
-    classes of P's support: above one the chain is reducible and its
-    stationary law is not unique.
+    ``ergodic`` is decided on P's support: one closed class, and that class
+    aperiodic; a periodic or reducible chain still gets its stationary law,
+    flagged.  ``null_dim`` is the dimension of the solution space of
+    ``pi P = pi``, the number of closed classes of P's support: above one the
+    chain is reducible and its stationary law is not unique.
     """
 
     converged: bool
@@ -427,14 +432,17 @@ def stationary(model: HmmModel) -> tuple[DensityVector, ErgodicityReport]:
 
     Solves ``pi P = pi`` with ``sum(pi) = 1`` by least squares, so no
     iteration runs (``iterations`` is 0); the report is ``converged`` when
-    the residual is at most 1e-12, and ``ergodic`` when the worst-case
-    distance of ``P^n`` rows to pi falls to 1e-12 within 512 steps.  A solution
-    space of dimension above one (a reducible chain: several closed classes
-    of P's support, counted in booleans) is reported in ``null_dim`` and in
-    the note, and the law returned is then the
-    minimum-norm solution, a mixture of the chain's closed classes.  Ties and
-    periodicity are reported, never resolved: the report's flags say whether
-    the worst-case mixing distance actually decayed.
+    the residual is at most 1e-12.  A solution space of dimension above one
+    (a reducible chain: several closed classes of P's support, counted in
+    booleans) is reported in ``null_dim`` and in the note, and the law
+    returned is then the minimum-norm solution, a mixture of the chain's
+    closed classes.  The chain is ``ergodic`` when it has one closed class
+    and some power of that class's support is positive (it is aperiodic);
+    by Wielandt's bound some power is positive only if the power
+    ``(c - 1)**2 + 1`` of a ``c``-cell class is, so squaring the boolean
+    support up to it decides.  ``sup_tv``, the worst-case distance of
+    ``P^n`` rows to pi, is measured up to 512 steps, or until it reaches
+    1e-12.  Ties and periodicity are reported, never resolved.
     """
     tol, diag_horizon = 1e-12, 512
     P = model.markov_matrix
@@ -445,6 +453,12 @@ def stationary(model: HmmModel) -> tuple[DensityVector, ErgodicityReport]:
     closed = ~(reach & ~reach.T).any(axis=1)  # every cell reached reaches back
     # each closed class counted once, at its first cell
     null_dim = int((closed & (reach.argmax(axis=1) == np.arange(k))).sum())
+    ergodic = False
+    if null_dim == 1:
+        power = (P > 0)[np.ix_(closed, closed)]
+        for _ in range(((len(power) - 1) ** 2).bit_length()):  # 2**j >= (c - 1)**2 + 1
+            power = power @ power
+        ergodic = bool(power.all())
     A = P.T - np.eye(k)
     x = np.linalg.lstsq(np.vstack([A, np.ones(k)]), np.r_[np.zeros(k), 1.0],
                         rcond=None)[0]
@@ -453,26 +467,24 @@ def stationary(model: HmmModel) -> tuple[DensityVector, ErgodicityReport]:
     residual = float(np.abs(x @ P - x).sum())
     rows = np.eye(k)
     sup_tv = []
-    ergodic = False
     for _ in range(diag_horizon):
         rows = rows @ P
         sup_tv.append(float(np.abs(rows - x[None, :]).sum(axis=1).max()))
         if sup_tv[-1] <= tol:
-            ergodic = True
             break
-    notes = [] if null_dim == 1 else [
-        f"reducible: pi P = pi has a {null_dim}-dimensional solution space, "
-        "so the stationary law is not unique; the minimum-norm one is returned"]
-    if not ergodic:
-        notes.append("sup-distance plateau within diagnostic horizon; "
-                     "chain may be periodic or reducible")
+    if null_dim > 1:
+        note = (f"reducible: pi P = pi has a {null_dim}-dimensional solution space, "
+                "so the stationary law is not unique; the minimum-norm one is returned")
+    else:
+        note = "" if ergodic else ("periodic: no power of the closed class's support "
+                                   "is positive, so P^n does not converge")
     report = ErgodicityReport(
         converged=residual <= tol,
         iterations=0,
         residual=residual,
         sup_tv=np.asarray(sup_tv),
         ergodic=ergodic,
-        note="; ".join(notes),
+        note=note,
         null_dim=null_dim,
     )
     return DensityVector.from_masses(model.states, x), report
@@ -495,8 +507,7 @@ def simulate(model: HmmModel, x0: DensityVector, n: int, seed: int) -> Simulatio
     """Sample a hidden path and observations; deterministic under the seed."""
     if n < 1:
         raise ValueError("simulate requires n >= 1")
-    if not x0.space.same_as(model.states):
-        raise SpaceMismatch("initial density lives on a different state space")
+    _check_space(x0.space, model.states, "initial density lives on a different state space")
     rng = np.random.default_rng(seed)
     lam = model.states.lambda_weights
     tau = model.obs.tau_weights

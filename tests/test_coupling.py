@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,9 +23,11 @@ from filterlab import coupling
 from filterlab.errors import BarycenterMismatch, BudgetExceeded
 from filterlab.filter import filter_laws, observation_law, pushforward_n
 from filterlab.measures import MERGE_TOL, PointMassMeasure, merge_atoms
-from filterlab.model import DensityVector, partition_model, stationary
+from filterlab.model import DensityVector, load_model, partition_model, stationary
 
 from conftest import bayes_step_per_row, e, random_density, random_model
+
+DEMOS = Path(__file__).parents[1] / "demos" / "models"
 
 
 class TestObsCoupling:
@@ -166,6 +169,17 @@ class TestCoupledChain:
         monkeypatch.setattr(coupling, "_coupled_step", no_step)
         with pytest.raises(BudgetExceeded):
             next(laws)
+
+
+def test_coupled_laws_keep_their_inputs_pruned_mass():
+    # a coupling of pruned laws misses what the product of the unpruned ones holds
+    model = load_model(DEMOS / "noisy_sensor.json")
+    mu = pushforward_n(model, e(model, 1), 8, prune_eps=3e-3)
+    assert mu.pruned_mass > 0.2
+    laws = [product_coupling(mu, mu), *coupled_laws(model, mu, mu, 3)]
+    for joint in laws:
+        assert joint.pruned_mass > 0.4
+        assert abs(joint.pruned_mass + joint.total_mass - 1.0) <= 1e-12
 
 
 class TestConditionEEstimate:

@@ -6,12 +6,14 @@ builder makes every product-form model; and the CLI turns a bad option or an
 unreadable input file into exit 64 with one line on stderr.
 """
 
+import inspect
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import filterlab
 from filterlab.cli import main
 from filterlab.contraction import check_condition_P, e1_constants, verify_hopf
 from filterlab.coupling import (
@@ -44,10 +46,15 @@ from filterlab.lab import (
 )
 from filterlab.measures import (
     PointMassMeasure,
+    _AtomStore,
+    _check_barycenter,
     barycenter_lower_bound,
     barycenter_match,
+    brute_force_uniform_assignment,
+    hahn_witness,
     half_mass_check,
     kantorovich,
+    nearest_barycenter_distance,
 )
 from filterlab.model import (
     DensityVector,
@@ -56,6 +63,7 @@ from filterlab.model import (
     SteppingKernel,
     StateSpace,
     _check_nonnegative,
+    _check_space,
     build_model,
     load_model,
     partition_model,
@@ -371,6 +379,22 @@ DOCUMENTED_GATES = {
     "product_coupling across spaces": (
         lambda: product_coupling(_dirac(), PointMassMeasure.dirac(_foreign())),
         SpaceMismatch, "measures live on different state spaces"),
+    "condition P with pi from another space": (
+        lambda: check_condition_P(_split(), _foreign(), [1], [1]), SpaceMismatch,
+        "pi lives on a different state space than the model"),
+    "e1_constants with pi from another space": (
+        lambda: e1_constants(_split(), _foreign(),
+                             check_condition_P(_split(), _split_pi(), [1], [1]), 0.1),
+        SpaceMismatch, "pi lives on a different state space than the model"),
+    "nearest_barycenter_distance across spaces": (
+        lambda: nearest_barycenter_distance(_dirac(), _foreign()), SpaceMismatch,
+        "target lives on a different state space"),
+    "hahn_witness across spaces": (
+        lambda: hahn_witness(_dirac(), PointMassMeasure.dirac(_foreign())),
+        SpaceMismatch, "measures live on different state spaces"),
+    "brute_force_uniform_assignment across spaces": (
+        lambda: brute_force_uniform_assignment(_dirac(), PointMassMeasure.dirac(_foreign())),
+        SpaceMismatch, "measures live on different state spaces"),
     "condition P with an empty B0": (
         _empty_b0, None, (False, "2", "tau mass of B0 is zero")),
     "verify_hopf with no first-row mass in y": (
@@ -396,6 +420,27 @@ def test_documented_gate(call, error, expected):
     else:
         with pytest.raises(error, match=expected):
             call()
+
+
+class TestEachRuleWrittenOnce:
+    """A gate is written out in the one function that owns it."""
+
+    @staticmethod
+    def _count(text):
+        return sum(path.read_text().count(text)
+                   for path in Path(filterlab.__file__).parent.glob("*.py"))
+
+    def test_grid_gate(self):
+        gate = ".same_as("
+        assert self._count(gate) == inspect.getsource(_check_space).count(gate) == 1
+
+    def test_barycenter_gate(self):
+        raised = "raise BarycenterMismatch("
+        assert self._count(raised) == inspect.getsource(_check_barycenter).count(raised) == 1
+
+    def test_density_entry(self):
+        shape = "points must have shape"
+        assert self._count(shape) == inspect.getsource(_AtomStore).count(shape) == 1
 
 
 def _measure_file(path, atoms):

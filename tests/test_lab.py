@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from filterlab import filter as filter_module
 from filterlab.errors import BadPartition, MassMismatch, NonStochasticEmission
 from filterlab.filter import (
     LipschitzFunction,
+    filter_laws,
     mass_functional,
     pushforward_n,
     pushforward_nodes,
@@ -22,8 +25,9 @@ from filterlab.lab import (
     tightness_probe,
     weak_contraction_report,
 )
-from filterlab.model import (DensityVector, HmmModel, ObsSpace, StateSpace, markov_kernel,
-                             stationary)
+from filterlab.measures import barycenter_lower_bound
+from filterlab.model import (DensityVector, HmmModel, ObsSpace, StateSpace, load_model,
+                             markov_kernel, stationary)
 
 from conftest import P_SYM, Q_SYM, e, numeric_csv_rows, random_model
 
@@ -354,3 +358,20 @@ def test_periodic_control_is_two_cycle():
     model = periodic_control_model()
     np.testing.assert_array_equal(markov_kernel(model), [[0, 1], [1, 0]])
     assert model.n_obs == 1
+
+
+@pytest.mark.parametrize("name", ["noisy_sensor", "block_partition", "two_cycle_control"])
+def test_floor_is_the_barycenter_bound_of_the_laws_compared(name):
+    # the floor of the laws themselves; by the barycenter identity it is the
+    # chain-marginal gap |x P^n - y P^n| up to rounding
+    model = load_model(Path(__file__).parents[1] / "demos" / "models" / f"{name}.json")
+    x, y = e(model, model.states.cells[0]), e(model, model.states.cells[-1])
+    report = weak_contraction_report(model, [(x, y)], 6)
+    laws = zip(filter_laws(model, x, 6), filter_laws(model, y, 6))
+    next(laws)
+    P = markov_kernel(model)
+    xm, ym = x.masses, y.masses
+    for n, (mu, nu) in enumerate(laws, start=1):
+        assert report.lower_bounds[0, n - 1] == barycenter_lower_bound(mu, nu)
+        xm, ym = xm @ P, ym @ P
+        assert abs(report.lower_bounds[0, n - 1] - np.abs(xm - ym).sum()) <= 1e-15

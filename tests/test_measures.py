@@ -575,6 +575,34 @@ class TestHeldMasses:
         assert PointMassMeasure.from_masses(space, masses, w).mass_matrix() is masses
 
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 20))
+    def test_both_constructors_are_from_masses(self, seed, k, n):
+        # one density entry: the constructors hold points * lambda, bit for bit
+        rng = np.random.default_rng(seed)
+        space = _space(k, rng, weighted=True)
+        lam = space.lambda_weights
+        x, y = (rng.dirichlet(np.ones(k), n) / lam for _ in range(2))
+        w = rng.uniform(0.1, 1.0, n)
+        pairs = [(PointMassMeasure(space, x, w),
+                  PointMassMeasure.from_masses(space, x * lam, w)),
+                 (JointFilterMeasure(space, x, y, w),
+                  JointFilterMeasure.from_masses(space, np.hstack([x * lam, y * lam]), w))]
+        for built, direct in pairs:
+            assert type(built) is type(direct)
+            assert built._masses.tobytes() == direct._masses.tobytes()
+            assert built.weights.tobytes() == direct.weights.tobytes()
+
+    @pytest.mark.parametrize("cls, halves", [(PointMassMeasure, 1), (JointFilterMeasure, 2)])
+    def test_empty_merge(self, cls, halves):
+        # merge_atoms has no path of its own for no atoms: the general one returns none
+        space = StateSpace((1, 2, 3), [1.0, 2.0, 0.5])
+        merged = cls(space, *[np.empty((0, 3))] * halves, []).merged()
+        assert type(merged) is cls and merged.n_atoms == 0
+        assert merged._masses.shape == (0, 3 * halves)
+        assert merged.total_mass == 0.0
+
+
 def _clustered_atoms(seed, blocks, tol=MERGE_TOL):
     """Atoms in chains of links 0.4 tol long, and atoms far from all of them.
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -315,6 +317,76 @@ def _closed_classes(support):
                     todo.append(j)
         reach.append(frozenset(seen))
     return len({reach[i] for i in range(k) if all(i in reach[j] for j in reach[i])})
+
+
+def _period_one(support):
+    """One closed class, of period one: an oracle beside ``stationary``'s boolean powers.
+
+    The period of the class is the gcd of ``level[u] + 1 - level[v]`` over its
+    arcs ``u -> v``, the levels being breadth-first distances from one of its
+    cells.
+    """
+    if _closed_classes(support) != 1:
+        return False
+    k = len(support)
+    paths = np.linalg.matrix_power(support.astype(np.int64) + np.eye(k, dtype=np.int64), k)
+    reach = [set(np.flatnonzero(row).tolist()) for row in paths]
+    root = next(i for i in range(k) if all(i in reach[j] for j in reach[i]))
+    level, todo = {root: 0}, [root]
+    for u in todo:
+        for v in np.flatnonzero(support[u]).tolist():
+            if v not in level:
+                level[v] = level[u] + 1
+                todo.append(v)
+    return math.gcd(*(level[u] + 1 - level[v] for u in level
+                      for v in np.flatnonzero(support[u]).tolist())) == 1
+
+
+class TestErgodicOnSupport:
+    """``ergodic`` is decided on P's support, not on ``sup_tv`` within 512 steps."""
+
+    def test_slow_two_state_chains_are_ergodic(self):
+        # (1 - 2 eps)**512 stays above 1e-12 below eps = 0.027: 26 of these
+        # chains never reach the tolerance within the diagnostic horizon
+        q = np.array([[0.7, 0.3], [0.3, 0.7]])
+        space, obs = StateSpace([1, 2], [1, 1]), ObsSpace([1, 2], [1, 1])
+        slow = 0
+        for eps in np.linspace(0.001, 0.5, 500):
+            p = np.array([[1 - eps, eps], [eps, 1 - eps]])
+            _, report = stationary(HmmModel(space, obs, p[:, :, None] * q[None]))
+            assert report.ergodic and report.note == "", eps
+            slow += report.sup_tv[-1] > 1e-12
+        assert slow == 26
+
+    def test_sparse_corpus_matches_the_period(self):
+        rng = np.random.default_rng(1)
+        slow = 0
+        for _ in range(3000):
+            k = int(rng.integers(1, 7))
+            p = rng.random((k, k)) * (rng.random((k, k)) < 0.4)
+            for row in np.flatnonzero(p.sum(axis=1) == 0):
+                p[row, rng.integers(k)] = 1.0
+            p /= p.sum(axis=1, keepdims=True)
+            _, report = stationary(product_model(p, np.ones((k, 1))))
+            assert report.ergodic == _period_one(p > 0)
+            slow += report.ergodic and report.sup_tv[-1] > 1e-12
+        # ergodic chains whose sup_tv is still above 1e-12 after 512 steps
+        assert slow == 97
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6),
+           density=st.sampled_from([0.15, 0.3, 0.6]))
+    def test_ergodic_is_one_aperiodic_closed_class(self, seed, k, density):
+        rng = np.random.default_rng(seed)
+        support = rng.random((k, k)) < density
+        support[np.arange(k), rng.integers(k, size=k)] = True  # every row alive
+        p = np.where(support, rng.uniform(0.5, 2.0, (k, k)), 0.0)
+        p /= p.sum(axis=1, keepdims=True)
+        _, report = stationary(partition_model(p, [list(range(1, k + 1))]))
+        assert report.ergodic == _period_one(support)
+        if not report.ergodic:
+            word = "periodic:" if report.null_dim == 1 else "reducible:"
+            assert report.note.startswith(word)
 
 
 def _simulate_by_choice(model, x0, n, seed):
